@@ -1,7 +1,7 @@
 """Batch front-end: scenario files in, CSV/JSON reports out.
 
 Subcommands mirror the scenario tasks; every run is deterministic (same
-inputs and any thread count give byte-identical outputs) and exits nonzero
+inputs give byte-identical outputs, whatever --threads says) and exits nonzero
 on verification failures with a distinct code per error class:
 
     0  success          3  precondition violated
@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for section norms (results identical)")
+                       help="accepted for compatibility; does not change "
+                            "how section norms are computed")
         p.add_argument("--tolerance", type=float, default=1e-8,
                        help="relative quadrature tolerance")
         p.add_argument("--dp-convention", choices=("corrected", "printed"),

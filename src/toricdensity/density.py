@@ -1,9 +1,20 @@
 """Numerical Bergman machinery on the polytope.
 
-Adaptive quadrature over simplex decompositions, section norms
+Quadrature over simplex decompositions, section norms
 ``int_P exp(-k phi(alpha, .))``, mass densities, full and partial density
 functions, pairings with test functions, and the pointwise decay and
 agreement checks in the forbidden/allowed regions.
+
+Two quadrature drivers share one centroid-fan triangulation and one
+Duffy-mapped Gauss rule.  ``integrate_orders`` raises the Gauss order on the
+fixed simplices, for many integrands at once on shared nodes, and accepts an
+integral once two successive orders each agree with the one before; past
+MAX_ORDER it refines instead, and a step beyond NODE_BUDGET nodes raises
+QuadratureError before allocating.  Section norms and the pairings of
+sections and partial densities use it, because their integrands are
+analytic on each simplex.  ``integrate_simplices`` keeps uniform dyadic
+refinement at a fixed low order for the metric-side integrals, some of
+which have kinks.
 
 All results are pushed down to the polytope: the (2 pi)^n fibre factor is
 dropped throughout, so pairings satisfy <|e_{alpha,k}|^2, 1> = 1 and
@@ -12,7 +23,6 @@ dropped throughout, so pairings satisfy <|e_{alpha,k}|^2, 1> = 1 and
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,9 +34,18 @@ from .polytope import MovingFamily, Polytope, _fr, _point
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_MAX_DEPTH = 8
 
+# the order sequence, order cap, node budget and evaluation block of
+# integrate_orders
+FIRST_ORDER = 4
+ORDER_STEP = 2
+MAX_ORDER = 32
+NODE_BUDGET = 1 << 21
+BLOCK = 1 << 18
+
 
 class QuadratureError(RuntimeError):
-    """Raised on non-convergence; carries the best estimate."""
+    """Raised on non-convergence; carries the best estimate and last delta
+    (arrays with one entry per integral from ``integrate_orders``)."""
 
     def __init__(self, message, best=None, delta=None):
         super().__init__(message)
@@ -34,21 +53,26 @@ class QuadratureError(RuntimeError):
         self.delta = delta
 
 
-def tree_sum(values: np.ndarray) -> float:
-    """Pairwise (tree) reduction in a fixed order: bit-stable results."""
-    vals = np.array(values, dtype=float).ravel()  # copy: reduction is in place
-    n = len(vals)
+def _tree_sum_rows(vals: np.ndarray) -> np.ndarray:
+    """Pairwise reduction of each row of a 2-D array, in place, fixed order."""
+    n = vals.shape[1]
     if n == 0:
-        return 0.0
+        return np.zeros(vals.shape[0])
     while n > 1:
         half = n // 2
-        vals[:half] = vals[:half] + vals[half:2 * half]
+        vals[:, :half] = vals[:, :half] + vals[:, half:2 * half]
         if n % 2:
-            vals[half] = vals[2 * half]
+            vals[:, half] = vals[:, 2 * half]
             n = half + 1
         else:
             n = half
-    return float(vals[0])
+    return vals[:, 0]
+
+
+def tree_sum(values: np.ndarray) -> float:
+    """Pairwise (tree) reduction in a fixed order: bit-stable results."""
+    vals = np.array(values, dtype=float).reshape(1, -1)  # copy: reduction is in place
+    return float(_tree_sum_rows(vals)[0])
 
 
 def _gauss01(m: int):
@@ -124,6 +148,14 @@ def refine_simplices(simplices: np.ndarray) -> np.ndarray:
     return np.concatenate(ch, axis=0)
 
 
+def _refined(S, mu):
+    """Red refinement with its measures: all 2^m children of an affine
+    refinement have measure parent/2^m, and refine_simplices concatenates
+    them kind-major, so the measures tile."""
+    m = S.shape[1] - 1
+    return refine_simplices(S), np.tile(mu / (1 << m), 1 << m)
+
+
 def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
                         max_depth=DEFAULT_MAX_DEPTH, order=None,
                         min_depth=1, chunk=1 << 18, abs_tol=1e-12):
@@ -156,10 +188,7 @@ def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
     for depth in range(1, max_depth + 1):
         if m == 0:
             return prev, 0.0
-        S = refine_simplices(S)
-        # children are concatenated kind-major, so measures tile (all 2^m
-        # children of an affine refinement have measure parent/2^m)
-        mu = np.tile(mu / (1 << m), 1 << m)
+        S, mu = _refined(S, mu)
         cur = level_value(S, mu)
         delta = abs(cur - prev)
         if depth >= min_depth and delta <= max(rel_tol * abs(cur), abs_tol):
@@ -168,6 +197,85 @@ def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
     raise QuadratureError(
         f"quadrature did not converge to rel_tol={rel_tol} within depth {max_depth} "
         f"(last delta {delta:.3g})", best=prev, delta=delta)
+
+
+def _order_values(S, mu, fn, live, order):
+    """Integrals of the components ``live`` at one Gauss order.
+
+    Nodes and integrand values are formed at most BLOCK (component x node)
+    entries at a time; each simplex is summed over its nodes by numpy's
+    pairwise sum, and the simplices by ``_tree_sum_rows``.
+    """
+    s, m = S.shape[0], S.shape[1] - 1
+    bary, wts = reference_rule(m, order)
+    r = len(wts)
+    per_simplex = np.empty((live.size, s))
+    per_block = max(1, BLOCK // r)
+    for c0 in range(0, live.size, per_block):
+        comp = live[c0:c0 + per_block]
+        step = max(1, BLOCK // (comp.size * r))
+        for s0 in range(0, s, step):
+            nodes = np.einsum("rb,sbN->srN", bary, S[s0:s0 + step])
+            vals = fn(nodes.reshape(-1, S.shape[2]), comp)
+            per_simplex[c0:c0 + per_block, s0:s0 + step] = \
+                (vals.reshape(comp.size, -1, r) * wts).sum(axis=2)
+    return _tree_sum_rows(per_simplex * mu)
+
+
+def integrate_orders(simplices, measures, fn, components=1,
+                     rel_tol=DEFAULT_REL_TOL, abs_tol=1e-12):
+    """Integrals of several functions over weighted simplices, by order raising.
+
+    ``fn(nodes, live)`` returns the values of the components ``live`` (an
+    index array) at ``nodes``, shape (len(live), len(nodes)).  The Gauss
+    order of the Duffy rule goes FIRST_ORDER, FIRST_ORDER + ORDER_STEP, ...
+    up to MAX_ORDER on the fixed simplices, every live component on the same
+    nodes; past MAX_ORDER each step refines the simplices at that order
+    instead, which integrands that are smooth but not analytic (a bump)
+    need.  A component is accepted, and evaluated no further, once two
+    successive steps each moved it by at most max(rel_tol |value|, abs_tol):
+    one agreement alone can come before convergence.  Returns
+    (values, deltas) with the last step of each component as its delta.
+
+    The next step's node count is checked before its nodes are allocated:
+    past NODE_BUDGET nodes, QuadratureError is raised carrying the best
+    values and deltas of all components.
+    """
+    S = np.asarray(simplices, dtype=float)
+    mu = np.asarray(measures, dtype=float)
+    everything = np.arange(components)
+    if S.size == 0:
+        return np.zeros(components), np.zeros(components)
+    m = S.shape[1] - 1
+    if m == 0:  # point masses: one evaluation is exact
+        return _order_values(S, mu, fn, everything, 1), np.zeros(components)
+    values = np.full(components, np.nan)
+    deltas = np.full(components, np.inf)
+    agreed = np.zeros(components, dtype=bool)
+    live = everything
+    order, count = FIRST_ORDER, S.shape[0]
+    while live.size:
+        if count * order ** m > NODE_BUDGET:
+            raise QuadratureError(
+                f"{live.size} of {components} integrals did not converge to "
+                f"rel_tol={rel_tol} within {NODE_BUDGET} nodes (Gauss order "
+                f"{order}, largest last delta {deltas[live].max():.3g})",
+                best=values, delta=deltas)
+        if count > S.shape[0]:
+            S, mu = _refined(S, mu)
+        cur = _order_values(S, mu, fn, live, order)
+        step = np.abs(cur - values[live])  # nan on the first pass
+        deltas[live] = np.where(np.isnan(step), np.inf, step)
+        ok = deltas[live] <= np.maximum(rel_tol * np.abs(cur), abs_tol)
+        values[live] = cur
+        done = ok & agreed[live]
+        agreed[live] = ok
+        live = live[~done]
+        if order < MAX_ORDER:
+            order = min(order + ORDER_STEP, MAX_ORDER)
+        else:
+            count <<= m
+    return values, deltas
 
 
 @dataclass
@@ -238,28 +346,24 @@ class SectionBasis:
 
     @classmethod
     def build(cls, potential, k: int, rel_tol=DEFAULT_REL_TOL,
-              max_depth=DEFAULT_MAX_DEPTH, threads: int = 1) -> "SectionBasis":
+              threads: int = 1) -> "SectionBasis":
+        """All norms of level k by one order-raising pass on shared nodes.
+
+        ``threads`` is accepted for compatibility and changes nothing.
+        """
         P = potential.polytope
         pts = P.lattice_points(k)
         alphas = [tuple(Fraction(m, k) for m in p) for p in pts]
-        scheme = QuadratureScheme.for_polytope(P, rel_tol=rel_tol, max_depth=max_depth)
+        scheme = QuadratureScheme.for_polytope(P, rel_tol=rel_tol)
+        alpha_float = np.array(pts, dtype=float) / k
 
-        def norm_for(alpha):
-            af = np.array([float(c) for c in alpha])
+        def fn(nodes, live):
+            return np.exp(-k * potential.phi_matrix(alpha_float[live], nodes))
 
-            def fn(z):
-                return np.exp(-k * potential.phi_many(af, z))
-
-            val, _ = scheme.integrate(fn)
-            return val
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                norms = list(ex.map(norm_for, alphas))
-        else:
-            norms = [norm_for(a) for a in alphas]
-        return cls(potential=potential, k=k, alphas=alphas,
-                   norms=np.array(norms), scheme=scheme)
+        norms, _ = integrate_orders(scheme.simplices, scheme.measures, fn,
+                                    len(alphas), rel_tol=rel_tol)
+        return cls(potential=potential, k=k, alphas=alphas, norms=norms,
+                   scheme=scheme)
 
     def index_of(self, alpha) -> int:
         key = _point(alpha)
@@ -271,15 +375,20 @@ class SectionBasis:
     def density(self, points, mask=None) -> np.ndarray:
         """Pushed-down density sum_alpha exp(-k phi(alpha, y))/norm_alpha.
 
-        mask selects a subset of alphas (a partial basis).
+        mask selects a subset of alphas (a partial basis).  Kernel values
+        are formed BLOCK (alpha x point) entries at a time.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = np.arange(len(self.alphas)) if mask is None else np.where(mask)[0]
         out = np.zeros(pts.shape[0])
-        for start in range(0, len(idx), 256):
-            sel = idx[start:start + 256]
-            phi = self.potential.phi_matrix(self._alpha_float[sel], pts)
-            out += (np.exp(-self.k * phi) / self.norms[sel, None]).sum(axis=0)
+        per_block = BLOCK // 256
+        for p0 in range(0, pts.shape[0], per_block):
+            chunk = pts[p0:p0 + per_block]
+            for start in range(0, len(idx), 256):
+                sel = idx[start:start + 256]
+                phi = self.potential.phi_matrix(self._alpha_float[sel], chunk)
+                out[p0:p0 + per_block] += \
+                    (np.exp(-self.k * phi) / self.norms[sel, None]).sum(axis=0)
         return out
 
 
@@ -298,51 +407,49 @@ def mass_density(basis: SectionBasis, alpha, y) -> float:
 
 
 def pair_alpha(potential, alpha, k: int, f, scheme: QuadratureScheme | None = None,
-               rel_tol=None, max_depth=None, abs_tol=1e-13):
+               rel_tol=None, abs_tol=1e-13):
     """<|e_{alpha,k}|^2, f> for one lattice point, no basis required.
 
-    Numerator and denominator share one node set at every refinement level,
-    so the section norm cancels and f = 1 pairs to exactly 1.
+    The density |e_{alpha,k}|^2 and its f-moment are two components of one
+    order-raising pass on shared nodes, so f = 1 pairs to exactly 1.  The
+    kernel is first divided by the section norm, so ``abs_tol`` floors the
+    pairing itself however small the norm.  On non-convergence the
+    QuadratureError carries the best pairing and its first-order error.
     """
     if scheme is None:
         scheme = QuadratureScheme.for_polytope(potential.polytope)
     af = np.array([float(_fr(c)) for c in alpha])
     fld = as_field(f, potential.polytope.dim)
     rel_tol = rel_tol if rel_tol is not None else scheme.rel_tol
-    max_depth = max_depth if max_depth is not None else scheme.max_depth
+    S, mu = scheme.simplices, scheme.measures
 
-    S = scheme.simplices
-    mu = scheme.measures
-    m = S.shape[1] - 1
-    bary, wts = reference_rule(m, scheme.order or _DEFAULT_ORDER.get(m, 3))
+    def kernel(nodes):
+        return np.exp(-k * potential.phi_many(af, nodes))
 
-    def level_ratio(S, mu):
-        nodes = np.einsum("rb,sbN->srN", bary, S).reshape(-1, S.shape[2])
-        dens = np.exp(-k * potential.phi_many(af, nodes))
-        num_vals = dens * fld.value(nodes)
-        den = tree_sum((dens.reshape(S.shape[0], -1) * wts).sum(axis=1) * mu)
-        num = tree_sum((num_vals.reshape(S.shape[0], -1) * wts).sum(axis=1) * mu)
-        return num / den
+    (norm,), _ = integrate_orders(S, mu, lambda nodes, live: kernel(nodes)[None, :],
+                                  rel_tol=rel_tol)
 
-    prev = level_ratio(S, mu)
-    for depth in range(1, max_depth + 1):
-        S = refine_simplices(S)
-        mu = np.tile(mu / (1 << m), 1 << m)
-        cur = level_ratio(S, mu)
-        delta = abs(cur - prev)
-        if delta <= max(rel_tol * abs(cur), abs_tol):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"section pairing did not stabilize within depth {max_depth}", best=prev)
+    def fn(nodes, live):
+        dens = kernel(nodes) / norm
+        return np.stack([dens, dens * fld.value(nodes)])[live]
+
+    try:
+        (den, num), _ = integrate_orders(S, mu, fn, 2, rel_tol=rel_tol,
+                                         abs_tol=abs_tol)
+    except QuadratureError as exc:
+        (den, num), (d_den, d_num) = exc.best, exc.delta
+        ratio = num / den
+        raise QuadratureError(
+            f"section pairing did not stabilize: {exc}", best=ratio,
+            delta=(d_num + abs(ratio) * d_den) / abs(den)) from None
+    return num / den
 
 
-def pair_section(basis: SectionBasis, alpha, f, rel_tol=None, max_depth=None,
-                 abs_tol=1e-13):
+def pair_section(basis: SectionBasis, alpha, f, rel_tol=None, abs_tol=1e-13):
     """<|e_{alpha,k}|^2, f>: ratio of two quadratures sharing one node set."""
     basis.index_of(alpha)  # validate membership
     return pair_alpha(basis.potential, alpha, basis.k, f, scheme=basis.scheme,
-                      rel_tol=rel_tol, max_depth=max_depth, abs_tol=abs_tol)
+                      rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +571,20 @@ def partial_density(family: MovingFamily, potential, t, k: int, points,
 
 def pair_partial_density(family: MovingFamily, potential, t, k: int, f,
                          basis: SectionBasis | None = None,
-                         rel_tol=1e-9, max_depth=DEFAULT_MAX_DEPTH):
-    """<rho_hat_tk, f> by adaptive quadrature of the density over P."""
+                         rel_tol=1e-9):
+    """<rho_hat_tk, f> by order-raising quadrature of the density over P."""
     _check_divisibility(family, t, k)
     if basis is None:
         basis = SectionBasis.build(potential, k)
     mask = partial_mask(family, basis, t)
     fld = as_field(f, potential.polytope.dim)
 
-    def fn(pts):
-        return basis.density(pts, mask=mask) * fld.value(pts)
+    def fn(pts, live):
+        return (basis.density(pts, mask=mask) * fld.value(pts))[None, :]
 
-    val, delta = integrate_simplices(
-        basis.scheme.simplices, basis.scheme.measures, fn,
-        rel_tol=rel_tol, max_depth=max_depth, order=basis.scheme.order,
-        min_depth=2)
-    return val, delta
+    vals, deltas = integrate_orders(basis.scheme.simplices, basis.scheme.measures,
+                                    fn, rel_tol=rel_tol)
+    return float(vals[0]), float(deltas[0])
 
 
 def region_classify(family: MovingFamily, t, y) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,8 +81,9 @@ class Scenario:
     task: str
     params: dict
 
-    @property
+    @cached_property
     def family(self) -> MovingFamily | None:
+        """The moving family of the cuts, built once so its caches persist."""
         if not self.cuts:
             return None
         return MovingFamily(self.polytope, self.cuts)

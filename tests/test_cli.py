@@ -159,6 +159,18 @@ class TestCliRuns:
         rc = run_cli(["density-profile", "--scenario", sc, "--out", tmp_path])
         assert rc == cli.EXIT_PRECONDITION  # k=10 not divisible by N=3
 
+    def test_node_budget_exit_code(self, tmp_path, monkeypatch):
+        # a budget below the second Gauss order stops the section norms
+        from toricdensity import density
+        monkeypatch.setattr(density, "NODE_BUDGET", 5)
+        rc = run_cli(["density-profile", "--scenario",
+                      FIXTURES / "scenarios" / "cp1_density.json", "--out", tmp_path])
+        assert rc == cli.EXIT_NONCONVERGENCE
+
+    def test_scenario_family_built_once(self):
+        sc = load_scenario(FIXTURES / "scenarios" / "cp1_report.json")
+        assert sc.family is sc.family
+
 
 @pytest.mark.slow
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Quadrature, section norms, mass densities and partial density functions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,76 @@ class TestSectionBasis:
         a = td.SectionBasis.build(u_square, 5, threads=1)
         b = td.SectionBasis.build(u_square, 5, threads=4)
         assert np.array_equal(a.norms, b.norms)
+
+
+def _xlogx(x: float) -> float:
+    return x * math.log(x) if x > 0.0 else 0.0
+
+
+def box_norm(alpha, k):
+    """prod_i B(k a_i + 1, k(1 - a_i) + 1) / (a_i^{k a_i} (1 - a_i)^{k(1 - a_i)})."""
+    log = 0.0
+    for a in map(float, alpha):
+        p, q = k * a + 1.0, k * (1.0 - a) + 1.0
+        log += math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+        log -= k * (_xlogx(a) + _xlogx(1.0 - a))
+    return math.exp(log)
+
+
+def simplex_norm(alpha, k):
+    """Dirichlet integral prod_a Gamma(k l_a + 1) / Gamma(k + n + 1) over
+    prod_a l_a^{k l_a}, with l_0 = 1 - sum(alpha) and l_i = alpha_i."""
+    ells = [float(a) for a in alpha]
+    ells.append(1.0 - sum(ells))
+    log = -math.lgamma(k + len(alpha) + 1.0)
+    for ell in ells:
+        log += math.lgamma(k * ell + 1.0) - k * _xlogx(ell)
+    return math.exp(log)
+
+
+class TestClosedFormNorms:
+    @pytest.mark.parametrize("polytope,k,norm", [
+        (td.box([1, 1]), 8, box_norm),
+        (td.box([1, 1]), 32, box_norm),
+        (td.box([1, 1, 1]), 4, box_norm),
+        (td.standard_simplex(2), 16, simplex_norm),
+        (td.standard_simplex(2), 32, simplex_norm),
+    ], ids=["square-8", "square-32", "cube-4", "triangle-16", "triangle-32"])
+    def test_norms_match_closed_form(self, polytope, k, norm):
+        basis = td.SectionBasis.build(td.guillemin_potential(polytope), k,
+                                      rel_tol=1e-12)
+        assert len(basis.alphas) == polytope.count_lattice_points(k)
+        for alpha, got in zip(basis.alphas, basis.norms):
+            assert got == pytest.approx(norm(alpha, k), rel=1e-12), alpha
+
+    def test_one_agreement_is_not_enough(self, u_square):
+        # at this alpha Gauss orders 12 and 14 agree to ~5e-9 while both
+        # miss the closed form by ~4e-8; accepting on that one agreement
+        # would pass the default tolerance with the wrong value
+        basis = td.SectionBasis.build(u_square, 32)
+        for alpha in ((F(12, 32), F(27, 32)), (F(27, 32), F(12, 32))):
+            assert td.section_norm(basis, alpha) == pytest.approx(
+                box_norm(alpha, 32), rel=1e-9)
+
+    def test_node_budget_raises_with_best(self, u_square, monkeypatch):
+        from toricdensity import density
+        monkeypatch.setattr(density, "NODE_BUDGET", 100)  # 4 triangles x 6^2 > 100
+        with pytest.raises(td.QuadratureError) as err:
+            td.SectionBasis.build(u_square, 8)
+        assert err.value.best.shape == (81,)
+        assert np.all(np.isfinite(err.value.best))
+        assert np.all(err.value.delta == np.inf)  # one order only: no delta yet
+
+    def test_pair_alpha_nonconvergence_carries_best(self, u_interval):
+        rng = np.random.default_rng(0)
+
+        def noisy(pts):
+            return rng.standard_normal(pts.shape[0])
+
+        with pytest.raises(td.QuadratureError) as err:
+            td.pair_alpha(u_interval, [F(1, 2)], 10, noisy)
+        assert np.isfinite(err.value.best)
+        assert np.isfinite(err.value.delta) and err.value.delta > 0
 
 
 class TestMassDensity:

@@ -175,6 +175,11 @@ def _run_expansion_check(scenario, outdir, opts):
 
 
 def _run_slope(scenario, outdir, opts):
+    return _slope(scenario, outdir, opts)[0]
+
+
+def _slope(scenario, outdir, opts):
+    """Write slope.json; return the exit code and the SlopeReport."""
     family = scenario.family
     if family is None or len(family.cuts) != 1:
         raise ValueError("slope requires a single-cut family")
@@ -189,10 +194,15 @@ def _run_slope(scenario, outdir, opts):
                "pipeline_gap": abs(float(rep.excess) - rep.metric_excess),
                "verdict": rep.verdict}
     dump_json(payload, outdir / "slope.json")
-    return EXIT_OK if payload["pipeline_gap"] <= 1e-4 else EXIT_CHECK_FAILED
+    return (EXIT_OK if payload["pipeline_gap"] <= 1e-4 else EXIT_CHECK_FAILED), rep
 
 
 def _run_futaki(scenario, outdir, opts):
+    return _futaki(scenario, outdir, opts)[0]
+
+
+def _futaki(scenario, outdir, opts):
+    """Write futaki.json; return the exit code and the FutakiReport."""
     family = scenario.family
     if family is None:
         raise ValueError("futaki requires cuts in the scenario")
@@ -209,7 +219,7 @@ def _run_futaki(scenario, outdir, opts):
                "roof_identity_residual": rep.roof_identity_residual,
                "verdict": rep.verdict}
     dump_json(payload, outdir / "futaki.json")
-    return EXIT_OK if payload["pipeline_gap"] <= 1e-4 else EXIT_CHECK_FAILED
+    return (EXIT_OK if payload["pipeline_gap"] <= 1e-4 else EXIT_CHECK_FAILED), rep
 
 
 def _run_report(scenario, outdir, opts):
@@ -254,26 +264,24 @@ def _run_report(scenario, outdir, opts):
             summary["checks"]["subleading_coefficient_gap"] = coeff_gap
             if coeff_gap > 1e-5 * max(1.0, abs(float(hc.A1))):
                 status = max(status, EXIT_CHECK_FAILED)
+        srep = None
         if len(family.cuts) == 1 and params.get("c") is not None:
-            rc = _run_slope(scenario, outdir, opts)
+            rc, srep = _slope(scenario, outdir, opts)
             summary["checks"]["slope"] = rc
             status = max(status, rc)
-        rc = _run_futaki(scenario, outdir, opts)
+        rc, frep = _futaki(scenario, outdir, opts)
         summary["checks"]["futaki"] = rc
         status = max(status, rc)
-        _write_stability_summary(scenario, outdir, opts)
+        _write_stability_summary(scenario, outdir, opts, frep, srep)
 
     summary["status"] = status
     dump_json(summary, outdir / "report.json")
     return status
 
 
-def _write_stability_summary(scenario, outdir, opts):
-    """Combined stability report: JSON with exact rationals plus a table."""
-    family = scenario.family
-    pot = _potential(scenario)
-    config = build_test_config(family)
-    frep = futaki_report(config, pot, dp_convention=opts.dp_convention)
+def _write_stability_summary(scenario, outdir, opts, frep, srep):
+    """Combined stability report of the Futaki and (if any) slope reports:
+    JSON with exact rationals plus a table."""
     payload = {
         "schema": 1,
         "normalization": NORMALIZATION_NOTE,
@@ -292,9 +300,7 @@ def _write_stability_summary(scenario, outdir, opts):
         f"stability report: {scenario.name}",
         f"  mu(X)              {payload['mu_X']}",
     ]
-    c = scenario.params.get("c")
-    if len(family.cuts) == 1 and c is not None:
-        srep = slope_report(family, pot, Fraction(c))
+    if srep is not None:
         payload["slope"] = {
             "c": rational_to_str(srep.c),
             "mu_c": rational_to_str(srep.mu_c),

@@ -5,16 +5,17 @@ Quadrature over simplex decompositions, section norms
 functions, pairings with test functions, and the pointwise decay and
 agreement checks in the forbidden/allowed regions.
 
-Two quadrature drivers share one centroid-fan triangulation and one
-Duffy-mapped Gauss rule.  ``integrate_orders`` raises the Gauss order on the
-fixed simplices, for many integrands at once on shared nodes, and accepts an
-integral once two successive orders each agree with the one before; past
-MAX_ORDER it refines instead, and a step beyond NODE_BUDGET nodes raises
-QuadratureError before allocating.  Section norms and the pairings of
-sections and partial densities use it, because their integrands are
-analytic on each simplex.  ``integrate_simplices`` keeps uniform dyadic
-refinement at a fixed low order for the metric-side integrals, some of
-which have kinks.
+One quadrature driver, ``integrate_orders``, computes every integral on a
+centroid-fan triangulation with a Duffy-mapped Gauss rule whose collapse
+vertex is the interior apex of each fan simplex.  It raises the Gauss order
+on the fixed simplices, for many integrands at once on shared nodes, and
+accepts an integral once two successive orders each agree with the one
+before; past MAX_ORDER it refines instead, and a step beyond NODE_BUDGET
+nodes raises QuadratureError before allocating.  Every integrand is smooth
+on each simplex: section norms and pairings, and the metric-side curvature,
+facet, corner, slope and Futaki integrals, whose regions are cut exactly
+(the slope integrates over P cap {Phi <= c}, not a kink over P).
+``integrate_simplices`` is its one-integrand front end.
 
 All results are pushed down to the polytope: the (2 pi)^n fibre factor is
 dropped throughout, so pairings satisfy <|e_{alpha,k}|^2, 1> = 1 and
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .fields import ScalarField, as_field
 from .polytope import MovingFamily, Polytope, _fr, _point
 
 DEFAULT_REL_TOL = 1e-8
-DEFAULT_MAX_DEPTH = 8
 
 # the order sequence, order cap, node budget and evaluation block of
 # integrate_orders
@@ -80,37 +81,38 @@ def _gauss01(m: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@lru_cache(maxsize=None)
 def reference_rule(dim: int, order: int):
     """Interior-node rule on the reference simplex, as barycentric coords.
 
     Duffy map of a tensor Gauss-Legendre rule; weights are relative to the
     simplex measure (they sum to 1) and every node is strictly interior.
+    The collapse vertex of the map (the one xi_1 -> 1 reaches), near which
+    the nodes crowd, is the simplex's last vertex: the interior apex of
+    every fan simplex, so no node crowds the boundary of the polytope.
+    Cached per (dim, order); the arrays are read-only.
     """
     if dim == 0:
-        return np.array([[1.0]]), np.array([1.0])
-    x, w = _gauss01(order)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=1)
-    W = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    xi = np.zeros_like(U)
-    jac = np.ones(U.shape[0])
-    remaining = np.ones(U.shape[0])
-    for i in range(dim):
-        jac *= remaining  # d(xi_i)/d(u_i) entering this step
-        xi[:, i] = U[:, i] * remaining
-        remaining = remaining - xi[:, i]
-    # weights relative to reference-simplex volume 1/dim!
-    fact = 1.0
-    for i in range(2, dim + 1):
-        fact *= i
-    wts = W * jac * fact
-    wts = wts / wts.sum()
-    bary = np.concatenate([(1.0 - xi.sum(axis=1))[:, None], xi], axis=1)
+        bary, wts = np.array([[1.0]]), np.array([1.0])
+    else:
+        x, w = _gauss01(order)
+        grids = np.meshgrid(*([x] * dim), indexing="ij")
+        wgrids = np.meshgrid(*([w] * dim), indexing="ij")
+        U = np.stack([g.ravel() for g in grids], axis=1)
+        W = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+        xi = np.zeros_like(U)
+        jac = np.ones(U.shape[0])
+        remaining = np.ones(U.shape[0])
+        for i in range(dim):
+            jac *= remaining  # d(xi_i)/d(u_i) entering this step
+            xi[:, i] = U[:, i] * remaining
+            remaining = remaining - xi[:, i]
+        wts = W * jac
+        wts = wts / wts.sum()
+        bary = np.concatenate([(1.0 - xi.sum(axis=1))[:, None], xi[:, ::-1]], axis=1)
+    bary.flags.writeable = False
+    wts.flags.writeable = False
     return bary, wts
-
-
-_DEFAULT_ORDER = {0: 1, 1: 8, 2: 4, 3: 3}
 
 
 def refine_simplices(simplices: np.ndarray) -> np.ndarray:
@@ -154,49 +156,6 @@ def _refined(S, mu):
     them kind-major, so the measures tile."""
     m = S.shape[1] - 1
     return refine_simplices(S), np.tile(mu / (1 << m), 1 << m)
-
-
-def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
-                        max_depth=DEFAULT_MAX_DEPTH, order=None,
-                        min_depth=1, chunk=1 << 18, abs_tol=1e-12):
-    """Adaptive integral of fn over weighted simplices.
-
-    ``simplices`` is (s, m+1, N); ``measures`` the intrinsic measure of
-    each (Leray factors folded in).  Refines uniformly until successive
-    values differ by less than rel_tol (relative, with an absolute floor
-    abs_tol so integrals that vanish can converge); returns (value, delta).
-    """
-    S = np.asarray(simplices, dtype=float)
-    mu = np.asarray(measures, dtype=float)
-    if S.size == 0:
-        return 0.0, 0.0
-    m = S.shape[1] - 1
-    if order is None:
-        order = _DEFAULT_ORDER.get(m, 3)
-    bary, wts = reference_rule(m, order)
-
-    def level_value(S, mu):
-        nodes = np.einsum("rb,sbN->srN", bary, S).reshape(-1, S.shape[2])
-        vals = np.empty(nodes.shape[0])
-        for start in range(0, nodes.shape[0], chunk):
-            vals[start:start + chunk] = fn(nodes[start:start + chunk])
-        per_simplex = (vals.reshape(S.shape[0], -1) * wts).sum(axis=1) * mu
-        return tree_sum(per_simplex)
-
-    prev = level_value(S, mu)
-    delta = np.inf
-    for depth in range(1, max_depth + 1):
-        if m == 0:
-            return prev, 0.0
-        S, mu = _refined(S, mu)
-        cur = level_value(S, mu)
-        delta = abs(cur - prev)
-        if depth >= min_depth and delta <= max(rel_tol * abs(cur), abs_tol):
-            return cur, delta
-        prev = cur
-    raise QuadratureError(
-        f"quadrature did not converge to rel_tol={rel_tol} within depth {max_depth} "
-        f"(last delta {delta:.3g})", best=prev, delta=delta)
 
 
 def _order_values(S, mu, fn, live, order):
@@ -278,6 +237,22 @@ def integrate_orders(simplices, measures, fn, components=1,
     return values, deltas
 
 
+def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
+                        abs_tol=1e-12):
+    """Integral of one function ``fn(nodes)`` over weighted simplices.
+
+    ``simplices`` is (s, m+1, N); ``measures`` the intrinsic measure of
+    each (Leray factors folded in).  The one-component case of
+    ``integrate_orders``; returns (value, delta).
+    """
+    def one(nodes, live):
+        return np.broadcast_to(fn(nodes), (1, len(nodes)))
+
+    (value,), (delta,) = integrate_orders(simplices, measures, one,
+                                          rel_tol=rel_tol, abs_tol=abs_tol)
+    return float(value), float(delta)
+
+
 @dataclass
 class QuadratureScheme:
     """Simplex decomposition of a polytope with an interior-node base rule."""
@@ -287,37 +262,29 @@ class QuadratureScheme:
     measures: np.ndarray
     exact_volumes: list
     rel_tol: float = DEFAULT_REL_TOL
-    max_depth: int = DEFAULT_MAX_DEPTH
-    order: int | None = None
 
     @classmethod
-    def for_polytope(cls, P: Polytope, rel_tol=DEFAULT_REL_TOL,
-                     max_depth=DEFAULT_MAX_DEPTH, order=None) -> "QuadratureScheme":
+    def for_polytope(cls, P: Polytope, rel_tol=DEFAULT_REL_TOL) -> "QuadratureScheme":
         tri = P.triangulation()
         if not tri:
-            return cls(P, np.zeros((0, P.dim + 1, P.dim)), np.zeros(0), [],
-                       rel_tol, max_depth, order)
+            return cls(P, np.zeros((0, P.dim + 1, P.dim)), np.zeros(0), [], rel_tol)
         from .polytope import _simplex_volume
         vols = [_simplex_volume(s) for s in tri]
         simplices = np.array([[[float(c) for c in v] for v in s] for s in tri])
-        return cls(P, simplices, np.array([float(v) for v in vols]), vols,
-                   rel_tol, max_depth, order)
+        return cls(P, simplices, np.array([float(v) for v in vols]), vols, rel_tol)
 
-    def integrate(self, fn, rel_tol=None, max_depth=None):
+    def integrate(self, fn, rel_tol=None):
         return integrate_simplices(
             self.simplices, self.measures, fn,
-            rel_tol=rel_tol if rel_tol is not None else self.rel_tol,
-            max_depth=max_depth if max_depth is not None else self.max_depth,
-            order=self.order)
+            rel_tol=rel_tol if rel_tol is not None else self.rel_tol)
 
 
-def integrate(P: Polytope, f, scheme: QuadratureScheme | None = None,
-              rel_tol=None, max_depth=None):
-    """Adaptive integral of a scalar field over the polytope: (value, delta)."""
+def integrate(P: Polytope, f, scheme: QuadratureScheme | None = None, rel_tol=None):
+    """Integral of a scalar field over the polytope: (value, delta)."""
     if scheme is None:
         scheme = QuadratureScheme.for_polytope(P)
     fld = as_field(f, P.dim)
-    return scheme.integrate(fld.value, rel_tol=rel_tol, max_depth=max_depth)
+    return scheme.integrate(fld.value, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ import numpy as np
 from .fields import Polynomial
 from .polytope import AffineFunctional, Polytope
 
+# points per batch of scalar_curvature_many
+CURVATURE_BLOCK = 1024
+
 
 def _as_points(x) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
@@ -212,16 +215,17 @@ class SymplecticPotential:
                 total += d2G[i, j][i, j]
         return -0.5 * total
 
-    def scalar_curvature_many(self, points, chunk: int = 4096) -> np.ndarray:
+    def scalar_curvature_many(self, points) -> np.ndarray:
         """Batched scalar curvature via the same matrix calculus as the
         pointwise version, organized so only the traced contraction of the
-        second derivative of G is ever formed."""
+        second derivative of G is ever formed.  Points are taken
+        CURVATURE_BLOCK at a time, which bounds the rank-5 d2H array."""
         pts = _as_points(points)
         out = np.empty(pts.shape[0])
         n = self.dim
         N = self.normals
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start:start + chunk]
+        for start in range(0, pts.shape[0], CURVATURE_BLOCK):
+            block = pts[start:start + CURVATURE_BLOCK]
             L = self.ell(block)
             if np.any(L <= 0.0):
                 raise ValueError("scalar curvature requires strictly interior points")
@@ -244,7 +248,7 @@ class SymplecticPotential:
             A_diag = A[:, idx, idx, :]                     # row k of A[k]
             term_b = np.einsum("mkp,mlpq,mql->m", A_diag, dH, G)
             term_c = np.einsum("mklp,mlpq,mqk->m", A, dH, G)
-            out[start:start + chunk] = -0.5 * (-term_a + term_b + term_c)
+            out[start:start + CURVATURE_BLOCK] = -0.5 * (-term_a + term_b + term_c)
         return out
 
     def scalar_curvature_fd(self, x, h: float = 1e-4) -> float:

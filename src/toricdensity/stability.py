@@ -215,11 +215,12 @@ def slope_excess_metric(family: MovingFamily, potential, c,
                         rel_tol=1e-9) -> float:
     """mu_c - mu(X) from metric data, for a single-cut family:
 
-        [2 int_0^c Vol(P_t) dt]^{-1} { int_0^c int_{C(t)} (s - Av s) dx dt
-                                       - 1/2 int_{S_c} |dPhi|^2_g dsigma_c }.
+        [2 int_0^c Vol(P(t)) dt]^{-1} { int_0^c int_{P(t)} (s - Av s) dx dt
+                                        - 1/2 int_{S_c} |dPhi|^2_g dsigma_c }.
 
-    The double integral collapses to a single weighted integral over P with
-    weight max(0, c - Phi(x)).
+    As s - Av s integrates to 0 over P, the double integral is
+    -int_0^c int_{C(t)} (s - Av s) dx dt = -int (c - Phi)(s - Av s) dx over
+    the polytope C(c) = P cap {Phi <= c}, where the integrand is smooth.
     """
     if len(family.cuts) != 1:
         raise ValueError("the metric slope formula applies to single-cut families")
@@ -237,14 +238,14 @@ def slope_excess_metric(family: MovingFamily, potential, c,
 
     def weighted(pts):
         s = potential.scalar_curvature_many(pts)
-        w = np.maximum(0.0, cf - phi.value_float(pts))
-        return (s - av_s) * w
+        return (s - av_s) * (cf - phi.value_float(pts))
 
-    term1, _ = integrate(P, weighted, rel_tol=rel_tol)
+    below = _cut_region(P, [AffineFunctional([-v for v in phi.normal], -phi.offset - c)])
+    term1 = 0.0 if below is None else integrate(below, weighted, rel_tol=rel_tol)[0]
     term2 = 0.5 * facet_integral(family, potential, c, 1.0, "conorm")
     A0, _ = hilbert_polynomials(family)
     denom = 2.0 * float(_poly_eval(_poly_antiderivative(A0), c))
-    return (term1 - term2) / denom
+    return (-term1 - term2) / denom
 
 
 def slope_report(family: MovingFamily, potential, c) -> SlopeReport:
@@ -339,31 +340,30 @@ def delta_gamma(config: TestConfigPolytope, potential,
     return coef * raw / float(config.gamma.volume())
 
 
+def _cut_region(P: Polytope, cuts) -> Polytope | None:
+    """P cap {ell >= 0 for ell in cuts}, maybe empty or lower-dimensional;
+    None when a constant ell is negative."""
+    facets = {f.normalized().key(): f.normalized() for f in P.facets}
+    for ell in cuts:
+        if ell.is_constant():
+            if ell.offset > 0:
+                return None
+            continue
+        facets.setdefault(ell.normalized().key(), ell.normalized())
+    return Polytope(P.dim, list(facets.values()),
+                    require_full_dim=False, _normalize=False)
+
+
 def _roof_projection_pieces(config: TestConfigPolytope):
     """For each cut a: the region of P where Phi_a = min_b Phi_b (full-dim only)."""
-    family = config.family
-    P = family.base
+    cuts = config.family.cuts
     pieces = []
-    for a, phi_a in enumerate(family.cuts):
-        facets = {f.normalized().key(): f.normalized() for f in P.facets}
-        ok = True
-        for b, phi_b in enumerate(family.cuts):
-            if a == b:
-                continue
-            normal = tuple(nb - na for na, nb in zip(phi_a.normal, phi_b.normal))
-            offset = phi_b.offset - phi_a.offset
-            diff = AffineFunctional(normal, offset)
-            if diff.is_constant():
-                if -diff.offset < 0:
-                    ok = False
-                    break
-                continue
-            facets.setdefault(diff.normalized().key(), diff.normalized())
-        if not ok:
-            continue
-        region = Polytope(P.dim, list(facets.values()),
-                          require_full_dim=False, _normalize=False)
-        if not region.is_empty and region.is_full_dim:
+    for a, phi_a in enumerate(cuts):
+        region = _cut_region(config.family.base, [
+            AffineFunctional(tuple(nb - na for na, nb in zip(phi_a.normal, phi_b.normal)),
+                             phi_b.offset - phi_a.offset)
+            for b, phi_b in enumerate(cuts) if b != a])
+        if region is not None and not region.is_empty and region.is_full_dim:
             pieces.append((a, phi_a, region))
     return pieces
 

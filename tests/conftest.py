@@ -38,6 +38,13 @@ def u_simplex(simplex2):
 
 
 @pytest.fixture(scope="session")
+def u_simplex_perturbed(simplex2):
+    """Canonical potential plus 0.02 x^3 + 0.01 x y^2: s is not constant."""
+    from toricdensity.fields import Polynomial
+    return td.SymplecticPotential(simplex2, Polynomial(2, {(3, 0): 0.02, (1, 2): 0.01}))
+
+
+@pytest.fixture(scope="session")
 def corner_family(interval):
     """Single moving facet x >= t on [0, 1]."""
     return td.MovingFamily(interval, [td.AffineFunctional([1], 0)])

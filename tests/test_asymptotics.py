@@ -208,6 +208,11 @@ class TestBoundaryVolumeIdentity:
             res = boundary_volume_identity(fam, u, t)
             assert abs(res) < 1e-6
 
+    @pytest.mark.parametrize("t", [F(5, 6), F(7, 8)])
+    def test_perturbed_thin_slices(self, vertex_family, u_simplex_perturbed, t):
+        res = boundary_volume_identity(vertex_family, u_simplex_perturbed, t)
+        assert abs(res) <= 1e-8
+
     def test_t0_degenerate_case(self, corner_family, u_interval):
         # Vol_sigma(dP) = int_P s: for [0,1] this is 2 = 2
         assert boundary_volume_identity(corner_family, u_interval, 0) == \

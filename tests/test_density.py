@@ -49,6 +49,17 @@ class TestIntegrate:
         for f in simplex2.facets:
             assert np.all(f.value_float(nodes) > 1e-12)
 
+    def test_curvature_on_3_simplex_slice(self):
+        # s = 12 on the canonical 3-simplex; the slice P(5/7) of the vertex
+        # cut has fan simplices whose Gauss nodes would crowd its boundary,
+        # where s loses all accuracy, unless they crowd the interior apex
+        family = td.MovingFamily(td.standard_simplex(3),
+                                 [td.AffineFunctional([1, 1, 1], 0)])
+        u = td.guillemin_potential(family.base)
+        P = family.slice(F(5, 7)).polytope
+        val, _ = td.integrate(P, u.scalar_curvature_many)
+        assert val == pytest.approx(12 * float(P.volume()), rel=1e-12)
+
     def test_nonconvergence_carries_best(self, interval):
         rng = np.random.default_rng(0)
 

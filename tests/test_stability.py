@@ -31,6 +31,11 @@ class TestHilbertCoefficients:
             assert hc.A0 == (1 - t * t) / 2
             assert hc.A1 == (3 - t) / 2
 
+    @pytest.mark.parametrize("t", [F(5, 6), F(7, 8)])
+    def test_geometric_a1_on_thin_slices(self, vertex_family, u_simplex_perturbed, t):
+        hc = td.hilbert_coeffs_geometric(vertex_family, u_simplex_perturbed, t)
+        assert hc.A1 == pytest.approx(float((3 - t) / 2), abs=1e-8)
+
     def test_t0_full_hilbert(self, vertex_family):
         hc = td.hilbert_coeffs_combinatorial(vertex_family, 0)
         assert (hc.A0, hc.A1) == (F(1, 2), F(3, 2))
@@ -125,6 +130,14 @@ class TestSlopeMetricFormula:
         cf = float(c)
         assert metric == pytest.approx(-3 * cf * (1 - cf) / (3 - cf * cf),
                                        abs=1e-4)
+
+    @pytest.mark.parametrize("c", [F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 4)])
+    def test_perturbed_matches_exact_excess(self, vertex_family, u_simplex_perturbed, c):
+        # s - Av s is far from 0 here, so the sign of the curvature term
+        # and the cut at c both show; the canonical potential hides them
+        exact = float(td.slope_mu_c(vertex_family, c) - 3)
+        metric = td.slope_excess_metric(vertex_family, u_simplex_perturbed, c)
+        assert metric == pytest.approx(exact, rel=1e-8)
 
     def test_strictly_negative_for_csck(self, vertex_family, u_simplex):
         for c in (F(1, 4), F(1, 2), F(3, 4)):

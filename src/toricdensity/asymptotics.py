@@ -76,7 +76,7 @@ def euler_maclaurin(P: Polytope, f, k: int) -> EulerMaclaurinResult:
                                     approximation=approx,
                                     residual=lattice_sum - approx, exact=True)
     fld = as_field(f, n)
-    pts = np.array([[m / k for m in p] for p in P.lattice_points(k)], dtype=float)
+    pts = P.lattice_points(k).astype(float) / k
     lattice_sum = tree_sum(fld.value(pts)) if len(pts) else 0.0
     vol_term, _ = integrate(P, fld)
     bdry = 0.0
@@ -238,11 +238,12 @@ class BoundaryDistribution:
 
 def _validate_stencil(family: MovingFamily, t, h: float):
     lo, hi = family.regularity_interval(t)
+    hi = float("inf") if hi is None else float(hi)
     tf = float(_fr(t))
-    if tf - h <= float(lo) or tf + h >= float(hi):
+    if tf - h <= float(lo) or tf + h >= hi:
         raise ValueError(
             f"difference stencil [t-h, t+h] = [{tf - h}, {tf + h}] leaves the "
-            f"regularity interval ({float(lo)}, {float(hi)})")
+            f"regularity interval ({float(lo)}, {hi})")
 
 
 def _ddt(value_at, t: float, h: float, richardson: bool = True) -> float:

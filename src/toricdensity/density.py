@@ -320,9 +320,9 @@ class SectionBasis:
         """
         P = potential.polytope
         pts = P.lattice_points(k)
-        alphas = [tuple(Fraction(m, k) for m in p) for p in pts]
+        alphas = [tuple(Fraction(m, k) for m in p) for p in pts.tolist()]
         scheme = QuadratureScheme.for_polytope(P, rel_tol=rel_tol)
-        alpha_float = np.array(pts, dtype=float) / k
+        alpha_float = pts.astype(float) / k
 
         def fn(nodes, live):
             return np.exp(-k * potential.phi_matrix(alpha_float[live], nodes))

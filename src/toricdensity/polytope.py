@@ -14,13 +14,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, sqrt
+from math import ceil, floor, gcd, lcm, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 Rational = Fraction
 Point = tuple[Fraction, ...]
+
+# Lattice counts switch from int64 to Python-int (object) arrays once a
+# bound on the values they compute reaches this size.
+_INT64_SAFE = 2**62
 
 
 def _fr(x) -> Fraction:
@@ -132,13 +136,9 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
     The positive scaling factor is unique, so orientation is preserved.
     """
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = lcm(*(v.denominator for v in vec))
     ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("cannot primitivize the zero vector")
     return tuple(v // g for v in ints)
@@ -172,6 +172,16 @@ class AffineFunctional:
 
     def normal_float(self) -> np.ndarray:
         return np.array([float(v) for v in self.normal])
+
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """Integers (nu, lam) with <nu, x> >= lam exactly where self(x) >= 0.
+
+        Normal and offset are scaled by the lcm of their denominators, a
+        positive factor, so the half-space is the same.
+        """
+        den = lcm(*(v.denominator for v in self.normal), self.offset.denominator)
+        return (tuple(v.numerator * (den // v.denominator) for v in self.normal),
+                self.offset.numerator * (den // self.offset.denominator))
 
     def is_constant(self) -> bool:
         return all(v == 0 for v in self.normal)
@@ -418,46 +428,87 @@ class Polytope:
 
     # -- lattice points ------------------------------------------------------
 
-    def lattice_points(self, k: int) -> list[tuple[int, ...]]:
-        """Integer points of k*P, via bounding box plus exact membership."""
+    def _fibres(self, k: int):
+        """Integer points of k*P as fibres along the last coordinate.
+
+        Returns (prefix, lower, length): prefix holds the integer points of
+        the first n-1 coordinates in the exact bounding box of k*P, in
+        lexicographic order, and the fibre over prefix[j] is x_n = lower[j],
+        ..., lower[j] + length[j] - 1.  Each fibre's range comes from the
+        cleared facets <nu, x> >= k*lam by floor division: nu_n > 0 gives a
+        lower bound, nu_n < 0 an upper bound, and nu_n = 0 keeps or drops
+        the whole fibre.  The arrays are int64, or object arrays of Python
+        ints once a bound on |k*lam - <nu', x'>|, a coordinate or the count
+        reaches 2**62.  None when P is empty.
+        """
         if k < 1:
             raise ValueError("scaling factor k must be a positive integer")
         if self.is_empty:
-            return []
+            return None
         lo, hi = self.bounding_box()
-        los = [int(np.ceil(float(c * k))) for c in lo]
-        his = [int(np.floor(float(c * k))) for c in hi]
-        # guard against float rounding on the exact rational bounds
-        los = [l - 1 for l in los]
-        his = [h + 1 for h in his]
-        axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(los, his)]
-        if any(len(ax) == 0 for ax in axes):
-            return []
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        mask = np.ones(len(pts), dtype=bool)
-        for f in self.facets:
-            den = 1
-            for v in f.normal:
-                den = den * v.denominator // gcd(den, v.denominator)
-            den = den * f.offset.denominator // gcd(den, f.offset.denominator)
-            nu = np.array([int(v * den) for v in f.normal], dtype=np.int64)
-            lam = int(f.offset * den)
-            mask &= pts @ nu >= k * lam
-        kept = pts[mask]
-        return [tuple(int(c) for c in row) for row in
-                sorted(map(tuple, kept.tolist()))]
+        lo = [ceil(c * k) for c in lo]
+        hi = [floor(c * k) for c in hi]
+        cleared = [f.cleared() for f in self.facets]
+        reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
+        nfib = prod(max(b - a + 1, 0) for a, b in zip(lo[:-1], hi[:-1]))
+        bound = max([max(reach), nfib * (hi[-1] - lo[-1] + 1)]
+                    + [abs(k * lam) + sum(abs(v) * r for v, r in zip(nu, reach[:-1]))
+                       for nu, lam in cleared])
+        dtype = object if bound >= _INT64_SAFE else np.int64
+        axes = [np.arange(a, b + 1, dtype=dtype) for a, b in zip(lo[:-1], hi[:-1])]
+        if axes:
+            prefix = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                              axis=1)
+        else:
+            prefix = np.zeros((1, 0), dtype=dtype)
+        lower = np.full(nfib, lo[-1], dtype=dtype)
+        upper = np.full(nfib, hi[-1], dtype=dtype)
+        keep = np.ones(nfib, dtype=bool)
+        for nu, lam in cleared:
+            # nu_n * x_n >= rest = k*lam - <nu', x'>
+            rest = np.full(nfib, k * lam, dtype=dtype)
+            for i, v in enumerate(nu[:-1]):
+                if v:
+                    rest -= v * prefix[:, i]
+            if nu[-1] > 0:
+                lower = np.maximum(lower, -(-rest // nu[-1]))
+            elif nu[-1] < 0:
+                upper = np.minimum(upper, rest // nu[-1])
+            else:
+                keep &= rest <= 0
+        length = np.maximum(upper - lower + 1, 0)
+        length[~keep] = 0
+        return prefix, lower, length
+
+    def lattice_points(self, k: int) -> np.ndarray:
+        """Integer points of k*P as an (N, n) array in lexicographic order.
+
+        Built fibre by fibre from exact integer bounds (see ``_fibres``);
+        the dtype is int64, or object (Python ints) when coordinates or
+        intermediate bounds could pass 2**62.
+        """
+        fibres = self._fibres(k)
+        if fibres is None:
+            return np.zeros((0, self.dim), dtype=np.int64)
+        prefix, lower, length = fibres
+        reps = length.astype(np.int64)
+        start = np.cumsum(reps) - reps
+        step = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(start, reps)
+        last = np.repeat(lower, reps) + step.astype(lower.dtype)
+        return np.column_stack([np.repeat(prefix, reps, axis=0), last])
 
     def count_lattice_points(self, k: int) -> int:
-        return len(self.lattice_points(k))
+        """|Z^n cap kP|, exact, summed over fibres without building a point.
+
+        Memory and time are O(k^(n-1)): one entry per integer point of the
+        first n-1 coordinates of the bounding box of k*P.
+        """
+        fibres = self._fibres(k)
+        return 0 if fibres is None else int(fibres[2].sum())
 
     def integrality_divisor(self) -> int:
         """Smallest N with N*P an integral polytope (lcm of vertex denominators)."""
-        den = 1
-        for v in self.vertices:
-            for c in v:
-                den = den * c.denominator // gcd(den, c.denominator)
-        return den
+        return lcm(*(c.denominator for v in self.vertices for c in v))
 
     def interior_float_grid(self, per_axis: int) -> np.ndarray:
         """Strictly interior float sample points on a bounding-box grid."""
@@ -561,14 +612,23 @@ def _recession_ray(normals: Sequence[Point], dim: int):
 
 
 def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int) -> list[Point]:
+    """Solutions of every dim-subset of facet equations that satisfy all facets.
+
+    Feasibility is tested on integers: with X = D*x for D the lcm of the
+    denominators of x, x is feasible iff <nu, X> >= lam*D for every cleared
+    facet (nu, lam).
+    """
+    cleared = [f.cleared() for f in facets]
     pts: dict[Point, None] = {}
     for combo in itertools.combinations(range(len(facets)), dim):
         rows = [facets[a].normal for a in combo]
         rhs = [facets[a].offset for a in combo]
         x = _solve(rows, rhs)
-        if x is None:
+        if x is None or x in pts:
             continue
-        if all(f.value(x) >= 0 for f in facets):
+        den = lcm(*(c.denominator for c in x))
+        X = [c.numerator * (den // c.denominator) for c in x]
+        if all(sum(v * c for v, c in zip(nu, X)) >= lam * den for nu, lam in cleared):
             pts[x] = None
     return sorted(pts.keys())
 
@@ -733,10 +793,21 @@ class MovingFamily:
                 raise ValueError(
                     f"cut {phi!r} is negative on the base polytope; P(0) != P")
         self._criticals: list[Fraction] | None = None
+        self._slices: dict[Fraction, Slice] = {}
+        self._test_config: TestConfigPolytope | None = None
+        self._hilbert = None  # (A0, A1) of stability.hilbert_polynomials
 
     def slice(self, t) -> Slice:
-        """P(t), with facets partitioned into new (active cuts) and old."""
+        """P(t), with facets partitioned into new (active cuts) and old.
+
+        Memoised by exact t: repeated calls return the same Slice.
+        """
         t = _fr(t)
+        if t not in self._slices:
+            self._slices[t] = self._cut(t)
+        return self._slices[t]
+
+    def _cut(self, t: Fraction) -> Slice:
         shifted = [phi.shifted(t) for phi in self.cuts]
         old_keys = {f.key() for f in self.base.facets}
         keep: list[AffineFunctional] = list(self.base.facets)
@@ -799,8 +870,12 @@ class MovingFamily:
     def is_regular(self, t) -> bool:
         return _fr(t) not in self.critical_values()
 
-    def regularity_interval(self, t) -> tuple[Fraction, Fraction]:
-        """The open critical interval containing a regular t."""
+    def regularity_interval(self, t) -> tuple[Fraction, Fraction | None]:
+        """The open critical interval containing a regular t.
+
+        The upper end is None above the top critical value: the interval
+        is unbounded there.
+        """
         t = _fr(t)
         crit = self.critical_values()
         if t in crit:
@@ -809,7 +884,7 @@ class MovingFamily:
         hi = min((c for c in crit if c > t), default=None)
         if lo is None or t < 0:
             raise ValueError(f"t = {t} is below the family range")
-        return lo, (hi if hi is not None else Fraction(10**9))
+        return lo, hi
 
     def top_critical_value(self) -> Fraction:
         return self.critical_values()[-1]
@@ -849,7 +924,16 @@ class TestConfigPolytope:
 
 
 def build_test_config(family: MovingFamily) -> TestConfigPolytope:
-    """Construct Gamma = {x in P, t >= 0, Phi_a(x) - t >= 0} and classify facets."""
+    """Construct Gamma = {x in P, t >= 0, Phi_a(x) - t >= 0} and classify facets.
+
+    Built once per family; later calls return the same object.
+    """
+    if family._test_config is None:
+        family._test_config = _build_test_config(family)
+    return family._test_config
+
+
+def _build_test_config(family: MovingFamily) -> TestConfigPolytope:
     P = family.base
     n = P.dim
     if not family.cuts:

@@ -147,8 +147,16 @@ def hilbert_polynomials(family: MovingFamily):
     """(A0(t), A1(t)) as exact polynomials on the first regularity interval.
 
     Interpolated from n+2 rational t samples; degrees are at most n and
-    n-1, so the extra samples verify the fit.
+    n-1, so the extra samples verify the fit.  Computed once per family;
+    each call returns fresh coefficient lists.
     """
+    if family._hilbert is None:
+        family._hilbert = _hilbert_polynomials(family)
+    A0, A1 = family._hilbert
+    return list(A0), list(A1)
+
+
+def _hilbert_polynomials(family: MovingFamily):
     n = family.base.dim
     crit = family.critical_values()
     pos = [c for c in crit if c > 0]

@@ -1,6 +1,9 @@
 """Exact combinatorics: vertices, faces, counts, Leray measures, families."""
 
 import itertools
+import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +155,124 @@ class TestLatticeCounting:
                 if P.contains(x):
                     count += 1
             assert P.count_lattice_points(k) == count
+
+
+def brute_force_points(P, lo, hi, k):
+    """Independent oracle: every integer point of the box k*[lo, hi], kept
+    when P contains it by Fraction membership, in lexicographic order."""
+    ranges = [range(math.ceil(a * k), math.floor(b * k) + 1) for a, b in zip(lo, hi)]
+    return [list(p) for p in itertools.product(*ranges)
+            if P.contains(tuple(F(c, k) for c in p))]
+
+
+fractions_small = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _without_duplicates(facets):
+    return list({f.normalized().key(): f for f in facets}.values())
+
+
+@st.composite
+def boxed_polytopes(draw):
+    """A rational box, possibly of width 0 along some axes, cut by up to
+    three random half-spaces: full-dimensional, lower-dimensional or empty."""
+    n = draw(st.integers(1, 3))
+    lo = [draw(fractions_small) for _ in range(n)]
+    hi = [a + draw(st.builds(F, st.integers(0, 3), st.integers(1, 3))) for a in lo]
+    facets = []
+    for i in range(n):
+        e = [int(j == i) for j in range(n)]
+        facets += [AffineFunctional(e, lo[i]), AffineFunctional([-v for v in e], -hi[i])]
+    for _ in range(draw(st.integers(0, 3))):
+        nu = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        facets.append(AffineFunctional(nu, draw(fractions_small)))
+    return Polytope(n, _without_duplicates(facets), require_full_dim=False), lo, hi
+
+
+class TestFibrewiseCounting:
+    @given(boxed_polytopes(), st.sampled_from([1, 2, 3, 5]))
+    @settings(max_examples=80, deadline=None)
+    def test_points_and_counts_match_brute_force(self, data, k):
+        P, lo, hi = data
+        want = brute_force_points(P, lo, hi, k)
+        pts = P.lattice_points(k)
+        assert pts.shape == (len(want), P.dim)
+        assert pts.tolist() == want
+        assert P.count_lattice_points(k) == len(want)
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=3).filter(any),
+           st.builds(F, st.integers(0, 40), st.integers(1, 4)),
+           st.sampled_from([1, 2, 3, 4]))
+    @settings(max_examples=40, deadline=None)
+    def test_slices_match_brute_force(self, nu, t, k):
+        n = len(nu)
+        base = td.box([2] * n)
+        cut = AffineFunctional(nu, min(sum(a * b for a, b in zip(nu, v))
+                                       for v in base.vertices))
+        lo, hi = [F(0)] * n, [F(2)] * n
+        # the slice inequalities as they stand, empty or lower-dimensional
+        raw = Polytope(n, _without_duplicates(base.facets + [cut.shifted(t)]),
+                       require_full_dim=False)
+        want = brute_force_points(raw, lo, hi, k)
+        assert raw.lattice_points(k).tolist() == want
+        assert raw.count_lattice_points(k) == len(want)
+        sl = td.MovingFamily(base, [cut]).slice(t)
+        if not sl.is_empty:
+            assert sl.polytope.lattice_points(k).tolist() == want
+            assert sl.polytope.count_lattice_points(k) == len(want)
+
+    def test_empty_polytope(self):
+        P = Polytope(2, [AffineFunctional([1, 0], 1), AffineFunctional([-1, 0], 0),
+                         AffineFunctional([0, 1], 0), AffineFunctional([0, -1], -1)],
+                     require_full_dim=False)
+        assert P.is_empty
+        assert P.count_lattice_points(3) == 0
+        assert P.lattice_points(3).shape == (0, 2)
+
+    def test_k_must_be_positive(self, square):
+        with pytest.raises(ValueError, match="positive"):
+            square.count_lattice_points(0)
+        with pytest.raises(ValueError, match="positive"):
+            square.lattice_points(0)
+
+    def test_simplex3_k1000_fast_and_small(self):
+        s3 = td.standard_simplex(3)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            count = s3.count_lattice_points(1000)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == math.comb(1003, 3)
+        assert elapsed < 1.0
+        assert peak < 200 * 2**20
+
+    def test_huge_box_count_is_exact(self):
+        k = 10**4
+        assert td.box([1, 10**15]).count_lattice_points(k) == (k + 1) * (10**19 + 1)
+
+    def test_huge_coordinates_are_python_ints(self):
+        far = 10**19
+        P = Polytope(1, [AffineFunctional([1], far), AffineFunctional([-1], -far - 2)])
+        pts = P.lattice_points(1)
+        assert pts.dtype == object
+        assert pts.tolist() == [[far], [far + 1], [far + 2]]
+
+    def test_points_are_int64_and_lexicographic(self, simplex2):
+        pts = simplex2.lattice_points(4)
+        assert pts.dtype == np.int64
+        rows = pts.tolist()
+        assert rows == sorted(rows)
+        assert len(rows) == 15
+
+    def test_section_basis_alphas_are_exact(self, u_simplex):
+        basis = td.SectionBasis.build(u_simplex, 4, rel_tol=1e-8)
+        assert basis.alphas == sorted(basis.alphas)
+        assert len(basis.alphas) == 15
+        for alpha in basis.alphas:
+            assert all(type(c) is Fraction and type(c.numerator) is int for c in alpha)
 
 
 class TestLerayMeasures:
@@ -309,6 +430,34 @@ class TestCriticalValues:
 
     def test_prism(self, prism_family):
         assert prism_family.critical_values() == [0, 1]
+
+
+class TestRegularityInterval:
+    def test_interior(self, vertex_family):
+        assert vertex_family.regularity_interval(F(1, 2)) == (0, 1)
+
+    def test_unbounded_above_top_critical_value(self, vertex_family):
+        assert vertex_family.regularity_interval(F(3, 2)) == (1, None)
+
+    def test_stencil_above_top_critical_value(self, vertex_family):
+        from toricdensity.asymptotics import _validate_stencil
+        # a finite sentinel for the upper end would reject this stencil
+        _validate_stencil(vertex_family, 2 * 10**9, 1.5e9)
+        with pytest.raises(ValueError, match="leaves the regularity interval"):
+            _validate_stencil(vertex_family, F(3, 2), 0.5)
+
+
+class TestMemoisation:
+    def test_slice_cached_by_exact_t(self):
+        fam = td.MovingFamily(td.box([1, 1]), [AffineFunctional([1, 1], 0)])
+        assert fam.slice(F(1, 2)) is fam.slice(F(2, 4))
+        assert fam.slice(F(1, 2)) is not fam.slice(F(1, 3))
+
+    def test_test_config_built_once(self):
+        fam = td.MovingFamily(td.box([1, 1]), [AffineFunctional([1, 1], 0)])
+        cfg = td.build_test_config(fam)
+        assert fam.critical_values() == [0, 1, 2]
+        assert td.build_test_config(fam) is cfg
 
 
 class TestSeshadri:

@@ -61,6 +61,13 @@ class TestHilbertCoefficients:
         assert A0 == [F(1, 2), 0, F(-1, 2)]
         assert A1 == [F(3, 2), F(-1, 2)]
 
+    def test_polynomials_cached_as_fresh_lists(self, simplex2):
+        fam = td.MovingFamily(simplex2, [td.AffineFunctional([1, 1], 0)])
+        A0, A1 = hilbert_polynomials(fam)
+        A0.append(F(7))
+        A1.clear()
+        assert hilbert_polynomials(fam) == ([F(1, 2), 0, F(-1, 2)], [F(3, 2), F(-1, 2)])
+
     @pytest.mark.parametrize("fixture,ufix,ts", [
         ("square_family", "u_square", (F(1, 8), F(1, 4), F(1, 2))),
         ("tent_family", "u_interval", (F(1, 8), F(1, 4), F(2, 5))),

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
-from .density import (QuadratureScheme, integrate, integrate_simplices,
-                      pair_partial_density, tree_sum)
+from .density import (QuadratureScheme, _float_simplices, integrate,
+                      integrate_simplices, pair_partial_density, tree_sum)
 from .fields import as_field
 from .polytope import (MovingFamily, Polytope, Slice, _fr,
                        leray_codim2_density, leray_simplex_measure)
@@ -83,7 +84,7 @@ def euler_maclaurin(P: Polytope, f, k: int) -> EulerMaclaurinResult:
     for a in P.essential_facets():
         tri = P.facet_triangulation(a)
         measures = [float(leray_simplex_measure(s, P.facets[a])) for s in tri]
-        simplices = np.array([[[float(c) for c in v] for v in s] for s in tri])
+        simplices = _float_simplices(tri)
         val, _ = integrate_simplices(simplices, measures, fld.value)
         bdry += val
     approx = float(k) ** n * vol_term + float(k) ** (n - 1) / 2.0 * bdry
@@ -118,7 +119,7 @@ def _facet_pieces(sl: Slice, scale: str = "cut"):
         norm_by = func if scale == "cut" else poly.facets[fid]
         tri = poly.facet_triangulation(fid)
         measures = [float(leray_simplex_measure(s, norm_by)) for s in tri]
-        simplices = np.array([[[float(c) for c in v] for v in s] for s in tri])
+        simplices = _float_simplices(tri)
         out.append((cut_idx, func, simplices, np.array(measures)))
     return out
 
@@ -187,7 +188,7 @@ def dp_integral(family: MovingFamily, potential, t, f, rel_tol=1e-10) -> float:
         density = leray_codim2_density(fa, fb)
         diff = fa.normal_float() - fb.normal_float()
         tri = sl.polytope.face_triangulation(face)
-        simplices = np.array([[[float(c) for c in v] for v in s] for s in tri])
+        simplices = _float_simplices(tri)
         measures = np.array([_euclidean_simplex_measure(s) * density for s in tri])
 
         def fn(pts, d=diff):
@@ -200,17 +201,12 @@ def dp_integral(family: MovingFamily, potential, t, f, rel_tol=1e-10) -> float:
 
 def _euclidean_simplex_measure(simplex) -> float:
     """Intrinsic Euclidean volume of an embedded rational simplex."""
-    pts = np.array([[float(c) for c in v] for v in simplex])
+    pts = _float_simplices([simplex])[0]
     if pts.shape[0] == 1:
         return 1.0
     E = pts[1:] - pts[0]
-    gram = E @ E.T
-    m = E.shape[0]
-    fact = 1.0
-    for i in range(2, m + 1):
-        fact *= i
-    det = float(np.linalg.det(gram))
-    return float(np.sqrt(max(det, 0.0))) / fact
+    det = float(np.linalg.det(E @ E.T))
+    return float(np.sqrt(max(det, 0.0))) / factorial(E.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +326,13 @@ def boundary_volume_identity(family: MovingFamily, potential, t,
     coef = _dp_coefficient(dp_convention)
     if t == 0:
         lhs = float(family.base.boundary_leray_volume())
-        s_int, _ = integrate(family.base,
-                             lambda pts: potential.scalar_curvature_many(pts),
+        s_int, _ = integrate(family.base, potential.scalar_curvature_many,
                              rel_tol=1e-9)
         return lhs - s_int
     sl = _slice_at_regular(family, t)
     lhs = float(sum((sl.polytope.facet_leray_volume(i) for i in sl.old_facets),
                     Fraction(0)))
-    scheme = QuadratureScheme.for_polytope(sl.polytope)
-    s_int, _ = scheme.integrate(lambda pts: potential.scalar_curvature_many(pts),
-                                rel_tol=1e-9)
+    s_int, _ = integrate(sl.polytope, potential.scalar_curvature_many, rel_tol=1e-9)
     _validate_stencil(family, t, h_t)
     deriv = _ddt(lambda tt: facet_integral(family, potential, tt, 1.0, "conorm"),
                  float(t), h_t)
@@ -390,7 +383,7 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
         for (cut_idx, fc), fid in zip(slt.new_facets, slt.new_facet_ids):
             tri = slt.polytope.facet_triangulation(fid)
             ms = [float(leray_simplex_measure(s, fc)) for s in tri]
-            ss = np.array([[[float(c) for c in v] for v in s] for s in tri])
+            ss = _float_simplices(tri)
             val, _ = integrate_simplices(ss, np.array(ms),
                                          xi_dot(fc.normal_float()), rel_tol=1e-10)
             return val
@@ -414,7 +407,7 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
             ell_b = poly.facets[b]
             density = leray_codim2_density(func, ell_b)
             tri = poly.face_triangulation(face)
-            ss = np.array([[[float(c) for c in v] for v in s] for s in tri])
+            ss = _float_simplices(tri)
             ms = np.array([_euclidean_simplex_measure(s) * density for s in tri])
             val, _ = integrate_simplices(ss, ms, xi_dot(ell_b.normal_float()),
                                          rel_tol=1e-10)

@@ -20,12 +20,11 @@ from . import __version__
 from .asymptotics import (a_hat_components, boundary_volume_identity,
                           euler_maclaurin)
 from .density import (QuadratureError, SectionBasis, density_profile,
-                      pair_partial_density, section_expansion_check)
+                      integrate, pair_partial_density, section_expansion_check)
 from .fields import coordinate_field, constant_field
 from .fileio import (Scenario, dump_csv, dump_json, load_scenario,
                      rational_to_str)
 from .polytope import build_test_config, check_delzant
-from .potential import SymplecticPotential
 from .stability import (futaki_report, hilbert_coeffs_combinatorial,
                         slope_mu, slope_report)
 
@@ -47,10 +46,6 @@ def _fraction_param(params, key, default=None) -> Fraction:
     if isinstance(v, float):
         raise ValueError(f"param {key!r} must be exact (int or 'p/q'), got float")
     return Fraction(v)
-
-
-def _potential(scenario: Scenario) -> SymplecticPotential:
-    return SymplecticPotential(scenario.polytope, scenario.perturbation)
 
 
 def _run_check_delzant(scenario, outdir, opts):
@@ -117,7 +112,7 @@ def _run_density_profile(scenario, outdir, opts):
     t = _fraction_param(scenario.params, "t")
     k = int(scenario.params.get("k", 10))
     per_axis = int(scenario.params.get("grid", 9))
-    pot = _potential(scenario)
+    pot = scenario.potential
     pts = _grid_points(scenario.polytope, per_axis)
     basis = SectionBasis.build(pot, k, rel_tol=opts.tolerance,
                                threads=opts.threads)
@@ -145,7 +140,7 @@ def _run_density_profile(scenario, outdir, opts):
 
 
 def _run_expansion_check(scenario, outdir, opts):
-    pot = _potential(scenario)
+    pot = scenario.potential
     ks = scenario.params.get("k_grid", [10, 20, 40, 80])
     alpha = scenario.params.get("alpha")
     if alpha is None:
@@ -183,7 +178,7 @@ def _slope(scenario, outdir, opts):
     family = scenario.family
     if family is None or len(family.cuts) != 1:
         raise ValueError("slope requires a single-cut family")
-    pot = _potential(scenario)
+    pot = scenario.potential
     c = _fraction_param(scenario.params, "c", default="1/2")
     rep = slope_report(family, pot, c)
     payload = {"schema": 1, "normalization": NORMALIZATION_NOTE, "task": "slope", "c": rational_to_str(rep.c),
@@ -206,7 +201,7 @@ def _futaki(scenario, outdir, opts):
     family = scenario.family
     if family is None:
         raise ValueError("futaki requires cuts in the scenario")
-    pot = _potential(scenario)
+    pot = scenario.potential
     config = build_test_config(family)
     rep = futaki_report(config, pot, dp_convention=opts.dp_convention)
     payload = {"schema": 1, "normalization": NORMALIZATION_NOTE, "task": "futaki",
@@ -224,7 +219,7 @@ def _futaki(scenario, outdir, opts):
 
 def _run_report(scenario, outdir, opts):
     """Run every check the scenario supports; nonzero exit if any fails."""
-    pot = _potential(scenario)
+    pot = scenario.potential
     status = EXIT_OK
     summary = {"schema": 1, "normalization": NORMALIZATION_NOTE, "task": "report", "name": scenario.name,
                "dp_convention": opts.dp_convention, "checks": {}}
@@ -256,10 +251,7 @@ def _run_report(scenario, outdir, opts):
                                     dp_convention=opts.dp_convention)
             hc = hilbert_coeffs_combinatorial(family, tq)
             sl = family.slice(tq)
-            from .density import QuadratureScheme
-            scheme = QuadratureScheme.for_polytope(sl.polytope)
-            s_int, _ = scheme.integrate(
-                lambda pts: pot.scalar_curvature_many(pts), rel_tol=1e-9)
+            s_int, _ = integrate(sl.polytope, pot.scalar_curvature_many, rel_tol=1e-9)
             coeff_gap = abs(float(hc.A1) - 0.5 * (s_int + comp.value))
             summary["checks"]["subleading_coefficient_gap"] = coeff_gap
             if coeff_gap > 1e-5 * max(1.0, abs(float(hc.A1))):

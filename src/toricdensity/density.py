@@ -253,6 +253,11 @@ def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
     return float(value), float(delta)
 
 
+def _float_simplices(simplices) -> np.ndarray:
+    """Rational simplices as floats, shape (count, vertices, n)."""
+    return np.array([[[float(c) for c in v] for v in s] for s in simplices])
+
+
 @dataclass
 class QuadratureScheme:
     """Simplex decomposition of a polytope with an interior-node base rule."""
@@ -270,7 +275,7 @@ class QuadratureScheme:
             return cls(P, np.zeros((0, P.dim + 1, P.dim)), np.zeros(0), [], rel_tol)
         from .polytope import _simplex_volume
         vols = [_simplex_volume(s) for s in tri]
-        simplices = np.array([[[float(c) for c in v] for v in s] for s in tri])
+        simplices = _float_simplices(tri)
         return cls(P, simplices, np.array([float(v) for v in vols]), vols, rel_tol)
 
     def integrate(self, fn, rel_tol=None):
@@ -433,11 +438,13 @@ def section_expansion_bracket(potential, alpha, k: int, f: ScalarField) -> float
     G, dG, d2G = potential.inverse_metric(a)
     n = potential.polytope.dim
     total = 0.0
+    trace = 0.0  # sum_ij d_i d_j G^ij = -2 s(a)
     for i in range(n):
         for j in range(n):
             total += (d2G[i, j][i, j] * fa + dG[i][i, j] * grad[j]
                       + dG[j][i, j] * grad[i] + G[i, j] * hess[i, j])
-    s = potential.scalar_curvature(a)
+            trace += d2G[i, j][i, j]
+    s = -0.5 * trace
     return fa + (s * fa + 0.5 * total) / (2.0 * k)
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .fields import Polynomial
 from .polytope import AffineFunctional, MovingFamily, Polytope
+from .potential import SymplecticPotential
 
 TASKS = ("check-delzant", "lattice-count", "density-profile", "em-check",
          "expansion-check", "slope", "futaki", "report")
@@ -87,6 +88,11 @@ class Scenario:
         if not self.cuts:
             return None
         return MovingFamily(self.polytope, self.cuts)
+
+    @cached_property
+    def potential(self) -> SymplecticPotential:
+        """The scenario's potential, built and convexity-checked once."""
+        return SymplecticPotential(self.polytope, self.perturbation)
 
 
 def load_scenario(path, task_override: str | None = None) -> Scenario:

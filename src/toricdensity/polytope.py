@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm, prod, sqrt
+from math import ceil, factorial, floor, gcd, lcm, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,63 +44,26 @@ def _point(coords) -> Point:
 # small exact linear algebra over Fraction
 # ---------------------------------------------------------------------------
 
-def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square rational system by Gaussian elimination.
+def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
+    """Gauss-Jordan elimination over Fraction on the first ``ncols`` columns.
 
-    Returns the solution tuple, or None if the matrix is singular.
+    Returns (reduced rows, pivot columns, pivot values, row swaps).  Each
+    pivot row is scaled to 1 at its pivot column, which is cleared in every
+    other row; a pivot value is the entry before that scaling, so a square
+    matrix has det = (-1)^swaps * prod(pivot values) when every column pivots.
     """
-    n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
-
-
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
     a = [list(r) for r in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
+    pivots, values, swaps = [], [], 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col]
-        a[rank] = [v / inv for v in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
-        rank += 1
+        rank = len(pivots)
         if rank == len(a):
             break
-    return rank
-
-
-def _nullspace_vector(rows: Sequence[Sequence[Fraction]], dim: int):
-    """A nonzero rational kernel vector of the given rows, or None.
-
-    Only meaningful when the kernel is one-dimensional; used for
-    recession-ray candidates.
-    """
-    a = [list(r) for r in rows]
-    ncols = dim
-    pivots = []
-    rank = 0
-    for col in range(ncols):
         piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            swaps += 1
         inv = a[rank][col]
         a[rank] = [v / inv for v in a[rank]]
         for r in range(len(a)):
@@ -108,16 +71,33 @@ def _nullspace_vector(rows: Sequence[Sequence[Fraction]], dim: int):
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
+        values.append(inv)
+    return a, pivots, values, swaps
+
+
+def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """The solution tuple of a square rational system, or None if singular."""
+    n = len(rows)
+    a, pivots, _, _ = _row_reduce([(*r, b) for r, b in zip(rows, rhs)], n)
+    return tuple(r[n] for r in a) if len(pivots) == n else None
+
+
+def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
+
+
+def _nullspace_vector(rows: Sequence[Sequence[Fraction]], dim: int):
+    """A nonzero rational kernel vector of the given rows, or None.
+
+    Only meaningful when the kernel is one-dimensional; used for
+    recession-ray candidates.  The first free variable is set to 1.
+    """
+    a, pivots, _, _ = _row_reduce(rows, dim)
+    free = next((c for c in range(dim) if c not in pivots), None)
+    if free is None:
         return None
-    # back-substitute with the first free variable set to 1
-    v = [Fraction(0)] * ncols
-    v[free[0]] = Fraction(1)
-    for r, col in enumerate(pivots):
-        v[col] = -a[r][free[0]]
-    return tuple(v)
+    v = {free: Fraction(1), **{col: -r[free] for col, r in zip(pivots, a)}}
+    return tuple(v.get(c, Fraction(0)) for c in range(dim))
 
 
 def _affine_dim(points: Sequence[Point]) -> int:
@@ -534,31 +514,14 @@ def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
     n = len(simplex) - 1
     p0 = simplex[0]
     rows = [[p[i] - p0[i] for i in range(n)] for p in simplex[1:]]
-    det = _det(rows)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return abs(det) / fact
+    return abs(_det(rows)) / factorial(n)
 
 
 def _det(rows) -> Fraction:
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
+    _, pivots, values, swaps = _row_reduce(rows, len(rows))
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return (-1) ** swaps * prod(values, start=Fraction(1))
 
 
 def leray_simplex_measure(simplex: Sequence[Point], ell: AffineFunctional) -> Fraction:

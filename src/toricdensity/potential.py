@@ -5,14 +5,20 @@ polynomial perturbation:
 
     u(x) = 1/2 * sum_a ell_a(x) log ell_a(x) + w(x).
 
-From u we get the Hessian H, its inverse G with analytic first and second
-derivatives (matrix calculus, no finite differences), the scalar curvature
+All metric data comes from one batched kernel, ``_hessian_jets``: at m
+strictly interior points it forms the Hessian H in closed form and, on
+request, its first and second derivatives dH and d2H; the perturbation
+enters through one table of the partial derivatives of w.  On top of the
+kernel sit the inverse G = H^{-1} with analytic derivatives (matrix
+calculus, no finite differences), the scalar curvature
 s = -1/2 sum_ij d_i d_j G^ij, the kernel function
 
     phi(x, y) = 2 (u(x) - u(y) - <grad u(y), x - y>),
 
-and cotangent norms |df|^2_g = grad(f)^T G grad(f).  A finite-difference
-mode exists purely as a cross-check oracle for the curvature.
+and cotangent norms |df|^2_g = grad(f)^T G grad(f).  The batched ``*_many``
+methods take an (m, n) array of points; the pointwise methods are views of
+their result at one point.  A finite-difference mode exists purely as a
+cross-check oracle for the curvature.
 """
 
 from __future__ import annotations
@@ -33,6 +39,13 @@ def _as_points(x) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts[None, :]
     return pts
+
+
+def _inv(H: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        raise ValueError("Hessian is singular: strict convexity violated") from None
 
 
 @dataclass
@@ -63,12 +76,13 @@ class SymplecticPotential:
             raise ValueError("perturbation dimension does not match the polytope")
         self.normals = np.array([f.normal_float() for f in polytope.facets])
         self.offsets = np.array([float(f.offset) for f in polytope.facets])
-        self._wgrad = [self.w.partial(i) for i in range(n)]
-        self._whess = [[self._wgrad[i].partial(j) for j in range(n)] for i in range(n)]
-        self._wd3 = [[[self._whess[i][j].partial(k) for k in range(n)]
-                      for j in range(n)] for i in range(n)]
-        self._wd4 = [[[[self._wd3[i][j][k].partial(l) for l in range(n)]
-                       for k in range(n)] for j in range(n)] for i in range(n)]
+        # d_i d_j ... w keyed by the index tuple (i, j, ...), orders 1 to 4
+        self._wjet: dict[tuple, Polynomial] = {}
+        level = {(): self.w}
+        for _ in range(0 if self.w.is_zero else 4):
+            level = {idx + (k,): p.partial(k) for idx, p in level.items()
+                     for k in range(n)}
+            self._wjet.update(level)
         self._check_convexity(convexity_grid)
 
     @property
@@ -77,13 +91,13 @@ class SymplecticPotential:
 
     def _check_convexity(self, per_axis: int):
         pts = self.polytope.interior_float_grid(per_axis)
-        for x in pts:
-            H = self.hessian(x)
-            try:
-                np.linalg.cholesky(H)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"potential is not strictly convex: Hessian not positive-definite at {x}")
+        H = self._hessian_jets(pts)[0]
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            x = pts[np.argmin(np.linalg.eigvalsh(H)[:, 0])]
+            raise ValueError("potential is not strictly convex: Hessian not "
+                             f"positive-definite at {x}") from None
 
     # -- basic evaluations ---------------------------------------------------
 
@@ -91,6 +105,17 @@ class SymplecticPotential:
         """Facet functional values, shape (m, d)."""
         pts = _as_points(points)
         return pts @ self.normals.T - self.offsets
+
+    def _interior_ell(self, pts: np.ndarray) -> np.ndarray:
+        """ell at points that must all be strictly interior."""
+        L = self.ell(pts)
+        bad = np.argwhere(L <= 0.0)
+        if len(bad):
+            m, a = bad[0]
+            raise ValueError(
+                f"point {pts[m].tolist()} is not interior: ell_{a} = {L[m, a]:.3g} "
+                f"for facet {self.polytope.facets[a]!r}")
+        return L
 
     def u(self, points) -> np.ndarray:
         """Potential values; boundary points use the convention l*log(l)=0 at l=0."""
@@ -108,54 +133,71 @@ class SymplecticPotential:
     def grad_u(self, points) -> np.ndarray:
         """Gradient of u at strictly interior points, shape (m, n)."""
         pts = _as_points(points)
-        L = self.ell(pts)
-        if np.any(L <= 0.0):
-            raise ValueError("gradient of u requires strictly interior points")
+        L = self._interior_ell(pts)
         out = 0.5 * (np.log(L) + 1.0) @ self.normals
         if not self.w.is_zero:
-            out = out + np.stack([g(pts) for g in self._wgrad], axis=1)
+            out = out + np.stack([self._wjet[(i,)](pts) for i in range(self.dim)],
+                                 axis=1)
         return out
-
-    def _interior_ell(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        L = self.ell(x)[0]
-        bad = np.where(L <= 0.0)[0]
-        if len(bad):
-            a = int(bad[0])
-            raise ValueError(
-                f"point {x.tolist()} is not interior: ell_{a} = {L[a]:.3g} "
-                f"for facet {self.polytope.facets[a]!r}")
-        return L
 
     # -- metric tensors ------------------------------------------------------
 
+    def _hessian_jets(self, points, order: int = 0) -> list:
+        """[H, dH, d2H][:order + 1] at strictly interior points, exact formulas.
+
+        H = 1/2 sum_a nu_a nu_a^T / ell_a + Hess w, shape (m, n, n);
+        dH[:, k] = d_k H and d2H[:, k, l] = d_k d_l H.
+        """
+        pts = _as_points(points)
+        L = self._interior_ell(pts)
+        N = self.normals
+        jets = [0.5 * np.einsum("ma,ai,aj->mij", 1.0 / L, N, N)]
+        if order >= 1:
+            jets.append(-0.5 * np.einsum("ma,ak,ai,aj->mkij", 1.0 / L**2, N, N, N))
+        if order >= 2:
+            jets.append(np.einsum("ma,ak,al,ai,aj->mklij", 1.0 / L**3, N, N, N, N))
+        for key, poly in self._wjet.items():
+            r = len(key) - 2  # H takes the 2nd derivatives of w, d2H the 4th
+            if 0 <= r <= order:
+                i, j, *kl = key
+                jets[r][(slice(None), *kl, i, j)] += poly(pts)
+        return jets
+
+    def hessian_many(self, points) -> np.ndarray:
+        """Batched Hessians, shape (m, n, n); all points strictly interior."""
+        return self._hessian_jets(points)[0]
+
+    def metric_many(self, points) -> np.ndarray:
+        """Batched inverse metrics G = H^{-1}, shape (m, n, n)."""
+        return _inv(self.hessian_many(points))
+
+    def scalar_curvature_many(self, points) -> np.ndarray:
+        """Batched s = -1/2 sum_ij d_i d_j G^ij by matrix calculus, organized
+        so only the traced contraction of the second derivative of G is ever
+        formed.  Points are taken CURVATURE_BLOCK at a time, which bounds the
+        rank-5 d2H array."""
+        pts = _as_points(points)
+        out = np.empty(pts.shape[0])
+        idx = np.arange(self.dim)
+        for start in range(0, pts.shape[0], CURVATURE_BLOCK):
+            H, dH, d2H = self._hessian_jets(pts[start:start + CURVATURE_BLOCK], 2)
+            G = _inv(H)
+            # sum_kl [G d2H_kl G]_kl
+            term_a = np.einsum("mki,mklij,mjl->m", G, d2H, G)
+            A = np.einsum("mij,mkjl,mlp->mkip", G, dH, G)  # A[k] = G dH_k G
+            A_diag = A[:, idx, idx, :]                     # row k of A[k]
+            term_b = np.einsum("mkp,mlpq,mql->m", A_diag, dH, G)
+            term_c = np.einsum("mklp,mlpq,mqk->m", A, dH, G)
+            out[start:start + CURVATURE_BLOCK] = -0.5 * (-term_a + term_b + term_c)
+        return out
+
     def hessian(self, x) -> np.ndarray:
         """H(x) = 1/2 sum_a nu_a nu_a^T / ell_a(x) + Hess w(x), exact formula."""
-        L = self._interior_ell(x)
-        H = 0.5 * np.einsum("a,ai,aj->ij", 1.0 / L, self.normals, self.normals)
-        if not self.w.is_zero:
-            n = self.dim
-            H = H + np.array([[self._whess[i][j].value(x) for j in range(n)]
-                              for i in range(n)])
-        return H
+        return self.hessian_many(x)[0]
 
     def hessian_derivatives(self, x):
         """(H, dH, d2H) with dH[k] = d_k H and d2H[k][l] = d_k d_l H."""
-        L = self._interior_ell(x)
-        N = self.normals
-        H = 0.5 * np.einsum("a,ai,aj->ij", 1.0 / L, N, N)
-        dH = -0.5 * np.einsum("a,ak,ai,aj->kij", 1.0 / L**2, N, N, N)
-        d2H = np.einsum("a,ak,al,ai,aj->klij", 1.0 / L**3, N, N, N, N)
-        if not self.w.is_zero:
-            n = self.dim
-            H = H + np.array([[self._whess[i][j].value(x) for j in range(n)]
-                              for i in range(n)])
-            dH = dH + np.array([[[self._wd3[i][j][k].value(x) for j in range(n)]
-                                 for i in range(n)] for k in range(n)])
-            d2H = d2H + np.array(
-                [[[[self._wd4[i][j][k][l].value(x) for j in range(n)]
-                   for i in range(n)] for l in range(n)] for k in range(n)])
-        return H, dH, d2H
+        return tuple(jet[0] for jet in self._hessian_jets(x, 2))
 
     def inverse_metric(self, x):
         """(G, dG, d2G) by matrix calculus on the closed-form Hessian.
@@ -163,125 +205,42 @@ class SymplecticPotential:
         dG = -G dH G and d2G = -G d2H G + G dH G dH G + (k<->l term).
         """
         H, dH, d2H = self.hessian_derivatives(x)
-        try:
-            G = np.linalg.inv(H)
-        except np.linalg.LinAlgError:
-            raise ValueError("Hessian is singular: strict convexity violated")
-        n = self.dim
-        dG = np.empty_like(dH)
-        for k in range(n):
-            dG[k] = -G @ dH[k] @ G
-        d2G = np.empty_like(d2H)
-        for k in range(n):
-            for l in range(n):
-                d2G[k, l] = (-G @ d2H[k, l] @ G
-                             + G @ dH[k] @ G @ dH[l] @ G
-                             + G @ dH[l] @ G @ dH[k] @ G)
-        return G, dG, d2G
+        G = _inv(H)
+        A = G @ dH @ G                        # A[k] = G dH_k G = -dG[k]
+        B = A[:, None] @ dH[None, :] @ G      # B[k, l] = G dH_k G dH_l G
+        return G, -A, -G @ d2H @ G + B + B.transpose(1, 0, 2, 3)
 
     def metric(self, x) -> np.ndarray:
         """G(x) = H(x)^{-1} only."""
-        H = self.hessian(x)
-        try:
-            return np.linalg.inv(H)
-        except np.linalg.LinAlgError:
-            raise ValueError("Hessian is singular: strict convexity violated")
-
-    def hessian_many(self, points) -> np.ndarray:
-        """Batched Hessians, shape (m, n, n); all points strictly interior."""
-        pts = _as_points(points)
-        L = self.ell(pts)
-        if np.any(L <= 0.0):
-            raise ValueError("Hessian requires strictly interior points")
-        H = 0.5 * np.einsum("ma,ai,aj->mij", 1.0 / L, self.normals, self.normals)
-        if not self.w.is_zero:
-            n = self.dim
-            for i in range(n):
-                for j in range(n):
-                    H[:, i, j] += self._whess[i][j](pts)
-        return H
-
-    def metric_many(self, points) -> np.ndarray:
-        """Batched inverse metrics G = H^{-1}, shape (m, n, n)."""
-        return np.linalg.inv(self.hessian_many(points))
+        return self.metric_many(x)[0]
 
     def scalar_curvature(self, x) -> float:
         """s(x) = -1/2 sum_ij d_i d_j G^ij via the analytic derivatives."""
-        _, _, d2G = self.inverse_metric(x)
-        n = self.dim
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                total += d2G[i, j][i, j]
-        return -0.5 * total
-
-    def scalar_curvature_many(self, points) -> np.ndarray:
-        """Batched scalar curvature via the same matrix calculus as the
-        pointwise version, organized so only the traced contraction of the
-        second derivative of G is ever formed.  Points are taken
-        CURVATURE_BLOCK at a time, which bounds the rank-5 d2H array."""
-        pts = _as_points(points)
-        out = np.empty(pts.shape[0])
-        n = self.dim
-        N = self.normals
-        for start in range(0, pts.shape[0], CURVATURE_BLOCK):
-            block = pts[start:start + CURVATURE_BLOCK]
-            L = self.ell(block)
-            if np.any(L <= 0.0):
-                raise ValueError("scalar curvature requires strictly interior points")
-            H = 0.5 * np.einsum("ma,ai,aj->mij", 1.0 / L, N, N)
-            dH = -0.5 * np.einsum("ma,ak,ai,aj->mkij", 1.0 / L**2, N, N, N)
-            d2H = np.einsum("ma,ak,al,ai,aj->mklij", 1.0 / L**3, N, N, N, N)
-            if not self.w.is_zero:
-                for i in range(n):
-                    for j in range(n):
-                        H[:, i, j] += self._whess[i][j](block)
-                        for k in range(n):
-                            dH[:, k, i, j] += self._wd3[i][j][k](block)
-                            for l in range(n):
-                                d2H[:, k, l, i, j] += self._wd4[i][j][k][l](block)
-            G = np.linalg.inv(H)
-            # sum_kl [G d2H_kl G]_kl
-            term_a = np.einsum("mki,mklij,mjl->m", G, d2H, G)
-            A = np.einsum("mij,mkjl,mlp->mkip", G, dH, G)  # A[k] = G dH_k G
-            idx = np.arange(n)
-            A_diag = A[:, idx, idx, :]                     # row k of A[k]
-            term_b = np.einsum("mkp,mlpq,mql->m", A_diag, dH, G)
-            term_c = np.einsum("mklp,mlpq,mqk->m", A, dH, G)
-            out[start:start + CURVATURE_BLOCK] = -0.5 * (-term_a + term_b + term_c)
-        return out
+        return float(self.scalar_curvature_many(x)[0])
 
     def scalar_curvature_fd(self, x, h: float = 1e-4) -> float:
         """Finite-difference cross-check of the curvature (central stencils)."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        n = self.dim
+        e = h * np.eye(self.dim)
 
-        def g_entry(p, i, j):
+        def g(p, i, j):
             return self.metric(p)[i, j]
 
         total = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    e = np.zeros(n)
-                    e[i] = h
-                    d2 = (g_entry(x + e, i, j) - 2.0 * g_entry(x, i, j)
-                          + g_entry(x - e, i, j)) / h**2
-                else:
-                    ei = np.zeros(n)
-                    ej = np.zeros(n)
-                    ei[i] = h
-                    ej[j] = h
-                    d2 = (g_entry(x + ei + ej, i, j) - g_entry(x + ei - ej, i, j)
-                          - g_entry(x - ei + ej, i, j) + g_entry(x - ei - ej, i, j)) \
-                        / (4.0 * h**2)
-                total += d2
+        for i, j in np.ndindex(self.dim, self.dim):
+            if i == j:
+                total += (g(x + e[i], i, i) - 2.0 * g(x, i, i)
+                          + g(x - e[i], i, i)) / h**2
+            else:
+                total += (g(x + e[i] + e[j], i, j) - g(x + e[i] - e[j], i, j)
+                          - g(x - e[i] + e[j], i, j) + g(x - e[i] - e[j], i, j)) \
+                    / (4.0 * h**2)
         return -0.5 * total
 
     def metric_at(self, x) -> MetricAtPoint:
         x = np.asarray(x, dtype=float).reshape(-1)
-        H = self.hessian(x)
-        return MetricAtPoint(x=x, H=H, G=np.linalg.inv(H), s=self.scalar_curvature(x))
+        return MetricAtPoint(x=x, H=self.hessian(x), G=self.metric(x),
+                             s=self.scalar_curvature(x))
 
     # -- the kernel function phi ----------------------------------------------
 
@@ -295,9 +254,6 @@ class SymplecticPotential:
         pts = _as_points(points)
         ux = self.u(x)[0]
         uy = self.u(pts)
-        Ly = self.ell(pts)
-        if np.any(Ly <= 0.0):
-            raise ValueError("phi requires strictly interior second argument")
         gy = self.grad_u(pts)
         return 2.0 * (ux - uy - np.einsum("mi,mi->m", gy, x[None, :] - pts))
 
@@ -313,18 +269,14 @@ class SymplecticPotential:
 
     # -- cotangent norms -------------------------------------------------------
 
-    def conorm_sq(self, f, x) -> float:
-        """|df|^2_g = grad(f)^T G(x) grad(f) for an affine functional or vector."""
-        v = f.normal_float() if isinstance(f, AffineFunctional) else \
-            np.asarray(f, dtype=float).reshape(-1)
-        G = self.metric(x)
-        return float(v @ G @ v)
-
     def conorm_sq_many(self, f, points) -> np.ndarray:
+        """|df|^2_g = grad(f)^T G grad(f) for an affine functional or vector."""
         v = f.normal_float() if isinstance(f, AffineFunctional) else \
             np.asarray(f, dtype=float).reshape(-1)
-        G = self.metric_many(points)
-        return np.einsum("i,mij,j->m", v, G, v)
+        return np.einsum("i,mij,j->m", v, self.metric_many(points), v)
+
+    def conorm_sq(self, f, x) -> float:
+        return float(self.conorm_sq_many(f, x)[0])
 
 
 def guillemin_potential(polytope: Polytope) -> SymplecticPotential:
@@ -335,8 +287,5 @@ def guillemin_potential(polytope: Polytope) -> SymplecticPotential:
 def interior_distance(polytope: Polytope, x) -> float:
     """Euclidean distance from x to the boundary (min over facets)."""
     pts = _as_points(x)
-    dists = []
-    for f in polytope.facets:
-        nrm = np.linalg.norm(f.normal_float())
-        dists.append(f.value_float(pts)[0] / nrm)
-    return float(min(dists))
+    return float(min(f.value_float(pts)[0] / np.linalg.norm(f.normal_float())
+                     for f in polytope.facets))

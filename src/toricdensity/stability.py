@@ -22,7 +22,7 @@ import numpy as np
 
 from .asymptotics import (_euclidean_simplex_measure, _dp_coefficient,
                           facet_integral)
-from .density import QuadratureScheme, integrate, integrate_simplices
+from .density import _float_simplices, integrate, integrate_simplices
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
                        TestConfigPolytope, _fr, leray_codim2_density)
 
@@ -135,9 +135,7 @@ def hilbert_coeffs_geometric(family: MovingFamily, potential, t,
     sl = family.slice(t)
     if sl.is_empty:
         return HilbertCoefficients(t=t, A0=0.0, A1=0.0, source="geometric")
-    scheme = QuadratureScheme.for_polytope(sl.polytope)
-    s_int, _ = scheme.integrate(
-        lambda pts: potential.scalar_curvature_many(pts), rel_tol=1e-9)
+    s_int, _ = integrate(sl.polytope, potential.scalar_curvature_many, rel_tol=1e-9)
     a_hat = a_hat_pair(family, potential, t, 1.0, dp_convention=dp_convention)
     return HilbertCoefficients(t=t, A0=float(sl.polytope.volume()),
                                A1=0.5 * (s_int + a_hat), source="geometric")
@@ -238,8 +236,7 @@ def slope_excess_metric(family: MovingFamily, potential, c,
     P = family.base
     phi = family.cuts[0]
     vol = float(P.volume())
-    s_int, _ = integrate(P, lambda pts: potential.scalar_curvature_many(pts),
-                         rel_tol=rel_tol)
+    s_int, _ = integrate(P, potential.scalar_curvature_many, rel_tol=rel_tol)
     av_s = s_int / vol
 
     cf = float(c)
@@ -324,7 +321,7 @@ def roof_skeleton_integral(config: TestConfigPolytope, potential,
         pts = [gamma.vertices[i] for i in ridge.vertex_ids]
         m = gamma.dim - 2
         tri = gamma._triangulate_face(ridge.vertex_ids, m) if m > 0 else [tuple(pts)]
-        simplices = np.array([[[float(c) for c in v] for v in s] for s in tri])
+        simplices = _float_simplices(tri)
         measures = np.array([_euclidean_simplex_measure(s) * density for s in tri])
 
         def fn(nodes, d=diff):
@@ -381,12 +378,10 @@ def gamma_scalar_integral(config: TestConfigPolytope, potential,
     """int_Gamma pr1*(s) reduced to sum_a int_{R_a} s(x) Phi_a(x) dx."""
     total = 0.0
     for _, phi_a, region in _roof_projection_pieces(config):
-        scheme = QuadratureScheme.for_polytope(region)
-
         def fn(pts, phi=phi_a):
             return potential.scalar_curvature_many(pts) * phi.value_float(pts)
 
-        val, _ = scheme.integrate(fn, rel_tol=rel_tol)
+        val, _ = integrate(region, fn, rel_tol=rel_tol)
         total += val
     return total
 
@@ -397,8 +392,7 @@ def futaki_metric(config: TestConfigPolytope, potential,
     vol_gamma = float(config.gamma.volume())
     vol_p = float(config.family.base.volume())
     av_gamma = gamma_scalar_integral(config, potential) / vol_gamma
-    s_int, _ = integrate(config.family.base,
-                         lambda pts: potential.scalar_curvature_many(pts),
+    s_int, _ = integrate(config.family.base, potential.scalar_curvature_many,
                          rel_tol=1e-9)
     av_p = s_int / vol_p
     delta = delta_gamma(config, potential, dp_convention=dp_convention)

@@ -48,6 +48,67 @@ def _det(rows):
     return total
 
 
+small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, rhs): an r x c rational matrix, r, c <= 4, and an r-vector.
+
+    Half the draws are products B C through an inner size below min(r, c),
+    so singular and rank-deficient matrices come up often."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def matrix(p, q):
+        return [[draw(small_fractions) for _ in range(q)] for _ in range(p)]
+
+    if draw(st.booleans()):
+        rows = matrix(r, c)
+    else:
+        inner = draw(st.integers(0, min(r, c) - 1))
+        B, C = matrix(r, inner), matrix(inner, c)
+        rows = [[sum((B[i][m] * C[m][j] for m in range(inner)), F(0))
+                 for j in range(c)] for i in range(r)]
+    return rows, [draw(small_fractions) for _ in range(r)]
+
+
+def _largest_nonzero_minor(rows):
+    r, c = len(rows), len(rows[0])
+    return max((size for size in range(1, min(r, c) + 1)
+                for ri in itertools.combinations(range(r), size)
+                for ci in itertools.combinations(range(c), size)
+                if _det([[rows[i][j] for j in ci] for i in ri]) != 0), default=0)
+
+
+class TestExactLinearAlgebra:
+    @given(rational_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_row_reduction_wrappers(self, data):
+        from toricdensity import polytope as tp
+
+        rows, rhs = data
+        r, c = len(rows), len(rows[0])
+        rank = _largest_nonzero_minor(rows)
+        assert tp._rank(rows) == rank
+
+        v = tp._nullspace_vector(rows, c)
+        if rank == c:
+            assert v is None
+        else:
+            assert any(x != 0 for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+
+        k = min(r, c)
+        square, b = [row[:k] for row in rows[:k]], rhs[:k]
+        det = _det(square)
+        assert tp._det(square) == det
+        x = tp._solve(square, b)
+        if det == 0:
+            assert x is None
+        else:
+            assert [sum(a * xi for a, xi in zip(row, x)) for row in square] == b
+
+
 class TestVertexEnumeration:
     def test_unit_square(self, square):
         assert square.vertices == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -51,6 +51,14 @@ class TestHessian:
         with pytest.raises(ValueError, match="ell_0"):
             u_square.hessian([0.0, 0.5])
 
+    def test_batched_boundary_point_names_facet(self, u_simplex):
+        # the second point lies on the hypotenuse x + y = 1, facet 2
+        pts = np.array([[0.2, 0.3], [0.5, 0.5], [0.1, 0.1]])
+        with pytest.raises(ValueError, match=r"\[0\.5, 0\.5\] is not interior: ell_2"):
+            u_simplex.scalar_curvature_many(pts)
+        with pytest.raises(ValueError, match=r"\[0\.5, 0\.5\] is not interior: ell_2"):
+            u_simplex.conorm_sq_many(np.array([1.0, 0.0]), pts)
+
     def test_derivatives_match_finite_differences(self, u_simplex):
         x = np.array([0.3, 0.25])
         H, dH, d2H = u_simplex.hessian_derivatives(x)
@@ -150,11 +158,34 @@ class TestScalarCurvature:
         for x in ([0.4, 0.6], [0.2, 0.2]):
             assert abs(up.scalar_curvature(x) - up.scalar_curvature_fd(x)) < 1e-6
 
-    def test_batched_matches_pointwise(self, u_simplex):
-        pts = u_simplex.polytope.interior_float_grid(6)
-        batched = u_simplex.scalar_curvature_many(pts)
-        single = np.array([u_simplex.scalar_curvature(p) for p in pts])
-        assert batched == pytest.approx(single, abs=1e-12)
+    def test_batched_matches_pointwise(self, u_simplex, u_simplex_perturbed):
+        u_simplex3 = td.SymplecticPotential(
+            td.standard_simplex(3),
+            Polynomial(3, {(3, 0, 0): 0.02, (1, 1, 1): 0.03, (0, 2, 2): 0.01}))
+        close = dict(rtol=1e-13, atol=1e-12)
+        for u in (u_simplex, u_simplex_perturbed, u_simplex3):
+            pts = u.polytope.interior_float_grid(6)
+            batched = u.scalar_curvature_many(pts)
+            single = np.array([u.scalar_curvature(p) for p in pts])
+            assert batched == pytest.approx(single, abs=1e-12)
+
+            H, dH, d2H = u._hessian_jets(pts, 2)
+            hess = u.hessian_many(pts)
+            G = u.metric_many(pts)
+            dG = -np.einsum("mij,mkjl,mlp->mkip", G, dH, G)
+            v = np.arange(1.0, u.dim + 1.0)
+            conorm = u.conorm_sq_many(v, pts)
+            for m, p in enumerate(pts):
+                np.testing.assert_allclose(u.hessian(p), hess[m], **close)
+                for got, want in zip(u.hessian_derivatives(p), (H[m], dH[m], d2H[m])):
+                    np.testing.assert_allclose(got, want, **close)
+                G_p, dG_p, d2G_p = u.inverse_metric(p)
+                np.testing.assert_allclose(G_p, G[m], **close)
+                np.testing.assert_allclose(dG_p, dG[m], **close)
+                trace = sum(d2G_p[i, j][i, j] for i in range(u.dim) for j in range(u.dim))
+                assert -0.5 * trace == pytest.approx(batched[m], rel=1e-12)
+                np.testing.assert_allclose(u.metric(p), G[m], **close)
+                assert u.conorm_sq(v, p) == pytest.approx(conorm[m], rel=1e-13)
 
 
 class TestPhi:

@@ -268,12 +268,18 @@ def a_hat_components(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
         val, _ = integrate_simplices(simplices, measures, fld.value,
                                      rel_tol=rel_tol)
         per_cut[cut_idx] = per_cut.get(cut_idx, 0.0) + val
-    deriv = -0.5 * _ddt(
-        lambda tt: facet_integral(family, potential, tt, f, "conorm", rel_tol=rel_tol),
-        float(t), h_t, richardson)
-    corner = -coef * dp_integral(family, potential, t, f, rel_tol=rel_tol)
+    deriv, corner = _cut_terms(family, potential, t, f, h_t, coef, richardson, rel_tol)
     return BoundaryDistribution(t=t, facet_terms=per_cut, derivative_term=deriv,
                                 corner_term=corner, dp_convention=dp_convention)
+
+
+def _cut_terms(family: MovingFamily, potential, t: Fraction, f, h_t: float,
+               coef: float, richardson: bool = True, rel_tol=1e-10):
+    """-1/2 d/dt int_{N(t)} f |dPhi|^2_g dsigma and -coef int_{N(t)} f dp: the
+    terms <a_hat_t, f> shares with the boundary volume identity."""
+    deriv = _ddt(lambda tt: facet_integral(family, potential, tt, f, "conorm",
+                                           rel_tol=rel_tol), float(t), h_t, richardson)
+    return -0.5 * deriv, -coef * dp_integral(family, potential, t, f, rel_tol=rel_tol)
 
 
 def a_hat_pair(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
@@ -330,14 +336,16 @@ def boundary_volume_identity(family: MovingFamily, potential, t,
                              rel_tol=1e-9)
         return lhs - s_int
     sl = _slice_at_regular(family, t)
-    lhs = float(sum((sl.polytope.facet_leray_volume(i) for i in sl.old_facets),
-                    Fraction(0)))
     s_int, _ = integrate(sl.polytope, potential.scalar_curvature_many, rel_tol=1e-9)
     _validate_stencil(family, t, h_t)
-    deriv = _ddt(lambda tt: facet_integral(family, potential, tt, 1.0, "conorm"),
-                 float(t), h_t)
-    corner = dp_integral(family, potential, t, 1.0)
-    return lhs - (s_int - 0.5 * deriv - coef * corner)
+    return _boundary_residual(sl, s_int,
+                              *_cut_terms(family, potential, t, 1.0, h_t, coef))
+
+
+def _boundary_residual(sl: Slice, s_int: float, deriv: float, corner: float) -> float:
+    """Vol(dP(t)+) - (int_{P(t)} s + deriv + corner), given the cut terms."""
+    lhs = sum((sl.polytope.facet_leray_volume(i) for i in sl.old_facets), Fraction(0))
+    return float(lhs) - (s_int + deriv + corner)
 
 
 def divergence_identity_check(family: MovingFamily, potential, t, xi,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import (a_hat_components, boundary_volume_identity,
+from .asymptotics import (_boundary_residual, _slice_at_regular, a_hat_components,
                           euler_maclaurin)
 from .density import (QuadratureError, SectionBasis, density_profile,
                       integrate, pair_partial_density, section_expansion_check)
@@ -101,10 +101,6 @@ def _run_em_check(scenario, outdir, opts):
     return EXIT_OK if len(residuals) == 1 else EXIT_CHECK_FAILED
 
 
-def _grid_points(polytope, per_axis):
-    return polytope.interior_float_grid(per_axis)
-
-
 def _run_density_profile(scenario, outdir, opts):
     family = scenario.family
     if family is None:
@@ -113,7 +109,7 @@ def _run_density_profile(scenario, outdir, opts):
     k = int(scenario.params.get("k", 10))
     per_axis = int(scenario.params.get("grid", 9))
     pot = scenario.potential
-    pts = _grid_points(scenario.polytope, per_axis)
+    pts = scenario.polytope.interior_float_grid(per_axis)
     basis = SectionBasis.build(pot, k, rel_tol=opts.tolerance,
                                threads=opts.threads)
     rows = density_profile(family, pot, t, k, [tuple(p) for p in pts],
@@ -242,16 +238,15 @@ def _run_report(scenario, outdir, opts):
             summary["checks"]["density"] = rc
             status = max(status, rc)
             tq = Fraction(t)
-            res = boundary_volume_identity(family, pot, tq,
-                                           dp_convention=opts.dp_convention)
+            sl = _slice_at_regular(family, tq)
+            s_int, _ = integrate(sl.polytope, pot.scalar_curvature_many, rel_tol=1e-9)
+            comp = a_hat_components(family, pot, tq, 1.0,
+                                    dp_convention=opts.dp_convention)
+            res = _boundary_residual(sl, s_int, comp.derivative_term, comp.corner_term)
             summary["checks"]["boundary_volume_residual"] = res
             if abs(res) > 1e-6:
                 status = max(status, EXIT_CHECK_FAILED)
-            comp = a_hat_components(family, pot, tq, 1.0,
-                                    dp_convention=opts.dp_convention)
             hc = hilbert_coeffs_combinatorial(family, tq)
-            sl = family.slice(tq)
-            s_int, _ = integrate(sl.polytope, pot.scalar_curvature_many, rel_tol=1e-9)
             coeff_gap = abs(float(hc.A1) - 0.5 * (s_int + comp.value))
             summary["checks"]["subleading_coefficient_gap"] = coeff_gap
             if coeff_gap > 1e-5 * max(1.0, abs(float(hc.A1))):

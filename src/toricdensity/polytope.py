@@ -7,6 +7,11 @@ measures, one-parameter families of sliced polytopes and the associated
 module is carried out over ``fractions.Fraction`` so that counts, volumes
 and critical values are exact and can serve as oracles for the floating
 point analysis modules.
+
+Vertices and the vertex-facet incidence are enumerated together, once per
+polytope, on cleared integers; every vertex-on-facet question reads that
+table.  Slices P(t), the test configuration Gamma and the regions where
+one cut is smallest are pruned by one routine, ``_intersect``.
 """
 
 from __future__ import annotations
@@ -44,13 +49,16 @@ def _point(coords) -> Point:
 # small exact linear algebra over Fraction
 # ---------------------------------------------------------------------------
 
-def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
+def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int,
+                full_rank: bool = False):
     """Gauss-Jordan elimination over Fraction on the first ``ncols`` columns.
 
     Returns (reduced rows, pivot columns, pivot values, row swaps).  Each
     pivot row is scaled to 1 at its pivot column, which is cleared in every
     other row; a pivot value is the entry before that scaling, so a square
     matrix has det = (-1)^swaps * prod(pivot values) when every column pivots.
+    With ``full_rank`` the elimination stops at the first column without a
+    pivot, for callers that only use the result when every column pivots.
     """
     a = [list(r) for r in rows]
     pivots, values, swaps = [], [], 0
@@ -60,6 +68,8 @@ def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
             break
         piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if piv is None:
+            if full_rank:
+                break
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
@@ -78,7 +88,7 @@ def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int):
 def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """The solution tuple of a square rational system, or None if singular."""
     n = len(rows)
-    a, pivots, _, _ = _row_reduce([(*r, b) for r, b in zip(rows, rhs)], n)
+    a, pivots, _, _ = _row_reduce([(*r, b) for r, b in zip(rows, rhs)], n, full_rank=True)
     return tuple(r[n] for r in a) if len(pivots) == n else None
 
 
@@ -213,13 +223,11 @@ class Polytope:
     """
 
     def __init__(self, dim: int, facets: Iterable[AffineFunctional],
-                 require_full_dim: bool = True, _normalize: bool = True):
+                 require_full_dim: bool = True):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError("polytope dimension must be >= 1")
-        facets = list(facets)
-        if _normalize:
-            facets = [f.normalized() for f in facets]
+        facets = [f.normalized() for f in facets]
         seen = {}
         for f in facets:
             if f.key() in seen:
@@ -227,6 +235,7 @@ class Polytope:
             seen[f.key()] = f
         self.facets: list[AffineFunctional] = facets
         self._vertices: list[Point] | None = None
+        self._incidence: list[frozenset] | None = None
         self._faces: dict[int, list[Face]] = {}
         self._triangulation: list[tuple[Point, ...]] | None = None
         self._volume: Fraction | None = None
@@ -239,8 +248,15 @@ class Polytope:
     def vertices(self) -> list[Point]:
         """All vertices, exact and lexicographically sorted."""
         if self._vertices is None:
-            self._vertices = _candidate_vertices(self.facets, self.dim)
+            self._vertices, self._incidence = _candidate_vertices(self.facets, self.dim)
         return self._vertices
+
+    @property
+    def incidence(self) -> list[frozenset]:
+        """For each facet, the ids (into ``vertices``) of the vertices on it."""
+        if self._incidence is None:
+            self._vertices, self._incidence = _candidate_vertices(self.facets, self.dim)
+        return self._incidence
 
     def _validate_full_dim(self):
         if len(self.facets) < self.dim + 1:
@@ -254,9 +270,8 @@ class Polytope:
             raise ValueError(f"unbounded polytope: recession ray {ray}")
         if not self.vertices:
             raise ValueError("empty polytope: no vertex satisfies all inequalities")
-        c = self.centroid_of_vertices()
-        for f in self.facets:
-            if f.value(c) == 0:
+        for f, ids in zip(self.facets, self.incidence):
+            if len(ids) == len(self.vertices):
                 raise ValueError(
                     f"polytope is not full-dimensional: contained in {f!r} = 0")
 
@@ -298,8 +313,7 @@ class Polytope:
         if not 1 <= codim <= self.dim:
             raise ValueError(f"codim must be in 1..{self.dim}")
         verts = self.vertices
-        onfacet = [frozenset(i for i, v in enumerate(verts) if f.value(v) == 0)
-                   for f in self.facets]
+        onfacet = self.incidence
         target = self.dim - codim
         found: dict[frozenset, Face] = {}
         for combo in itertools.combinations(range(len(self.facets)), codim):
@@ -322,17 +336,13 @@ class Polytope:
         return faces
 
     def facet_vertex_ids(self, a: int) -> tuple:
-        f = self.facets[a]
-        return tuple(i for i, v in enumerate(self.vertices) if f.value(v) == 0)
+        return tuple(sorted(self.incidence[a]))
 
     def essential_facets(self) -> list[int]:
         """Indices of facets that actually carry an (n-1)-dimensional face."""
-        out = []
-        for a in range(len(self.facets)):
-            ids = self.facet_vertex_ids(a)
-            if _affine_dim([self.vertices[i] for i in ids]) == self.dim - 1:
-                out.append(a)
-        return out
+        verts = self.vertices
+        return [a for a, ids in enumerate(self.incidence)
+                if _affine_dim([verts[i] for i in ids]) == self.dim - 1]
 
     # -- triangulation and exact measures -----------------------------------
 
@@ -518,7 +528,7 @@ def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
 
 
 def _det(rows) -> Fraction:
-    _, pivots, values, swaps = _row_reduce(rows, len(rows))
+    _, pivots, values, swaps = _row_reduce(rows, len(rows), full_rank=True)
     if len(pivots) < len(rows):
         return Fraction(0)
     return (-1) ** swaps * prod(values, start=Fraction(1))
@@ -556,11 +566,9 @@ def _tangent_basis(points: Sequence[Point]) -> tuple:
 
 
 def _recession_ray(normals: Sequence[Point], dim: int):
-    """A nonzero rational v with <nu_a, v> >= 0 for all a, if one exists."""
-    if _rank(normals) < dim:
-        # kernel of all normals gives a line in the recession cone
-        v = _nullspace_vector(list(normals), dim)
-        return v
+    """A nonzero rational v with <nu_a, v> >= 0 for all a, if one exists.
+
+    The normals must span: ``Polytope._validate_full_dim`` checks first."""
     for combo in itertools.combinations(range(len(normals)), dim - 1):
         rows = [list(normals[a]) for a in combo]
         if rows and _rank(rows) != dim - 1:
@@ -574,26 +582,59 @@ def _recession_ray(normals: Sequence[Point], dim: int):
     return None
 
 
-def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int) -> list[Point]:
-    """Solutions of every dim-subset of facet equations that satisfy all facets.
+def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
+    """(vertices, incidence): the solutions of every dim-subset of facet
+    equations that satisfy all facets, sorted, and for each facet the
+    frozenset of ids of the vertices on it.
 
-    Feasibility is tested on integers: with X = D*x for D the lcm of the
-    denominators of x, x is feasible iff <nu, X> >= lam*D for every cleared
-    facet (nu, lam).
+    Both tests are on integers: with X = D*x for D the lcm of the
+    denominators of x, the slack <nu, X> - lam*D of a cleared facet
+    (nu, lam) is >= 0 exactly where x satisfies the facet and 0 exactly
+    where x lies on it.
     """
     cleared = [f.cleared() for f in facets]
-    pts: dict[Point, None] = {}
+    on: dict[Point, list[int] | None] = {}  # None: infeasible
     for combo in itertools.combinations(range(len(facets)), dim):
         rows = [facets[a].normal for a in combo]
         rhs = [facets[a].offset for a in combo]
         x = _solve(rows, rhs)
-        if x is None or x in pts:
+        if x is None or x in on:
             continue
         den = lcm(*(c.denominator for c in x))
         X = [c.numerator * (den // c.denominator) for c in x]
-        if all(sum(v * c for v, c in zip(nu, X)) >= lam * den for nu, lam in cleared):
-            pts[x] = None
-    return sorted(pts.keys())
+        slack = [sum(v * c for v, c in zip(nu, X)) - lam * den for nu, lam in cleared]
+        on[x] = [a for a, s in enumerate(slack) if s == 0] if min(slack) >= 0 else None
+    vertices = sorted(x for x, facet_ids in on.items() if facet_ids is not None)
+    return vertices, [frozenset(i for i, v in enumerate(vertices) if a in on[v])
+                      for a in range(len(facets))]
+
+
+def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
+    """(Q, kept) for Q = P cap {ell >= 0 for ell in extra}; None when Q is
+    empty or lower-dimensional.
+
+    Q's facets are those of P + extra, normalized, without duplicates or
+    inessential ones, in input order; kept[i] is the input index of facet i.
+    A constant ell is dropped when it holds and empties Q when it fails.  Q
+    carries the vertices and incidence found here (P's own when no ell adds
+    a facet), so it is neither enumerated nor validated again.
+    """
+    index = {f: a for a, f in enumerate(P.facets)}
+    for a, ell in enumerate(extra, len(P.facets)):
+        if ell.is_constant():
+            if ell.offset > 0:
+                return None
+            continue
+        index.setdefault(ell.normalized(), a)
+    full = P if len(index) == len(P.facets) else Polytope(
+        P.dim, list(index), require_full_dim=False)
+    if not full.is_full_dim:
+        return None
+    essential = full.essential_facets()
+    pruned = Polytope(P.dim, [full.facets[i] for i in essential], require_full_dim=False)
+    pruned._vertices, pruned._incidence = full.vertices, [full.incidence[i] for i in essential]
+    kept = list(index.values())
+    return pruned, [kept[i] for i in essential]
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +644,10 @@ def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int) -> list[Po
 def enumerate_vertices(facets: Sequence[AffineFunctional], dim: int) -> list[Point]:
     """Vertices of a bounded full-dimensional polytope, exact and sorted.
 
-    Brute force over all dim-subsets of facet equalities with feasibility
-    filtering; raises naming the violated condition otherwise.
+    Solves every dim-subset of facet equalities and keeps the feasible
+    solutions; feasibility and the vertex-facet incidence kept beside the
+    vertices are decided on cleared integers.  Raises naming the violated
+    condition (unbounded, empty, not full-dimensional) otherwise.
     """
     return Polytope(dim, facets).vertices
 
@@ -635,8 +678,8 @@ def check_delzant(P: Polytope) -> DelzantReport:
     n = P.dim
     certs = []
     ok_all = True
-    for v in verts:
-        active = [a for a, f in enumerate(P.facets) if f.value(v) == 0]
+    for i, v in enumerate(verts):
+        active = [a for a, ids in enumerate(P.incidence) if i in ids]
         if len(active) != n:
             certs.append(VertexCertificate(
                 vertex=v, edge_directions=(), determinant=0, simple=False,
@@ -772,46 +815,16 @@ class MovingFamily:
 
     def _cut(self, t: Fraction) -> Slice:
         shifted = [phi.shifted(t) for phi in self.cuts]
-        old_keys = {f.key() for f in self.base.facets}
-        keep: list[AffineFunctional] = list(self.base.facets)
-        provenance: list[tuple[str, int]] = [("old", a) for a in range(len(self.base.facets))]
-        for a, s in enumerate(shifted):
-            if s.is_constant():
-                if s.offset > 0:  # constant cut already violated
-                    return Slice(t, None, [], [], [])
-                continue
-            if s.normalized().key() in old_keys:
-                continue  # cut coincides with an original facet: not "new"
-            keep.append(s)
-            provenance.append(("new", a))
-        # drop exact duplicates among the shifted cuts themselves
-        uniq: dict = {}
-        for f, prov in zip(keep, provenance):
-            k = f.normalized().key() if not f.is_constant() else f.key()
-            if k not in uniq:
-                uniq[k] = (f, prov)
-        keep = [f for f, _ in uniq.values()]
-        provenance = [p for _, p in uniq.values()]
-
-        verts = _candidate_vertices([f.normalized() for f in keep], self.base.dim)
-        if not verts:
+        pruned = _intersect(self.base, shifted)
+        if pruned is None:
             return Slice(t, None, [], [], [])
-        if _affine_dim(verts) < self.base.dim:
-            return Slice(t, None, [], [], [])
-        # essential facets only
-        ess_facets, ess_prov = [], []
-        for f, prov in zip(keep, provenance):
-            fn = f.normalized()
-            on = [v for v in verts if fn.value(v) == 0]
-            if _affine_dim(on) == self.base.dim - 1:
-                ess_facets.append(f)
-                ess_prov.append(prov)
-        poly = Polytope(self.base.dim, [f.normalized() for f in ess_facets],
-                        require_full_dim=False, _normalize=False)
+        poly, kept = pruned
+        # a cut equal to a facet of P stays old; at t = 0 no cut is essential
+        m = len(self.base.facets)
         new_facets, new_ids, old_ids = [], [], []
-        for i, (f, prov) in enumerate(zip(ess_facets, ess_prov)):
-            if prov[0] == "new" and t != 0:
-                new_facets.append((prov[1], f))
+        for i, a in enumerate(kept):
+            if a >= m:
+                new_facets.append((a - m, shifted[a - m]))
                 new_ids.append(i)
             else:
                 old_ids.append(i)
@@ -901,44 +914,27 @@ def _build_test_config(family: MovingFamily) -> TestConfigPolytope:
     n = P.dim
     if not family.cuts:
         raise ValueError("unbounded test configuration: the family has no cuts")
-    lifted: list[AffineFunctional] = []
-    provenance: list[tuple[str, int]] = []
-    for a, f in enumerate(P.facets):
-        lifted.append(AffineFunctional(tuple(f.normal) + (Fraction(0),), f.offset))
-        provenance.append(("side", a))
-    base = AffineFunctional((Fraction(0),) * n + (Fraction(1),), 0)
-    lifted.append(base)
-    provenance.append(("base", -1))
-    for a, phi in enumerate(family.cuts):
-        lifted.append(AffineFunctional(tuple(phi.normal) + (Fraction(-1),), phi.offset))
-        provenance.append(("roof", a))
+    # the sides, then the base t >= 0 at index m, then the roofs
+    m = len(P.facets)
+    lifted = [AffineFunctional(tuple(f.normal) + (Fraction(0),), f.offset) for f in P.facets]
+    lifted.append(AffineFunctional((Fraction(0),) * n + (Fraction(1),), 0))
+    lifted += [AffineFunctional(tuple(phi.normal) + (Fraction(-1),), phi.offset)
+               for phi in family.cuts]
     try:
-        full = Polytope(n + 1, [f.normalized() for f in lifted], _normalize=False)
+        full = Polytope(n + 1, lifted)
     except ValueError as exc:
         raise ValueError(f"unbounded or degenerate test configuration: {exc}") from exc
 
     # keep only essential inequalities so every facet of gamma is a facet
-    essential = full.essential_facets()
-    gamma = Polytope(n + 1, [full.facets[i] for i in essential], _normalize=False)
-    roof, sides, base_id = {}, [], None
-    for new_idx, old_idx in enumerate(essential):
-        kind, a = provenance[old_idx]
-        if kind == "roof":
-            roof[a] = new_idx
-        elif kind == "side":
-            sides.append(new_idx)
-        else:
-            base_id = new_idx
-    if base_id is None:
+    gamma, kept = _intersect(full, [])
+    if m not in kept:
         raise ValueError("degenerate test configuration: base facet t=0 missing")
+    roof = {a - m - 1: i for i, a in enumerate(kept) if a > m}
 
     verts = gamma.vertices
-    onfacet = {idx: frozenset(i for i, v in enumerate(verts)
-                              if gamma.facets[idx].value(v) == 0)
-               for idx in range(len(gamma.facets))}
     skeleton = []
     for a, b in itertools.combinations(sorted(roof), 2):
-        common = onfacet[roof[a]] & onfacet[roof[b]]
+        common = gamma.incidence[roof[a]] & gamma.incidence[roof[b]]
         pts = [verts[i] for i in common]
         if _affine_dim(pts) != n - 1:
             continue
@@ -947,8 +943,8 @@ def _build_test_config(family: MovingFamily) -> TestConfigPolytope:
                                   vertex_ids=tuple(sorted(common)),
                                   horizontal=horiz))
     return TestConfigPolytope(family=family, gamma=gamma, roof_facets=roof,
-                              side_facets=sorted(sides), base_facet=base_id,
-                              roof_skeleton=skeleton)
+                              side_facets=[i for i, a in enumerate(kept) if a < m],
+                              base_facet=kept.index(m), roof_skeleton=skeleton)
 
 
 # convenience constructors ---------------------------------------------------

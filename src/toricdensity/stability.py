@@ -24,7 +24,7 @@ from .asymptotics import (_euclidean_simplex_measure, _dp_coefficient,
                           facet_integral)
 from .density import _float_simplices, integrate, integrate_simplices
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
-                       TestConfigPolytope, _fr, leray_codim2_density)
+                       TestConfigPolytope, _fr, _intersect, leray_codim2_density)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +245,8 @@ def slope_excess_metric(family: MovingFamily, potential, c,
         s = potential.scalar_curvature_many(pts)
         return (s - av_s) * (cf - phi.value_float(pts))
 
-    below = _cut_region(P, [AffineFunctional([-v for v in phi.normal], -phi.offset - c)])
-    term1 = 0.0 if below is None else integrate(below, weighted, rel_tol=rel_tol)[0]
+    below = _intersect(P, [AffineFunctional([-v for v in phi.normal], -phi.offset - c)])
+    term1 = 0.0 if below is None else integrate(below[0], weighted, rel_tol=rel_tol)[0]
     term2 = 0.5 * facet_integral(family, potential, c, 1.0, "conorm")
     A0, _ = hilbert_polynomials(family)
     denom = 2.0 * float(_poly_eval(_poly_antiderivative(A0), c))
@@ -340,23 +340,12 @@ def delta_gamma(config: TestConfigPolytope, potential,
     validated 1/2 coefficient on the corner measure; "printed" divides by
     Vol(Gamma) to reproduce the published normalization.
     """
-    coef = _dp_coefficient(dp_convention)
-    raw = roof_skeleton_integral(config, potential)
-    return coef * raw / float(config.gamma.volume())
+    return _delta(config, roof_skeleton_integral(config, potential), dp_convention)
 
 
-def _cut_region(P: Polytope, cuts) -> Polytope | None:
-    """P cap {ell >= 0 for ell in cuts}, maybe empty or lower-dimensional;
-    None when a constant ell is negative."""
-    facets = {f.normalized().key(): f.normalized() for f in P.facets}
-    for ell in cuts:
-        if ell.is_constant():
-            if ell.offset > 0:
-                return None
-            continue
-        facets.setdefault(ell.normalized().key(), ell.normalized())
-    return Polytope(P.dim, list(facets.values()),
-                    require_full_dim=False, _normalize=False)
+def _delta(config: TestConfigPolytope, skeleton: float, dp_convention: str) -> float:
+    """Delta(Gamma) from the roof-skeleton integral."""
+    return _dp_coefficient(dp_convention) * skeleton / float(config.gamma.volume())
 
 
 def _roof_projection_pieces(config: TestConfigPolytope):
@@ -364,12 +353,12 @@ def _roof_projection_pieces(config: TestConfigPolytope):
     cuts = config.family.cuts
     pieces = []
     for a, phi_a in enumerate(cuts):
-        region = _cut_region(config.family.base, [
+        region = _intersect(config.family.base, [
             AffineFunctional(tuple(nb - na for na, nb in zip(phi_a.normal, phi_b.normal)),
                              phi_b.offset - phi_a.offset)
             for b, phi_b in enumerate(cuts) if b != a])
-        if region is not None and not region.is_empty and region.is_full_dim:
-            pieces.append((a, phi_a, region))
+        if region is not None:
+            pieces.append((a, phi_a, region[0]))
     return pieces
 
 
@@ -389,24 +378,31 @@ def gamma_scalar_integral(config: TestConfigPolytope, potential,
 def futaki_metric(config: TestConfigPolytope, potential,
                   dp_convention: str = "corrected") -> float:
     """F1 = (Vol Gamma / 2 Vol P) (Av_Gamma pr1* s - Av_P s - Delta(Gamma))."""
+    gamma_s = gamma_scalar_integral(config, potential)
+    s_int, _ = integrate(config.family.base, potential.scalar_curvature_many, rel_tol=1e-9)
+    return _futaki_metric(config, gamma_s, s_int,
+                          delta_gamma(config, potential, dp_convention=dp_convention))
+
+
+def _futaki_metric(config: TestConfigPolytope, gamma_s: float, s_int: float,
+                   delta: float) -> float:
+    """F1 from int_Gamma pr1*(s), int_P s and Delta(Gamma)."""
     vol_gamma = float(config.gamma.volume())
     vol_p = float(config.family.base.volume())
-    av_gamma = gamma_scalar_integral(config, potential) / vol_gamma
-    s_int, _ = integrate(config.family.base, potential.scalar_curvature_many,
-                         rel_tol=1e-9)
-    av_p = s_int / vol_p
-    delta = delta_gamma(config, potential, dp_convention=dp_convention)
-    return (vol_gamma / (2.0 * vol_p)) * (av_gamma - av_p - delta)
+    return (vol_gamma / (2.0 * vol_p)) * (gamma_s / vol_gamma - s_int / vol_p - delta)
 
 
 def roof_identity_residual(config: TestConfigPolytope, potential,
                            dp_convention: str = "corrected") -> float:
     """Residual of Vol(dGamma+) = int_Gamma pr1*(s) - c int dp~ (c=1/2 corrected)."""
-    coef = _dp_coefficient(dp_convention)
+    return _roof_residual(config, gamma_scalar_integral(config, potential),
+                          roof_skeleton_integral(config, potential), dp_convention)
+
+
+def _roof_residual(config: TestConfigPolytope, gamma_s: float, skeleton: float,
+                   dp_convention: str) -> float:
     lhs = float(config.side_leray_volume())
-    rhs = gamma_scalar_integral(config, potential) \
-        - coef * roof_skeleton_integral(config, potential)
-    return lhs - rhs
+    return lhs - (gamma_s - _dp_coefficient(dp_convention) * skeleton)
 
 
 @dataclass
@@ -424,8 +420,10 @@ class FutakiReport:
 def futaki_report(config: TestConfigPolytope, potential,
                   dp_convention: str = "corrected") -> FutakiReport:
     f1c = futaki_combinatorial(config)
-    f1m = futaki_metric(config, potential, dp_convention=dp_convention)
-    delta = delta_gamma(config, potential, dp_convention=dp_convention)
+    gamma_s = gamma_scalar_integral(config, potential)
+    s_int, _ = integrate(config.family.base, potential.scalar_curvature_many, rel_tol=1e-9)
+    skeleton = roof_skeleton_integral(config, potential)
+    delta = _delta(config, skeleton, dp_convention)
     is_product = len(config.roof_skeleton) == 0
     if f1c < 0:
         verdict = "F1 < 0 strictly"
@@ -433,10 +431,11 @@ def futaki_report(config: TestConfigPolytope, potential,
         verdict = "F1 = 0 and product"
     else:
         verdict = "violation"
-    return FutakiReport(config=config, F1_combinatorial=f1c, F1_metric=f1m,
+    return FutakiReport(config=config, F1_combinatorial=f1c,
+                        F1_metric=_futaki_metric(config, gamma_s, s_int, delta),
                         delta=delta, is_product=is_product,
-                        roof_identity_residual=roof_identity_residual(
-                            config, potential, dp_convention=dp_convention),
+                        roof_identity_residual=_roof_residual(
+                            config, gamma_s, skeleton, dp_convention),
                         verdict=verdict)
 
 

@@ -336,6 +336,127 @@ class TestFibrewiseCounting:
             assert all(type(c) is Fraction and type(c.numerator) is int for c in alpha)
 
 
+def _brute_dim(points):
+    """Affine dimension of a point set by the cofactor-determinant oracle."""
+    if not points:
+        return -1
+    diffs = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    return _largest_nonzero_minor(diffs) if diffs else 0
+
+
+def _brute_on(facets, verts):
+    """For each facet, the ids of the vertices where it vanishes (Fraction)."""
+    return [tuple(i for i, v in enumerate(verts) if f.value(v) == 0) for f in facets]
+
+
+def _brute_intersection(P, extra):
+    """(facets, vertices) of P cap {ell >= 0 for ell in extra} by brute force:
+    the normalized inequalities in input order without repeats, kept where
+    their vertices span n-1 dimensions; None when empty or lower-dimensional."""
+    n = P.dim
+    ineqs = []
+    for ell in list(P.facets) + list(extra):
+        if ell.is_constant():
+            if ell.offset > 0:
+                return None
+            continue
+        if ell.normalized() not in ineqs:
+            ineqs.append(ell.normalized())
+    verts = brute_force_vertices(ineqs, n)
+    if _brute_dim(verts) < n:
+        return None
+    facets = [f for f, ids in zip(ineqs, _brute_on(ineqs, verts))
+              if _brute_dim([verts[i] for i in ids]) == n - 1]
+    return facets, verts
+
+
+def _assert_polytope(Q, facets, verts):
+    assert Q.facets == facets
+    assert Q.vertices == verts
+    assert [Q.facet_vertex_ids(a) for a in range(len(facets))] == _brute_on(facets, verts)
+
+
+small_normals = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+
+class TestIncidenceAndPruning:
+    @given(boxed_polytopes(), st.lists(st.tuples(small_normals, fractions_small), max_size=2),
+           small_normals.filter(any), st.builds(F, st.integers(0, 12), st.integers(1, 4)))
+    @settings(max_examples=100, deadline=None)
+    def test_match_brute_force(self, data, extra, cut_normal, t):
+        from toricdensity import polytope as tp
+
+        P, _, _ = data
+        n = P.dim
+        verts = brute_force_vertices(P.facets, n)
+        if _brute_dim(verts) < n:
+            return
+        on = _brute_on(P.facets, verts)
+        assert P.vertices == verts
+        assert [P.facet_vertex_ids(a) for a in range(len(P.facets))] == on
+        assert P.essential_facets() == [
+            a for a, ids in enumerate(on) if _brute_dim([verts[i] for i in ids]) == n - 1]
+        for face in (P.faces(2) if n >= 2 else []):
+            assert face.active_facets == {a for a, ids in enumerate(on)
+                                          if set(face.vertex_ids) <= set(ids)}
+
+        # a cut region: P cut by random half-spaces, constant ones included
+        cuts = [AffineFunctional(nu[:n], off) for nu, off in extra]
+        got, want = tp._intersect(P, cuts), _brute_intersection(P, cuts)
+        assert (got is None) == (want is None)
+        if got is not None:
+            _assert_polytope(got[0], *want)
+            assert [(P.facets + cuts)[i].normalized() for i in got[1]] == want[0]
+
+        # a slice P(t) of a cut that is >= 0 on P and vanishes somewhere on it
+        nu = cut_normal[:n] if any(cut_normal[:n]) else [1] * n
+        phi = AffineFunctional(nu, min(sum(a * b for a, b in zip(nu, v)) for v in verts))
+        sl = td.MovingFamily(P, [phi]).slice(t)
+        want = _brute_intersection(P, [phi.shifted(t)])
+        assert sl.is_empty == (want is None)
+        if want is not None:
+            _assert_polytope(sl.polytope, *want)
+            facets = want[0]
+            new = [i for i, f in enumerate(facets)
+                   if f == phi.shifted(t).normalized() and f not in P.facets]
+            assert sl.new_facet_ids == new
+            assert sl.new_facets == [(0, phi.shifted(t))] * len(new)
+            assert sl.old_facets == [i for i in range(len(facets)) if i not in new]
+
+    def test_slice_gamma_and_cut_region_enumerate_vertices_once(self, monkeypatch):
+        from toricdensity import polytope as tp
+        from toricdensity.stability import _roof_projection_pieces
+
+        calls = []
+        enumerate_once = tp._candidate_vertices
+
+        def counted(facets, dim):
+            calls.append(dim)
+            return enumerate_once(facets, dim)
+
+        monkeypatch.setattr(tp, "_candidate_vertices", counted)
+        fam = td.MovingFamily(td.box([1, 1]), [AffineFunctional([1, 0], 0),
+                                               AffineFunctional([0, 1], 0)])
+
+        def touch(Q):
+            Q.vertices, Q.faces(2), Q.essential_facets(), Q.volume()
+
+        calls.clear()
+        touch(fam.slice(F(1, 4)).polytope)
+        assert len(calls) == 1
+
+        calls.clear()
+        cfg = td.build_test_config(fam)
+        touch(cfg.gamma)
+        assert len(calls) == 1
+
+        calls.clear()
+        pieces = _roof_projection_pieces(cfg)
+        for _, _, region in pieces:
+            touch(region)
+        assert len(pieces) == 2 and len(calls) == 2
+
+
 class TestLerayMeasures:
     def test_axis_facet_density(self):
         assert td.leray_facet_density(AffineFunctional([1, 0], 0)) == 1.0

@@ -256,30 +256,29 @@ def a_hat_components(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
                      dp_convention: str = "corrected", richardson: bool = True,
                      rel_tol=1e-10) -> BoundaryDistribution:
     """Assemble <a_hat_t, f> with a central difference for the d/dt term."""
-    coef = _dp_coefficient(dp_convention)
-    t = _fr(t)
     _validate_stencil(family, t, h_t)
-    sl = _slice_at_regular(family, t)
+    return _a_hat(family, potential, _slice_at_regular(family, t), f, h_t,
+                  dp_convention, richardson, rel_tol)
+
+
+def _a_hat(family: MovingFamily, potential, sl: Slice, f, h_t: float, dp_convention: str,
+           richardson: bool = True, rel_tol=1e-10, facets: bool = True):
+    """<a_hat_t, f> on sl = P(t); with facets False, facet_terms stays empty."""
+    coef, t = _dp_coefficient(dp_convention), sl.t
     fld = as_field(f, family.base.dim)
     per_cut = {}
-    for cut_idx, _, simplices, measures in _facet_pieces(sl, scale="primitive"):
+    for cut_idx, _, simplices, measures in _facet_pieces(sl, "primitive") if facets else []:
         if simplices.size == 0:
             continue
         val, _ = integrate_simplices(simplices, measures, fld.value,
                                      rel_tol=rel_tol)
         per_cut[cut_idx] = per_cut.get(cut_idx, 0.0) + val
-    deriv, corner = _cut_terms(family, potential, t, f, h_t, coef, richardson, rel_tol)
+    deriv = -0.5 * _ddt(
+        lambda tt: facet_integral(family, potential, tt, f, "conorm", rel_tol=rel_tol),
+        float(t), h_t, richardson)
+    corner = -coef * dp_integral(family, potential, t, f, rel_tol=rel_tol)
     return BoundaryDistribution(t=t, facet_terms=per_cut, derivative_term=deriv,
                                 corner_term=corner, dp_convention=dp_convention)
-
-
-def _cut_terms(family: MovingFamily, potential, t: Fraction, f, h_t: float,
-               coef: float, richardson: bool = True, rel_tol=1e-10):
-    """-1/2 d/dt int_{N(t)} f |dPhi|^2_g dsigma and -coef int_{N(t)} f dp: the
-    terms <a_hat_t, f> shares with the boundary volume identity."""
-    deriv = _ddt(lambda tt: facet_integral(family, potential, tt, f, "conorm",
-                                           rel_tol=rel_tol), float(t), h_t, richardson)
-    return -0.5 * deriv, -coef * dp_integral(family, potential, t, f, rel_tol=rel_tol)
 
 
 def a_hat_pair(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
@@ -329,23 +328,30 @@ def boundary_volume_identity(family: MovingFamily, potential, t,
     Vol_sigma(dP) = int_P s, which holds for every admissible potential.
     """
     t = _fr(t)
-    coef = _dp_coefficient(dp_convention)
+    _dp_coefficient(dp_convention)  # rejects an unknown convention at t = 0 too
     if t == 0:
         lhs = float(family.base.boundary_leray_volume())
         s_int, _ = integrate(family.base, potential.scalar_curvature_many,
                              rel_tol=1e-9)
         return lhs - s_int
+    return _boundary_identity(family, potential, t, h_t, dp_convention, facets=False)[0]
+
+
+def boundary_volume_terms(family: MovingFamily, potential, t, h_t: float = 1e-3,
+                          dp_convention: str = "corrected"):
+    """(boundary_volume_identity, int_{P(t)} s, a_hat_components with f = 1) at
+    a regular t != 0, computing each integral once."""
+    return _boundary_identity(family, potential, _fr(t), h_t, dp_convention, facets=True)
+
+
+def _boundary_identity(family: MovingFamily, potential, t: Fraction, h_t: float,
+                       dp_convention: str, facets: bool):
     sl = _slice_at_regular(family, t)
     s_int, _ = integrate(sl.polytope, potential.scalar_curvature_many, rel_tol=1e-9)
     _validate_stencil(family, t, h_t)
-    return _boundary_residual(sl, s_int,
-                              *_cut_terms(family, potential, t, 1.0, h_t, coef))
-
-
-def _boundary_residual(sl: Slice, s_int: float, deriv: float, corner: float) -> float:
-    """Vol(dP(t)+) - (int_{P(t)} s + deriv + corner), given the cut terms."""
+    comp = _a_hat(family, potential, sl, 1.0, h_t, dp_convention, facets=facets)
     lhs = sum((sl.polytope.facet_leray_volume(i) for i in sl.old_facets), Fraction(0))
-    return float(lhs) - (s_int + deriv + corner)
+    return float(lhs) - (s_int + comp.derivative_term + comp.corner_term), s_int, comp
 
 
 def divergence_identity_check(family: MovingFamily, potential, t, xi,

@@ -17,10 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import (_boundary_residual, _slice_at_regular, a_hat_components,
-                          euler_maclaurin)
+from .asymptotics import boundary_volume_terms, euler_maclaurin
 from .density import (QuadratureError, SectionBasis, density_profile,
-                      integrate, pair_partial_density, section_expansion_check)
+                      pair_partial_density, section_expansion_check)
 from .fields import coordinate_field, constant_field
 from .fileio import (Scenario, dump_csv, dump_json, load_scenario,
                      rational_to_str)
@@ -238,11 +237,8 @@ def _run_report(scenario, outdir, opts):
             summary["checks"]["density"] = rc
             status = max(status, rc)
             tq = Fraction(t)
-            sl = _slice_at_regular(family, tq)
-            s_int, _ = integrate(sl.polytope, pot.scalar_curvature_many, rel_tol=1e-9)
-            comp = a_hat_components(family, pot, tq, 1.0,
-                                    dp_convention=opts.dp_convention)
-            res = _boundary_residual(sl, s_int, comp.derivative_term, comp.corner_term)
+            res, s_int, comp = boundary_volume_terms(family, pot, tq,
+                                                     dp_convention=opts.dp_convention)
             summary["checks"]["boundary_volume_residual"] = res
             if abs(res) > 1e-6:
                 status = max(status, EXIT_CHECK_FAILED)

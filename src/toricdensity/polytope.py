@@ -254,8 +254,7 @@ class Polytope:
     @property
     def incidence(self) -> list[frozenset]:
         """For each facet, the ids (into ``vertices``) of the vertices on it."""
-        if self._incidence is None:
-            self._vertices, self._incidence = _candidate_vertices(self.facets, self.dim)
+        self.vertices
         return self._incidence
 
     def _validate_full_dim(self):

@@ -1,14 +1,15 @@
 """Check that two source trees give the same CLI outputs and demo stdout.
 
-    python tools/compare_outputs.py OLD_SRC NEW_SRC [--jobs N]
+    python tools/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
 CLI task runs on every scenario in ``fixtures/scenarios`` and every script
 in ``demos`` runs, once with each tree first on PYTHONPATH; the scenarios
 and demos are this checkout's, so only the package differs.  Each run gets
-a fresh working directory.  The exit code, stdout and the sha256 of every
-file the run writes are compared; stderr is not.  Each difference is
-printed and the exit status is 1 if there is any, 0 otherwise.
+a fresh working directory; two runs go at a time.  The exit code, stdout
+and the sha256 of every file the run writes are compared; stderr is not.
+Each difference is printed and the exit status is 1 if there is any, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--jobs", type=int, default=2, help="runs at a time (default 2)")
     args = parser.parse_args(argv)
     trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
     for label, src in trees.items():
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
             print(f"{label}: toricdensity is not imported from {src}", file=sys.stderr)
             return 2
     todo = jobs()
-    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(args.jobs) as pool:
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
         results = {
             (label, name): pool.submit(run, src, Path(tmp) / label / name, argv_)
             for label, src in trees.items() for name, argv_ in todo}

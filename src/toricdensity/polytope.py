@@ -9,9 +9,10 @@ and critical values are exact and can serve as oracles for the floating
 point analysis modules.
 
 Vertices and the vertex-facet incidence are enumerated together, once per
-polytope, on cleared integers; every vertex-on-facet question reads that
-table.  Slices P(t), the test configuration Gamma and the regions where
-one cut is smallest are pruned by one routine, ``_intersect``.
+polytope, by the double-description method on cleared integers; every
+vertex-on-facet question reads that table.  Slices P(t), the test
+configuration Gamma and the regions where one cut is smallest are pruned by
+one routine, ``_intersect``.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def _nullspace_vector(rows: Sequence[Sequence[Fraction]], dim: int):
     """A nonzero rational kernel vector of the given rows, or None.
 
-    Only meaningful when the kernel is one-dimensional; used for
-    recession-ray candidates.  The first free variable is set to 1.
+    Only meaningful when the kernel is one-dimensional; used for the edge
+    directions of ``check_delzant``.  The first free variable is set to 1.
     """
     a, pivots, _, _ = _row_reduce(rows, dim)
     free = next((c for c in range(dim) if c not in pivots), None)
@@ -217,9 +218,12 @@ class Polytope:
     """Bounded rational polytope in half-space representation.
 
     Vertices, the face lattice, triangulations and volumes are computed
-    exactly and cached.  Degenerate content (empty or lower-dimensional,
-    which arises for slices P(t) of moving families) is permitted when
-    ``require_full_dim=False``.
+    exactly and cached; the vertices and the vertex-facet incidence come
+    from one double-description pass (``_candidate_vertices``).  Degenerate
+    content (empty or lower-dimensional, which arises for slices P(t) of
+    moving families) is permitted when ``require_full_dim=False``: then
+    normals that do not span give no vertices, and an unbounded region
+    gives its vertices.
     """
 
     def __init__(self, dim: int, facets: Iterable[AffineFunctional],
@@ -236,6 +240,7 @@ class Polytope:
         self.facets: list[AffineFunctional] = facets
         self._vertices: list[Point] | None = None
         self._incidence: list[frozenset] | None = None
+        self._ray: tuple[int, ...] | None = None
         self._faces: dict[int, list[Face]] = {}
         self._triangulation: list[tuple[Point, ...]] | None = None
         self._volume: Fraction | None = None
@@ -248,7 +253,8 @@ class Polytope:
     def vertices(self) -> list[Point]:
         """All vertices, exact and lexicographically sorted."""
         if self._vertices is None:
-            self._vertices, self._incidence = _candidate_vertices(self.facets, self.dim)
+            self._vertices, self._incidence, self._ray = _candidate_vertices(
+                self.facets, self.dim)
         return self._vertices
 
     @property
@@ -264,13 +270,13 @@ class Polytope:
         normals = [f.normal for f in self.facets]
         if _rank(normals) < self.dim:
             raise ValueError("unbounded polytope: facet normals do not span")
-        ray = _recession_ray(normals, self.dim)
-        if ray is not None:
-            raise ValueError(f"unbounded polytope: recession ray {ray}")
-        if not self.vertices:
+        vertices = self.vertices
+        if self._ray is not None:
+            raise ValueError(f"unbounded polytope: recession ray {self._ray}")
+        if not vertices:
             raise ValueError("empty polytope: no vertex satisfies all inequalities")
         for f, ids in zip(self.facets, self.incidence):
-            if len(ids) == len(self.vertices):
+            if len(ids) == len(vertices):
                 raise ValueError(
                     f"polytope is not full-dimensional: contained in {f!r} = 0")
 
@@ -564,48 +570,59 @@ def _tangent_basis(points: Sequence[Point]) -> tuple:
     return tuple(basis_out)
 
 
-def _recession_ray(normals: Sequence[Point], dim: int):
-    """A nonzero rational v with <nu_a, v> >= 0 for all a, if one exists.
-
-    The normals must span: ``Polytope._validate_full_dim`` checks first."""
-    for combo in itertools.combinations(range(len(normals)), dim - 1):
-        rows = [list(normals[a]) for a in combo]
-        if rows and _rank(rows) != dim - 1:
-            continue
-        v = _nullspace_vector(rows, dim)
-        if v is None:
-            continue
-        for cand in (v, tuple(-c for c in v)):
-            if all(sum(n[i] * cand[i] for i in range(dim)) >= 0 for n in normals):
-                return cand
-    return None
-
-
 def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
-    """(vertices, incidence): the solutions of every dim-subset of facet
-    equations that satisfy all facets, sorted, and for each facet the
-    frozenset of ids of the vertices on it.
+    """(vertices, incidence, ray) of {x : facet(x) >= 0 for every facet}.
 
-    Both tests are on integers: with X = D*x for D the lcm of the
-    denominators of x, the slack <nu, X> - lam*D of a cleared facet
-    (nu, lam) is >= 0 exactly where x satisfies the facet and 0 exactly
-    where x lies on it.
+    The double-description method (Motzkin et al. 1953; Fukuda & Prodon
+    1996) on the integer cone {(x, s) : <nu, x> - lam*s >= 0, s >= 0} of
+    the cleared facets (nu, lam): its extreme rays with s > 0 are the
+    vertices (x/s, 1), those with s = 0 the extreme recession directions.
+    ``vertices`` is sorted, ``incidence[a]`` is the frozenset of ids of the
+    vertices on facet a, and ``ray`` is a primitive integer recession
+    direction, or None when the region is bounded.  When the normals do not
+    span there is no vertex and ``ray`` is None.
+
+    Rays are primitive integer tuples and each carries its zero set, the
+    bitmask of processed rows it lies on.  Two rays of opposite sign on a
+    new row are combined only when adjacent: no other ray's zero set
+    contains their common one.
     """
-    cleared = [f.cleared() for f in facets]
-    on: dict[Point, list[int] | None] = {}  # None: infeasible
-    for combo in itertools.combinations(range(len(facets)), dim):
-        rows = [facets[a].normal for a in combo]
-        rhs = [facets[a].offset for a in combo]
-        x = _solve(rows, rhs)
-        if x is None or x in on:
-            continue
-        den = lcm(*(c.denominator for c in x))
-        X = [c.numerator * (den // c.denominator) for c in x]
-        slack = [sum(v * c for v, c in zip(nu, X)) - lam * den for nu, lam in cleared]
-        on[x] = [a for a, s in enumerate(slack) if s == 0] if min(slack) >= 0 else None
-    vertices = sorted(x for x, facet_ids in on.items() if facet_ids is not None)
-    return vertices, [frozenset(i for i, v in enumerate(vertices) if a in on[v])
-                      for a in range(len(facets))]
+    m, d = len(facets), dim + 1
+    rows = [(*nu, -lam) for nu, lam in (f.cleared() for f in facets)]
+    rows.append((0,) * dim + (1,))
+    # Gauss-Jordan on [rows^T | I]: the pivot columns are the first d
+    # independent rows B, and the identity block becomes B^-T, whose rows
+    # are the extreme rays of the simplicial cone {B y >= 0}.
+    start = [[Fraction(r[i]) for r in rows] + [Fraction(int(i == j)) for j in range(d)]
+             for i in range(d)]
+    reduced, basis, _, _ = _row_reduce(start, m + 1)
+    if len(basis) < d:
+        return [], [frozenset()] * m, None
+    every = sum(1 << a for a in basis)
+    rays = [(_primitive(r[m + 1:]), every & ~(1 << a)) for r, a in zip(reduced, basis)]
+    for i in sorted(set(range(m + 1)) - set(basis)):
+        row, bit = rows[i], 1 << i
+        slack = [sum(u * v for u, v in zip(row, r)) for r, _ in rays]
+        kept = [(r, z | bit if s == 0 else z) for (r, z), s in zip(rays, slack) if s >= 0]
+        pos = [j for j, s in enumerate(slack) if s > 0]
+        neg = [j for j, s in enumerate(slack) if s < 0]
+        for p in pos:
+            (rp, zp), sp = rays[p], slack[p]
+            for q in neg:
+                (rq, zq), sq = rays[q], slack[q]
+                common = zp & zq
+                if common.bit_count() < d - 2 or any(
+                        z & common == common for j, (_, z) in enumerate(rays)
+                        if j != p and j != q):
+                    continue
+                new = [sp * b - sq * a for a, b in zip(rp, rq)]
+                g = gcd(*new)
+                kept.append((tuple(c // g for c in new), common | bit))
+        rays = kept
+    ends = sorted((tuple(Fraction(c, r[-1]) for c in r[:-1]), z) for r, z in rays if r[-1])
+    incidence = [frozenset(i for i, (_, z) in enumerate(ends) if z >> a & 1) for a in range(m)]
+    ray = min((r[:-1] for r, _ in rays if not r[-1]), default=None)
+    return [x for x, _ in ends], incidence, ray
 
 
 def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
@@ -643,10 +660,10 @@ def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
 def enumerate_vertices(facets: Sequence[AffineFunctional], dim: int) -> list[Point]:
     """Vertices of a bounded full-dimensional polytope, exact and sorted.
 
-    Solves every dim-subset of facet equalities and keeps the feasible
-    solutions; feasibility and the vertex-facet incidence kept beside the
-    vertices are decided on cleared integers.  Raises naming the violated
-    condition (unbounded, empty, not full-dimensional) otherwise.
+    One double-description pass over the cleared integer facets finds the
+    vertices, the vertex-facet incidence kept beside them and any recession
+    ray.  Raises naming the violated condition (unbounded, empty, not
+    full-dimensional) otherwise.
     """
     return Polytope(dim, facets).vertices
 
@@ -793,7 +810,9 @@ class MovingFamily:
     def __init__(self, base: Polytope, cuts: Sequence[AffineFunctional]):
         self.base = base
         self.cuts = list(cuts)
-        for phi in self.cuts:
+        for a, phi in enumerate(self.cuts):
+            if phi in self.cuts[:a]:
+                raise ValueError(f"cut {phi!r} is repeated")
             if min(phi.value(v) for v in base.vertices) < 0:
                 raise ValueError(
                     f"cut {phi!r} is negative on the base polytope; P(0) != P")

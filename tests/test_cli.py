@@ -159,6 +159,22 @@ class TestCliRuns:
         rc = run_cli(["density-profile", "--scenario", sc, "--out", tmp_path])
         assert rc == cli.EXIT_PRECONDITION  # k=10 not divisible by N=3
 
+    def test_repeated_cut_exit_code(self, tmp_path, capsys):
+        sc = tmp_path / "s.json"
+        cut = {"normal": ["1", "0"], "offset": "0"}
+        sc.write_text(json.dumps({
+            "schema": 1, "task": "futaki",
+            "polytope": {"dim": 2, "facets": [
+                {"normal": ["1", "0"], "offset": "0"},
+                {"normal": ["0", "1"], "offset": "0"},
+                {"normal": ["-1", "0"], "offset": "-1"},
+                {"normal": ["0", "-1"], "offset": "-1"}],
+                "cuts": [cut, cut]},
+        }))
+        rc = run_cli(["futaki", "--scenario", sc, "--out", tmp_path])
+        assert rc == cli.EXIT_PRECONDITION
+        assert "cut AffineFunctional(1*x0 - 0) is repeated" in capsys.readouterr().err
+
     def test_node_budget_exit_code(self, tmp_path, monkeypatch):
         # a budget below the second Gauss order stops the section norms
         from toricdensity import density

@@ -1,7 +1,9 @@
 """Exact combinatorics: vertices, faces, counts, Leray measures, families."""
 
+import ast
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -136,6 +138,21 @@ class TestVertexEnumeration:
                   AffineFunctional([1, 1], 0)]
         with pytest.raises(ValueError, match="unbounded"):
             td.enumerate_vertices(facets, 2)
+
+    @pytest.mark.parametrize("dim,rows", [
+        (1, [([1], 0), ([1], 1)]),
+        (2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 0)]),
+        (2, [([1, 0], 0), ([-1, 0], -1), ([0, 1], 0)]),
+        (2, [([1, 0], 1), ([-1, 0], 0), ([0, 1], 0)]),
+        (3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), ([1, 1, 1], 1)]),
+    ])
+    def test_unbounded_error_names_a_recession_ray(self, dim, rows):
+        facets = _facets(rows)
+        with pytest.raises(ValueError, match="unbounded polytope: recession ray") as err:
+            Polytope(dim, facets)
+        ray = ast.literal_eval(str(err.value).split("recession ray ")[1])
+        assert len(ray) == dim and any(ray)
+        assert all(sum(nu * r for nu, r in zip(f.normal, ray)) >= 0 for f in facets)
 
     def test_lower_dimensional_raises(self):
         facets = [AffineFunctional([1], 0), AffineFunctional([-1], 0)]
@@ -376,6 +393,65 @@ def _assert_polytope(Q, facets, verts):
     assert [Q.facet_vertex_ids(a) for a in range(len(facets))] == _brute_on(facets, verts)
 
 
+def _assert_vertices_and_incidence(P, verts):
+    """P's vertices, incidence, essential facets and the active facets of
+    its codim-2 faces against the brute-force vertices ``verts``."""
+    n = P.dim
+    on = _brute_on(P.facets, verts)
+    assert P.vertices == verts
+    assert [P.facet_vertex_ids(a) for a in range(len(P.facets))] == on
+    assert P.essential_facets() == [
+        a for a, ids in enumerate(on) if _brute_dim([verts[i] for i in ids]) == n - 1]
+    for face in (P.faces(2) if n >= 2 else []):
+        assert face.active_facets == {a for a, ids in enumerate(on)
+                                      if set(face.vertex_ids) <= set(ids)}
+
+
+def _facets(rows):
+    return [AffineFunctional(nu, offset) for nu, offset in rows]
+
+
+def _vertex_family_gamma(n):
+    family = td.MovingFamily(td.standard_simplex(n), [AffineFunctional([1] * n, 0)])
+    return td.build_test_config(family).gamma
+
+
+SQUARE_PYRAMID = [([0, 0, 1], 0), ([1, 0, -1], 0), ([-1, 0, -1], -1),
+                  ([0, 1, -1], 0), ([0, -1, -1], -1)]
+OCTAHEDRON = [(nu, -1) for nu in itertools.product((-1, 1), repeat=3)]
+
+# Inputs on which a vertex enumeration could go wrong: vertices with more
+# than n active facets, and, with require_full_dim=False, unbounded regions
+# (which keep their vertices) and normals that do not span (no vertex).
+NON_GENERIC = {
+    "square_pyramid": lambda: Polytope(3, _facets(SQUARE_PYRAMID)),
+    "octahedron": lambda: Polytope(3, _facets(OCTAHEDRON)),
+    "cube_with_an_inequality_through_one_vertex": lambda: Polytope(
+        3, td.box([1, 1, 1]).facets + [AffineFunctional([1, 1, 1], 0)]),
+    "simplex_vertex2_gamma": lambda: _vertex_family_gamma(2),
+    "simplex_vertex3_gamma": lambda: _vertex_family_gamma(3),
+    "unbounded_half_line": lambda: Polytope(
+        1, _facets([([1], 0), ([2], 1)]), require_full_dim=False),
+    "unbounded_strip": lambda: Polytope(
+        2, _facets([([1, 0], 0), ([-1, 0], -1), ([0, 1], 0), ([1, 1], F(1, 2))]),
+        require_full_dim=False),
+    "unbounded_corner_3d": lambda: Polytope(
+        3, _facets([([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), ([1, 1, 1], 1)]),
+        require_full_dim=False),
+    "unbounded_empty": lambda: Polytope(
+        2, _facets([([1, 0], 1), ([-1, 0], 0), ([0, 1], 0)]), require_full_dim=False),
+    "flat_pentagon_in_3d": lambda: Polytope(
+        3, _facets([([0, 0, 1], 0), ([0, 0, -1], 0), ([1, 0, 0], 0), ([-1, 0, 0], -1),
+                    ([0, 1, 0], 0), ([0, -1, 0], -1), ([1, 1, 0], F(1, 2))]),
+        require_full_dim=False),
+    "slab_normals_do_not_span": lambda: Polytope(
+        2, _facets([([1, 0], 0), ([-1, 0], -1)]), require_full_dim=False),
+    "prism_normals_do_not_span": lambda: Polytope(
+        3, _facets([([1, 0, 0], 0), ([0, 1, 0], 0), ([-1, -1, 0], -1)]),
+        require_full_dim=False),
+}
+
+
 small_normals = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
 
 
@@ -389,16 +465,9 @@ class TestIncidenceAndPruning:
         P, _, _ = data
         n = P.dim
         verts = brute_force_vertices(P.facets, n)
+        _assert_vertices_and_incidence(P, verts)
         if _brute_dim(verts) < n:
             return
-        on = _brute_on(P.facets, verts)
-        assert P.vertices == verts
-        assert [P.facet_vertex_ids(a) for a in range(len(P.facets))] == on
-        assert P.essential_facets() == [
-            a for a, ids in enumerate(on) if _brute_dim([verts[i] for i in ids]) == n - 1]
-        for face in (P.faces(2) if n >= 2 else []):
-            assert face.active_facets == {a for a, ids in enumerate(on)
-                                          if set(face.vertex_ids) <= set(ids)}
 
         # a cut region: P cut by random half-spaces, constant ones included
         cuts = [AffineFunctional(nu[:n], off) for nu, off in extra]
@@ -422,6 +491,33 @@ class TestIncidenceAndPruning:
             assert sl.new_facet_ids == new
             assert sl.new_facets == [(0, phi.shifted(t))] * len(new)
             assert sl.old_facets == [i for i in range(len(facets)) if i not in new]
+
+    @pytest.mark.parametrize("build", NON_GENERIC.values(), ids=NON_GENERIC.keys())
+    def test_non_generic_inputs_match_brute_force(self, build):
+        P = build()
+        _assert_vertices_and_incidence(P, brute_force_vertices(P.facets, P.dim))
+
+    def test_polygon_64_and_box_corner5_gamma_solve_no_system(self, monkeypatch):
+        from toricdensity import polytope as tp
+
+        def no_solve(rows, rhs):
+            raise AssertionError("vertex enumeration solved a linear system")
+
+        monkeypatch.setattr(tp, "_solve", no_solve)
+        # the 64-gon on the parabola y = x^2 that the exact_lattice
+        # benchmark builds at seed 1
+        rng = random.Random("exact_lattice:1")
+        xs = [0] + sorted(rng.sample(range(1, 79), 62)) + [79]
+        rows = [([-(a + b), 1], -a * b) for a, b in zip(xs, xs[1:])]
+        rows.append(([xs[0] + xs[-1], -1], xs[0] * xs[-1]))
+        rng.shuffle(rows)
+        P = Polytope(2, _facets(rows))
+        assert P.vertices == [(x, x * x) for x in xs]
+        assert len(P.essential_facets()) == 64
+
+        cuts = [AffineFunctional([int(i == j) for j in range(5)], 0) for i in range(5)]
+        gamma = td.build_test_config(td.MovingFamily(td.box([1] * 5), cuts)).gamma
+        assert len(gamma.vertices) == 33
 
     def test_slice_gamma_and_cut_region_enumerate_vertices_once(self, monkeypatch):
         from toricdensity import polytope as tp
@@ -695,6 +791,11 @@ class TestTestConfig:
         fam = td.MovingFamily(interval, [])
         with pytest.raises(ValueError, match="unbounded"):
             td.build_test_config(fam)
+
+    def test_repeated_cut_rejected(self):
+        x = AffineFunctional([1, 0], 0)
+        with pytest.raises(ValueError, match=r"cut AffineFunctional\(1\*x0 - 0\) is repeated"):
+            td.MovingFamily(td.box([1, 1]), [x, AffineFunctional([0, 1], 0), x])
 
 
 class TestPrismCountIdentity:

@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from .polytope import (AffineFunctional, Face, MovingFamily, Polytope,
                        TestConfigPolytope, box, build_test_config,
                        check_delzant, count_lattice_points,
-                       enumerate_vertices, leray_codim2_density,
-                       leray_facet_density, seshadri_constant,
+                       enumerate_vertices, seshadri_constant,
                        standard_simplex)
 from .potential import (MetricAtPoint, SymplecticPotential,
                         guillemin_potential)

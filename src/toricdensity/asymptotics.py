@@ -23,15 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
-from .density import (QuadratureScheme, _float_simplices, integrate,
+from .density import (QuadratureScheme, _leray_simplices, integrate,
                       integrate_simplices, pair_partial_density, tree_sum)
 from .fields import as_field
-from .polytope import (MovingFamily, Polytope, Slice, _fr,
-                       leray_codim2_density, leray_simplex_measure)
+from .polytope import MovingFamily, Polytope, Slice, _fr
 
 DP_COEFFICIENTS = {"corrected": 0.5, "printed": 1.0}
 
@@ -82,10 +80,8 @@ def euler_maclaurin(P: Polytope, f, k: int) -> EulerMaclaurinResult:
     vol_term, _ = integrate(P, fld)
     bdry = 0.0
     for a in P.essential_facets():
-        tri = P.facet_triangulation(a)
-        measures = [float(leray_simplex_measure(s, P.facets[a])) for s in tri]
-        simplices = _float_simplices(tri)
-        val, _ = integrate_simplices(simplices, measures, fld.value)
+        val, _ = integrate_simplices(
+            *_leray_simplices(P, P.facet_vertex_ids(a), P.facets[a]), fld.value)
         bdry += val
     approx = float(k) ** n * vol_term + float(k) ** (n - 1) / 2.0 * bdry
     return EulerMaclaurinResult(k=k, lattice_sum=lattice_sum, approximation=approx,
@@ -107,20 +103,19 @@ def _slice_at_regular(family: MovingFamily, t) -> Slice:
 
 
 def _facet_pieces(sl: Slice, scale: str = "cut"):
-    """Per active cut: (cut index, functional, simplices, leray measures).
+    """Per new facet of sl: (cut index, functional, simplices, measures),
+    the last two from ``_leray_simplices`` for ``integrate_simplices``.
 
-    scale "cut" normalizes the Leray measure by the cut functional
-    Phi_a - t itself; "primitive" by the primitive integer conormal of the
+    scale "cut" takes the Leray measure of the cut functional Phi_a - t
+    itself; "primitive" that of the primitive integer conormal of the
     facet.  The two differ when a cut gradient is not primitive.
     """
     poly = sl.polytope
     out = []
     for (cut_idx, func), fid in zip(sl.new_facets, sl.new_facet_ids):
         norm_by = func if scale == "cut" else poly.facets[fid]
-        tri = poly.facet_triangulation(fid)
-        measures = [float(leray_simplex_measure(s, norm_by)) for s in tri]
-        simplices = _float_simplices(tri)
-        out.append((cut_idx, func, simplices, np.array(measures)))
+        out.append((cut_idx, func,
+                    *_leray_simplices(poly, poly.facet_vertex_ids(fid), norm_by)))
     return out
 
 
@@ -143,8 +138,6 @@ def facet_integral(family: MovingFamily, potential, t, f, weight: str = "one",
     total = 0.0
     pieces = _facet_pieces(sl, scale="primitive" if weight == "one" else "cut")
     for cut_idx, func, simplices, measures in pieces:
-        if simplices.size == 0:
-            continue
         grad = func.normal_float()
 
         if weight == "one":
@@ -185,28 +178,15 @@ def dp_integral(family: MovingFamily, potential, t, f, rel_tol=1e-10) -> float:
     total = 0.0
     for a, b, face in _corner_faces(sl):
         fa, fb = cuts[a], cuts[b]
-        density = leray_codim2_density(fa, fb)
         diff = fa.normal_float() - fb.normal_float()
-        tri = sl.polytope.face_triangulation(face)
-        simplices = _float_simplices(tri)
-        measures = np.array([_euclidean_simplex_measure(s) * density for s in tri])
 
         def fn(pts, d=diff):
             return fld.value(pts) * potential.conorm_sq_many(d, pts)
 
-        val, _ = integrate_simplices(simplices, measures, fn, rel_tol=rel_tol)
+        val, _ = integrate_simplices(
+            *_leray_simplices(sl.polytope, face.vertex_ids, fa, fb), fn, rel_tol=rel_tol)
         total += val
     return total
-
-
-def _euclidean_simplex_measure(simplex) -> float:
-    """Intrinsic Euclidean volume of an embedded rational simplex."""
-    pts = _float_simplices([simplex])[0]
-    if pts.shape[0] == 1:
-        return 1.0
-    E = pts[1:] - pts[0]
-    det = float(np.linalg.det(E @ E.T))
-    return float(np.sqrt(max(det, 0.0))) / factorial(E.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +248,6 @@ def _a_hat(family: MovingFamily, potential, sl: Slice, f, h_t: float, dp_convent
     fld = as_field(f, family.base.dim)
     per_cut = {}
     for cut_idx, _, simplices, measures in _facet_pieces(sl, "primitive") if facets else []:
-        if simplices.size == 0:
-            continue
         val, _ = integrate_simplices(simplices, measures, fld.value,
                                      rel_tol=rel_tol)
         per_cut[cut_idx] = per_cut.get(cut_idx, 0.0) + val
@@ -350,7 +328,7 @@ def _boundary_identity(family: MovingFamily, potential, t: Fraction, h_t: float,
     s_int, _ = integrate(sl.polytope, potential.scalar_curvature_many, rel_tol=1e-9)
     _validate_stencil(family, t, h_t)
     comp = _a_hat(family, potential, sl, 1.0, h_t, dp_convention, facets=facets)
-    lhs = sum((sl.polytope.facet_leray_volume(i) for i in sl.old_facets), Fraction(0))
+    lhs = sl.polytope.boundary_leray_volume(sl.old_facets)
     return float(lhs) - (s_int + comp.derivative_term + comp.corner_term), s_int, comp
 
 
@@ -383,7 +361,6 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
 
     t = _fr(t)
     sl = _slice_at_regular(family, t)
-    phi = family.cuts[0]
     pieces = _facet_pieces(sl)
     if not pieces:
         raise ValueError(f"the cut is not active at t = {t}")
@@ -393,15 +370,11 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
     _validate_stencil(family, t, h_t)
 
     def flux_at(tt):
-        slt = family.slice(tt)
-        for (cut_idx, fc), fid in zip(slt.new_facets, slt.new_facet_ids):
-            tri = slt.polytope.facet_triangulation(fid)
-            ms = [float(leray_simplex_measure(s, fc)) for s in tri]
-            ss = _float_simplices(tri)
-            val, _ = integrate_simplices(ss, np.array(ms),
-                                         xi_dot(fc.normal_float()), rel_tol=1e-10)
-            return val
-        return 0.0
+        pieces_t = _facet_pieces(family.slice(tt))
+        if not pieces_t:
+            return 0.0
+        _, fc, ss, ms = pieces_t[0]
+        return integrate_simplices(ss, ms, xi_dot(fc.normal_float()), rel_tol=1e-10)[0]
 
     deriv = _ddt(flux_at, float(t), h_t)
 
@@ -417,13 +390,9 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
                       if a in sl.old_facets]
             if not old_on:
                 continue
-            b = old_on[0]
-            ell_b = poly.facets[b]
-            density = leray_codim2_density(func, ell_b)
-            tri = poly.face_triangulation(face)
-            ss = _float_simplices(tri)
-            ms = np.array([_euclidean_simplex_measure(s) * density for s in tri])
-            val, _ = integrate_simplices(ss, ms, xi_dot(ell_b.normal_float()),
-                                         rel_tol=1e-10)
+            ell_b = poly.facets[old_on[0]]
+            val, _ = integrate_simplices(
+                *_leray_simplices(poly, face.vertex_ids, func, ell_b),
+                xi_dot(ell_b.normal_float()), rel_tol=1e-10)
             corner += val
     return lhs - (deriv - corner)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -361,7 +362,11 @@ def main(argv=None) -> int:
         print(f"toricdensity.density: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except ValueError as exc:
-        module = getattr(type(exc), "__module__", "toricdensity")
+        # the innermost package frame names the module that rejected the
+        # input; __spec__ keeps the module's name under ``python -m``
+        modules = [getattr(frame.f_globals.get("__spec__"), "name", frame.f_globals["__name__"])
+                   for frame, _ in traceback.walk_tb(exc.__traceback__)]
+        module = [m for m in modules if m.split(".")[0] == "toricdensity"][-1]
         print(f"{module}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -15,7 +15,9 @@ nodes raises QuadratureError before allocating.  Every integrand is smooth
 on each simplex: section norms and pairings, and the metric-side curvature,
 facet, corner, slope and Futaki integrals, whose regions are cut exactly
 (the slope integrates over P cap {Phi <= c}, not a kink over P).
-``integrate_simplices`` is its one-integrand front end.
+``integrate_simplices`` is its one-integrand front end, and
+``_leray_simplices`` weights the simplices of any boundary face by its
+exact Leray measure.
 
 All results are pushed down to the polytope: the (2 pi)^n fibre factor is
 dropped throughout, so pairings satisfy <|e_{alpha,k}|^2, 1> = 1 and
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import ScalarField, as_field
-from .polytope import MovingFamily, Polytope, _fr, _point
+from .polytope import MovingFamily, Polytope, _fr, _point, leray_simplex_measure
 
 DEFAULT_REL_TOL = 1e-8
 
@@ -256,6 +258,18 @@ def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
 def _float_simplices(simplices) -> np.ndarray:
     """Rational simplices as floats, shape (count, vertices, n)."""
     return np.array([[[float(c) for c in v] for v in s] for s in simplices])
+
+
+def _leray_simplices(P: Polytope, vertex_ids: tuple, *ells):
+    """(simplices, measures) of the face of P on {ell = 0 for ell in ells}
+    spanned by vertex_ids, for ``integrate_simplices``.
+
+    The face is triangulated exactly (a vertex is one point) and each simplex
+    carries its exact Leray measure d(tau) d(ell_1) ... d(ell_c) = dx.
+    """
+    tri = P.face_triangulation(vertex_ids, len(ells))
+    measures = np.array([float(leray_simplex_measure(s, *ells)) for s in tri])
+    return _float_simplices(tri), measures
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, factorial, floor, gcd, lcm, prod, sqrt
+from math import ceil, factorial, floor, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,13 +84,6 @@ def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int,
         pivots.append(col)
         values.append(inv)
     return a, pivots, values, swaps
-
-
-def _solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """The solution tuple of a square rational system, or None if singular."""
-    n = len(rows)
-    a, pivots, _, _ = _row_reduce([(*r, b) for r, b in zip(rows, rhs)], n, full_rank=True)
-    return tuple(r[n] for r in a) if len(pivots) == n else None
 
 
 def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -404,22 +397,22 @@ class Polytope:
         ids = self.facet_vertex_ids(a)
         if _affine_dim([self.vertices[i] for i in ids]) != self.dim - 1:
             return []
-        return self._triangulate_face(ids, self.dim - 1)
+        return self.face_triangulation(ids, 1)
 
-    def face_triangulation(self, face: Face) -> list[tuple[Point, ...]]:
-        m = self.dim - face.codim
-        if m == 0:
-            return [tuple(self.vertices[i] for i in face.vertex_ids)]
-        return self._triangulate_face(face.vertex_ids, m)
+    def face_triangulation(self, vertex_ids: tuple, codim: int) -> list[tuple[Point, ...]]:
+        """Simplices exactly covering the codim face spanned by vertex_ids;
+        one point for a vertex."""
+        return self._triangulate_face(vertex_ids, self.dim - codim)
 
     def facet_leray_volume(self, a: int) -> Fraction:
         """Exact Leray measure of facet a: d(sigma) d(ell_a) = dx."""
         return sum((leray_simplex_measure(s, self.facets[a])
                     for s in self.facet_triangulation(a)), Fraction(0))
 
-    def boundary_leray_volume(self) -> Fraction:
-        return sum((self.facet_leray_volume(a) for a in range(len(self.facets))),
-                   Fraction(0))
+    def boundary_leray_volume(self, facets: Sequence[int] | None = None) -> Fraction:
+        """Exact Leray measure of the listed facets, all of them by default."""
+        ids = range(len(self.facets)) if facets is None else facets
+        return sum((self.facet_leray_volume(a) for a in ids), Fraction(0))
 
     # -- lattice points ------------------------------------------------------
 
@@ -539,18 +532,22 @@ def _det(rows) -> Fraction:
     return (-1) ** swaps * prod(values, start=Fraction(1))
 
 
-def leray_simplex_measure(simplex: Sequence[Point], ell: AffineFunctional) -> Fraction:
-    """Exact Leray measure of an (n-1)-simplex on the hyperplane {ell = 0}.
+def leray_simplex_measure(simplex: Sequence[Point], *ells: AffineFunctional) -> Fraction:
+    """Exact Leray measure of an (n-c)-simplex on {ell_1 = ... = ell_c = 0}.
 
-    Uses the projection identity d(sigma) = dx_{-j} / |nu_j|: dropping a
-    coordinate j with nu_j != 0 keeps everything rational.
+    The measure d(tau) is defined by d(tau) d(ell_1) ... d(ell_c) = dx; for
+    c = 1 it is the facet measure d(sigma), for c = n a point has measure
+    1/|det N|.  With N the c x n matrix of normals and J a set of c columns
+    where its minor is nonzero, d(tau) = dx_{-J} / |det N_J|: dropping the
+    coordinates J keeps everything rational.  Raises when the normals are
+    linearly dependent (a zero normal included).
     """
-    grad = ell.normal
-    j = max(range(len(grad)), key=lambda i: abs(grad[i]))
-    if grad[j] == 0:
-        raise ValueError("Leray measure undefined for zero normal")
-    proj = [tuple(c for i, c in enumerate(p) if i != j) for p in simplex]
-    return _simplex_volume(proj) / abs(grad[j])
+    normals = [ell.normal for ell in ells]
+    _, cols, values, _ = _row_reduce(normals, len(simplex[0]))
+    if len(cols) < len(normals):
+        raise ValueError("Leray measure undefined: the normals are linearly dependent")
+    proj = [tuple(c for i, c in enumerate(p) if i not in cols) for p in simplex]
+    return _simplex_volume(proj) / abs(prod(values, start=Fraction(1)))
 
 
 def _tangent_basis(points: Sequence[Point]) -> tuple:
@@ -739,29 +736,6 @@ def count_lattice_points(P: Polytope, k: int) -> int:
     return P.count_lattice_points(k)
 
 
-def leray_facet_density(ell: AffineFunctional) -> float:
-    """Density converting Euclidean (n-1)-measure to the Leray measure dsigma.
-
-    Defined by d(sigma) d(ell) = dx, i.e. 1/||grad ell||_2.
-    """
-    g = ell.normal_float()
-    nrm = float(np.linalg.norm(g))
-    if nrm == 0.0:
-        raise ValueError("Leray density undefined: zero normal")
-    return 1.0 / nrm
-
-
-def leray_codim2_density(ell_a: AffineFunctional, ell_b: AffineFunctional) -> float:
-    """Density for the codimension-2 Leray measure: d(tau) d(ell_a) d(ell_b) = dx."""
-    ga = ell_a.normal_float()
-    gb = ell_b.normal_float()
-    gram = np.array([[ga @ ga, ga @ gb], [ga @ gb, gb @ gb]])
-    det = float(np.linalg.det(gram))
-    if det <= 0.0 or abs(det) < 1e-30:
-        raise ValueError("no codimension-2 face: gradients are parallel")
-    return 1.0 / sqrt(det)
-
-
 def seshadri_constant(P: Polytope, phi: AffineFunctional) -> Fraction:
     """min of phi over the vertices where it is positive.
 
@@ -913,8 +887,7 @@ class TestConfigPolytope:
         return out
 
     def side_leray_volume(self) -> Fraction:
-        return sum((self.gamma.facet_leray_volume(i) for i in self.side_facets),
-                   Fraction(0))
+        return self.gamma.boundary_leray_volume(self.side_facets)
 
 
 def build_test_config(family: MovingFamily) -> TestConfigPolytope:

@@ -18,13 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
-from .asymptotics import (_euclidean_simplex_measure, _dp_coefficient,
-                          facet_integral)
-from .density import _float_simplices, integrate, integrate_simplices
+from .asymptotics import _dp_coefficient, facet_integral
+from .density import _leray_simplices, integrate, integrate_simplices
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
-                       TestConfigPolytope, _fr, _intersect, leray_codim2_density)
+                       TestConfigPolytope, _fr, _intersect)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +310,15 @@ def roof_skeleton_integral(config: TestConfigPolytope, potential,
     gamma = config.gamma
     total = 0.0
     for ridge in config.roof_skeleton:
-        fa = lifted[ridge.cut_a]
-        fb = lifted[ridge.cut_b]
-        density = leray_codim2_density(fa, fb)
         diff = (config.family.cuts[ridge.cut_a].normal_float()
                 - config.family.cuts[ridge.cut_b].normal_float())
-        pts = [gamma.vertices[i] for i in ridge.vertex_ids]
-        m = gamma.dim - 2
-        tri = gamma._triangulate_face(ridge.vertex_ids, m) if m > 0 else [tuple(pts)]
-        simplices = _float_simplices(tri)
-        measures = np.array([_euclidean_simplex_measure(s) * density for s in tri])
 
         def fn(nodes, d=diff):
             return potential.conorm_sq_many(d, nodes[:, :-1])
 
-        val, _ = integrate_simplices(simplices, measures, fn, rel_tol=rel_tol)
+        val, _ = integrate_simplices(
+            *_leray_simplices(gamma, ridge.vertex_ids, lifted[ridge.cut_a],
+                              lifted[ridge.cut_b]), fn, rel_tol=rel_tol)
         total += val
     return total
 

@@ -173,7 +173,17 @@ class TestCliRuns:
         }))
         rc = run_cli(["futaki", "--scenario", sc, "--out", tmp_path])
         assert rc == cli.EXIT_PRECONDITION
-        assert "cut AffineFunctional(1*x0 - 0) is repeated" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("toricdensity.polytope: ")
+        assert "cut AffineFunctional(1*x0 - 0) is repeated" in err
+
+    def test_precondition_names_raising_module_under_python_m(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricdensity.cli", "slope", "--scenario",
+             str(FIXTURES / "scenarios" / "square_em.json"), "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_PRECONDITION
+        assert proc.stderr == "toricdensity.cli: slope requires a single-cut family\n"
 
     def test_node_budget_exit_code(self, tmp_path, monkeypatch):
         # a budget below the second Gauss order stops the section norms

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricdensity as td
-from toricdensity.polytope import AffineFunctional, Polytope
+from toricdensity.polytope import AffineFunctional, Polytope, leray_simplex_measure
 
 F = Fraction
 
@@ -55,7 +55,7 @@ small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 @st.composite
 def rational_matrices(draw):
-    """(rows, rhs): an r x c rational matrix, r, c <= 4, and an r-vector.
+    """An r x c rational matrix, r, c <= 4.
 
     Half the draws are products B C through an inner size below min(r, c),
     so singular and rank-deficient matrices come up often."""
@@ -71,7 +71,7 @@ def rational_matrices(draw):
         B, C = matrix(r, inner), matrix(inner, c)
         rows = [[sum((B[i][m] * C[m][j] for m in range(inner)), F(0))
                  for j in range(c)] for i in range(r)]
-    return rows, [draw(small_fractions) for _ in range(r)]
+    return rows
 
 
 def _largest_nonzero_minor(rows):
@@ -85,10 +85,9 @@ def _largest_nonzero_minor(rows):
 class TestExactLinearAlgebra:
     @given(rational_matrices())
     @settings(max_examples=150, deadline=None)
-    def test_row_reduction_wrappers(self, data):
+    def test_row_reduction_wrappers(self, rows):
         from toricdensity import polytope as tp
 
-        rows, rhs = data
         r, c = len(rows), len(rows[0])
         rank = _largest_nonzero_minor(rows)
         assert tp._rank(rows) == rank
@@ -101,14 +100,8 @@ class TestExactLinearAlgebra:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
         k = min(r, c)
-        square, b = [row[:k] for row in rows[:k]], rhs[:k]
-        det = _det(square)
-        assert tp._det(square) == det
-        x = tp._solve(square, b)
-        if det == 0:
-            assert x is None
-        else:
-            assert [sum(a * xi for a, xi in zip(row, x)) for row in square] == b
+        square = [row[:k] for row in rows[:k]]
+        assert tp._det(square) == _det(square)
 
 
 class TestVertexEnumeration:
@@ -497,13 +490,7 @@ class TestIncidenceAndPruning:
         P = build()
         _assert_vertices_and_incidence(P, brute_force_vertices(P.facets, P.dim))
 
-    def test_polygon_64_and_box_corner5_gamma_solve_no_system(self, monkeypatch):
-        from toricdensity import polytope as tp
-
-        def no_solve(rows, rhs):
-            raise AssertionError("vertex enumeration solved a linear system")
-
-        monkeypatch.setattr(tp, "_solve", no_solve)
+    def test_polygon_64_and_box_corner5_gamma_solve_no_system(self):
         # the 64-gon on the parabola y = x^2 that the exact_lattice
         # benchmark builds at seed 1
         rng = random.Random("exact_lattice:1")
@@ -553,46 +540,103 @@ class TestIncidenceAndPruning:
         assert len(pieces) == 2 and len(calls) == 2
 
 
+@st.composite
+def face_simplices(draw):
+    """(simplex, ells): a rational (n-c)-simplex on {ell_1 = ... = ell_c = 0}
+    in dimension n = 2..4, c = 1, 2 (a point when c = n).
+
+    An invertible integer matrix A gives the face: its first n-c columns
+    span the tangent space and the last c rows of A^-1 are the normals."""
+    n = draw(st.integers(2, 4))
+    c = draw(st.integers(1, 2))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n).filter(lambda rows: _det(rows) != 0))
+    det = _det(A)
+    inv = [[(-1) ** (i + j) * F(_det([r[:i] + r[i + 1:] for k, r in enumerate(A) if k != j]))
+            / det for j in range(n)] for i in range(n)]
+    p0 = [draw(small_fractions) for _ in range(n)]
+    m = n - c
+    coefs = draw(st.lists(st.lists(small_fractions, min_size=m, max_size=m),
+                          min_size=m + 1, max_size=m + 1).filter(
+        lambda q: m == 0 or _det([[a - b for a, b in zip(r, q[0])] for r in q[1:]]) != 0))
+    simplex = [tuple(p0[i] + sum((coef[j] * A[i][j] for j in range(m)), F(0))
+                     for i in range(n)) for coef in coefs]
+    ells = [AffineFunctional(nu, sum(a * b for a, b in zip(nu, p0)))
+            for nu in inv[n - c:]]
+    return simplex, ells
+
+
+def _euclidean_times_gram(simplex, ells):
+    """Euclidean volume of the simplex over sqrt(det Gram(normals)), the
+    formula of the float Leray densities.  Both squares are exact Gram
+    determinants (sqrt(det E E^T) / m! is the volume), so the only rounding
+    is the last square root."""
+    E = [[a - b for a, b in zip(p, simplex[0])] for p in simplex[1:]]
+    N = [ell.normal for ell in ells]
+
+    def gram(rows):
+        if not rows:
+            return 1
+        return _det([[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows])
+
+    return math.sqrt(gram(E) / gram(N)) / math.factorial(len(E))
+
+
 class TestLerayMeasures:
     def test_axis_facet_density(self):
-        assert td.leray_facet_density(AffineFunctional([1, 0], 0)) == 1.0
+        seg = [(F(0), F(0)), (F(0), F(1))]
+        assert leray_simplex_measure(seg, AffineFunctional([1, 0], 0)) == 1
 
     def test_diagonal_density(self):
-        got = td.leray_facet_density(AffineFunctional([1, 1], F(1, 2)))
-        assert got == pytest.approx(1 / np.sqrt(2))
+        seg = [(F(1, 2), F(0)), (F(0), F(1, 2))]
+        assert leray_simplex_measure(seg, AffineFunctional([1, 1], F(1, 2))) == F(1, 2)
 
     def test_general_density(self):
-        got = td.leray_facet_density(AffineFunctional([-1, -2], -2))
-        assert got == pytest.approx(1 / np.sqrt(5))
+        seg = [(F(2), F(0)), (F(0), F(1))]
+        assert leray_simplex_measure(seg, AffineFunctional([-1, -2], -2)) == 1
 
     def test_zero_normal_raises(self):
-        with pytest.raises(ValueError):
-            td.leray_facet_density(AffineFunctional([0, 0], 1))
+        with pytest.raises(ValueError, match="dependent"):
+            leray_simplex_measure([(F(0), F(0)), (F(0), F(1))],
+                                  AffineFunctional([0, 0], 1))
 
     def test_codim2_orthonormal(self):
-        got = td.leray_codim2_density(AffineFunctional([1, 0], 0),
-                                      AffineFunctional([0, 1], 0))
-        assert got == pytest.approx(1.0)
+        got = leray_simplex_measure([(F(0), F(0))], AffineFunctional([1, 0], 0),
+                                    AffineFunctional([0, 1], 0))
+        assert got == 1
 
     def test_codim2_tent_pair(self):
-        # lifted tent cuts in (x, t): gradients (1,-1) and (-1,-1)
-        got = td.leray_codim2_density(AffineFunctional([1, -1], 0),
-                                      AffineFunctional([-1, -1], -1))
-        assert got == pytest.approx(0.5)
+        # lifted tent cuts in (x, t): gradients (1,-1) and (-1,-1) meet at (1/2, 1/2)
+        got = leray_simplex_measure([(F(1, 2), F(1, 2))], AffineFunctional([1, -1], 0),
+                                    AffineFunctional([-1, -1], -1))
+        assert got == F(1, 2)
 
     def test_codim2_gram(self):
-        got = td.leray_codim2_density(AffineFunctional([1, 0], 0),
-                                      AffineFunctional([1, 1], 0))
-        assert got == pytest.approx(1.0)
+        got = leray_simplex_measure([(F(0), F(0))], AffineFunctional([1, 0], 0),
+                                    AffineFunctional([1, 1], 0))
+        assert got == 1
 
     def test_parallel_raises(self):
-        with pytest.raises(ValueError, match="parallel"):
-            td.leray_codim2_density(AffineFunctional([1, 1], 0),
-                                    AffineFunctional([2, 2], 1))
+        with pytest.raises(ValueError, match="dependent"):
+            leray_simplex_measure([(F(0), F(0))], AffineFunctional([1, 1], 0),
+                                  AffineFunctional([2, 2], 1))
+
+    @given(face_simplices(), st.integers(0, 1), st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_measure_matches_euclidean_times_gram(self, face, which, lam):
+        simplex, ells = face
+        got = leray_simplex_measure(simplex, *ells)
+        assert float(got) == pytest.approx(_euclidean_times_gram(simplex, ells), rel=1e-12)
+        a = which % len(ells)
+        scaled = list(ells)
+        scaled[a] = AffineFunctional([lam * v for v in ells[a].normal], lam * ells[a].offset)
+        assert leray_simplex_measure(simplex, *scaled) == got / lam
 
     def test_boundary_leray_volumes_exact(self, square, simplex2):
         assert square.boundary_leray_volume() == 4
         assert simplex2.boundary_leray_volume() == 3
+        assert square.boundary_leray_volume([0, 2]) == 2
+        assert simplex2.boundary_leray_volume([]) == 0
 
     def test_facet_leray_vs_euclidean_times_density(self, simplex2):
         # hypotenuse: euclidean length sqrt(2) times 1/sqrt(2) equals 1

@@ -7,15 +7,17 @@ CLI task runs on every scenario in ``fixtures/scenarios`` and every script
 in ``demos`` runs, once with each tree first on PYTHONPATH; the scenarios
 and demos are this checkout's, so only the package differs.  Each run gets
 a fresh working directory; two runs go at a time.  The exit code, stdout
-and the sha256 of every file the run writes are compared; stderr is not.
-Each difference is printed and the exit status is 1 if there is any, 0
+and the bytes of every file the run writes are compared; stderr is not.
+Each difference is printed, a ``.json`` or ``.csv`` file field by field or
+cell by cell with both values, and the exit status is 1 if there is any, 0
 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -42,12 +44,12 @@ def jobs():
 
 
 def run(src: Path, workdir: Path, argv) -> dict:
-    """Exit code, stdout and {relative path: sha256} of the files written."""
+    """Exit code, stdout and {relative path: bytes} of the files written."""
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, *argv], cwd=workdir, env=env,
                           capture_output=True, text=True)
-    files = {str(p.relative_to(workdir)): hashlib.sha256(p.read_bytes()).hexdigest()
+    files = {str(p.relative_to(workdir)): p.read_bytes()
              for p in sorted(workdir.rglob("*")) if p.is_file()}
     return {"exit": proc.returncode, "stdout": proc.stdout, "files": files}
 
@@ -59,6 +61,39 @@ def package_file(src: Path) -> Path:
     return Path(out.strip()).resolve()
 
 
+def json_leaves(value, key: str = "") -> dict:
+    """{dotted key: JSON text} of every scalar in a parsed JSON value."""
+    if not isinstance(value, (dict, list)):
+        return {key: json.dumps(value)}
+    out = {}
+    for k, v in value.items() if isinstance(value, dict) else enumerate(value):
+        out.update(json_leaves(v, f"{key}.{k}" if key else str(k)))
+    return out
+
+
+def fields(path: str, data: bytes) -> dict:
+    """{field: value} of a JSON file or {row and column header: cell} of a
+    CSV file; empty for any other file or one that does not parse."""
+    try:
+        if path.endswith(".json"):
+            return json_leaves(json.loads(data.decode()))
+        if path.endswith(".csv"):
+            header, *rows = csv.reader(data.decode().splitlines())
+            return {f"row {i} {col}": cell for i, row in enumerate(rows, 1)
+                    for col, cell in zip(header, row)}
+    except ValueError:
+        pass
+    return {}
+
+
+def field_differences(path: str, a: bytes, b: bytes) -> list[str]:
+    """Each field or cell that differs, with both values, in file order."""
+    fa, fb = fields(path, a), fields(path, b)
+    keys = list(fa) + [k for k in fb if k not in fa]
+    return [f"{path} {key}: {fa.get(key, '(missing)')} -> {fb.get(key, '(missing)')}"
+            for key in keys if fa.get(key) != fb.get(key)]
+
+
 def differences(name: str, old: dict, new: dict) -> list[str]:
     diffs = []
     if old["exit"] != new["exit"]:
@@ -67,10 +102,12 @@ def differences(name: str, old: dict, new: dict) -> list[str]:
         diffs.append(f"{name}: stdout differs")
     for path in sorted(set(old["files"]) | set(new["files"])):
         a, b = old["files"].get(path), new["files"].get(path)
-        if a != b:
-            what = "missing in new" if b is None else "missing in old" if a is None \
-                else "content differs"
-            diffs.append(f"{name}: {path} {what}")
+        if a == b:
+            continue
+        fine = [] if a is None or b is None else field_differences(path, a, b)
+        what = "missing in new" if b is None else "missing in old" if a is None \
+            else "content differs"
+        diffs += [f"{name}: {d}" for d in fine] or [f"{name}: {path} {what}"]
     return diffs
 
 

@@ -5,32 +5,60 @@ polynomial perturbation:
 
     u(x) = 1/2 * sum_a ell_a(x) log ell_a(x) + w(x).
 
-All metric data comes from one batched kernel, ``_hessian_jets``: at m
-strictly interior points it forms the Hessian H in closed form and, on
-request, its first and second derivatives dH and d2H; the perturbation
-enters through one table of the partial derivatives of w.  On top of the
-kernel sit the inverse G = H^{-1} with analytic derivatives (matrix
-calculus, no finite differences), the scalar curvature
-s = -1/2 sum_ij d_i d_j G^ij, the kernel function
+Its Hessian is closed-form, H = 1/2 sum_a nu_a nu_a^T / ell_a + Hess w, and
+so is everything built on it: the inverse metric G = H^{-1}, the kernel
+function
 
     phi(x, y) = 2 (u(x) - u(y) - <grad u(y), x - y>),
 
-and cotangent norms |df|^2_g = grad(f)^T G grad(f).  The batched ``*_many``
-methods take an (m, n) array of points; the pointwise methods are views of
-their result at one point.  A finite-difference mode exists purely as a
-cross-check oracle for the curvature.
+cotangent norms |df|^2_g = grad(f)^T G grad(f), and Abreu's scalar
+curvature s = -1/2 sum_ij d_i d_j G^ij.  The perturbation enters through
+one table of the nonvanishing partial derivatives of w.
+
+The curvature is evaluated from the identity (u_3, u_4 the third and
+fourth derivatives of u, tau_s = sum_ij G_ij u_ijs)
+
+    s = -1/2 (-<u_4, G (x) G> + tau^T G tau + |u_3|^2_G)
+
+in projection form.  Write b_a = nu_a / sqrt(2 ell_a), so that the
+canonical part of H is B^T B, q_ab = nu_a^T G nu_b and Pi = B G B^T, so
+that Pi_ab = q_ab / (2 sqrt(ell_a ell_b)).  The canonical terms of u_3 and
+u_4 give
+
+    s_0 = 2 sum_a Pi_aa (sum_{b != a} Pi_ab^2 + (B G W_2 G B^T)_aa) / ell_a
+          - sum_{a != b} (Pi_aa Pi_bb + Pi_ab^2) Pi_ab / sqrt(ell_a ell_b),
+
+where W_2 = Hess w.  The identity Pi - Pi^2 = B G W_2 G B^T gives the
+diagonal Pi_aa - Pi_aa^2 without subtracting two terms of size 1/ell, so
+the error near a facet grows like eps/ell, not eps/ell^3.  The third and
+fourth derivatives w_3, w_4 of w add -1/2 (-<w_4, G (x) G> + B_w + C_w),
+with tau_c = -1/2 sum_a q_aa nu_a / ell_a^2 and tau_w,s = sum_ij G_ij w_ijs:
+
+    B_w = 2 tau_c^T G tau_w + tau_w^T G tau_w,
+    C_w = -sum_a w_3(G nu_a, G nu_a, G nu_a) / ell_a^2 + |w_3|^2_G.
+
+The derivatives dH and d2H come from ``_hessian_jets`` and are not used by
+the curvature.  They stay behind the public pointwise
+``hessian_derivatives`` and ``inverse_metric`` (G, dG and d2G by matrix
+calculus), which ``density.section_expansion_bracket`` and the tests'
+matrix-calculus oracle use.  The batched ``*_many`` methods take an (m, n)
+array of points; the pointwise methods are views of their result at one
+point.  A finite-difference mode exists purely as a cross-check oracle for
+the curvature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from .fields import Polynomial
 from .polytope import AffineFunctional, Polytope
 
-# points per batch of scalar_curvature_many
+# points per batch of scalar_curvature_many; it bounds the m * n^4 array of
+# the fourth derivatives of w
 CURVATURE_BLOCK = 1024
 
 
@@ -41,11 +69,41 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _inv(H: np.ndarray) -> np.ndarray:
+def _inv(H: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """H^{-1} for a stack of H, or H^{-1} rhs by one solve for an (n, k) rhs."""
     try:
-        return np.linalg.inv(H)
+        if rhs is None:
+            return np.linalg.inv(H)
+        return np.linalg.solve(H, np.broadcast_to(rhs, H.shape[:-1] + rhs.shape[-1:]))
     except np.linalg.LinAlgError:
         raise ValueError("Hessian is singular: strict convexity violated") from None
+
+
+def _perturbation_terms(L, G, F, P, w3, w4) -> np.ndarray:
+    """-<w4, G (x) G> + B_w + C_w: the part of sum_ij d_i d_j G^ij that the
+    third and fourth derivatives w3, w4 of w add (w4 may be None).
+
+    L = ell, G = H^{-1}, F[:, :, a] = G nu_a and P = Pi_aa, as in
+    ``SymplecticPotential.scalar_curvature_many``.
+    """
+    m, n = G.shape[:2]
+    total = np.zeros(m)
+    if w4 is not None:
+        Gf = G.reshape(m, n * n, 1)
+        total -= (w4.reshape(m, n * n, n * n) @ Gf * Gf).sum(axis=(1, 2))
+    tau_w = (G.reshape(m, 1, n * n) @ w3.reshape(m, n * n, n))[:, 0]
+    G_tau_c = -(F * (P / L)[:, None, :]).sum(axis=2)   # G tau_c
+    G_tau_w = (G @ tau_w[:, :, None])[:, :, 0]
+    total += (tau_w * (2.0 * G_tau_c + G_tau_w)).sum(axis=1)
+    # w3(G nu_a, G nu_a, G nu_a)
+    Ft = F.transpose(0, 2, 1)
+    FF = (Ft[:, :, :, None] * Ft[:, :, None, :]).reshape(m, -1, n * n)
+    cubes = ((Ft @ w3.reshape(m, n, n * n)) * FF).sum(axis=2)
+    # |w3|^2_G: raise each index of w3 with G in turn
+    T = w3
+    for _ in range(3):
+        T = (T.reshape(m, n * n, n) @ G).reshape(m, n, n, n).transpose(0, 3, 1, 2)
+    return total - (cubes / L**2).sum(axis=1) + (T * w3).sum(axis=(1, 2, 3))
 
 
 @dataclass
@@ -76,12 +134,14 @@ class SymplecticPotential:
             raise ValueError("perturbation dimension does not match the polytope")
         self.normals = np.array([f.normal_float() for f in polytope.facets])
         self.offsets = np.array([float(f.offset) for f in polytope.facets])
-        # d_i d_j ... w keyed by the index tuple (i, j, ...), orders 1 to 4
+        # d_i d_j ... w keyed by the nondecreasing index tuple (i <= j <= ...),
+        # orders 1 to 4; partials that vanish identically are left out
         self._wjet: dict[tuple, Polynomial] = {}
         level = {(): self.w}
         for _ in range(0 if self.w.is_zero else 4):
-            level = {idx + (k,): p.partial(k) for idx, p in level.items()
-                     for k in range(n)}
+            level = {idx + (k,): dp for idx, p in level.items()
+                     for k in range(idx[-1] if idx else 0, n)
+                     if not (dp := p.partial(k)).is_zero}
             self._wjet.update(level)
         self._check_convexity(convexity_grid)
 
@@ -135,12 +195,23 @@ class SymplecticPotential:
         pts = _as_points(points)
         L = self._interior_ell(pts)
         out = 0.5 * (np.log(L) + 1.0) @ self.normals
-        if not self.w.is_zero:
-            out = out + np.stack([self._wjet[(i,)](pts) for i in range(self.dim)],
-                                 axis=1)
-        return out
+        dw = self._w_tensor(pts, 1)
+        return out if dw is None else out + dw
 
     # -- metric tensors ------------------------------------------------------
+
+    def _w_tensor(self, pts: np.ndarray, order: int) -> np.ndarray | None:
+        """The order-th derivatives of w at pts, shape (m,) + (n,) * order, or
+        None when they all vanish identically."""
+        keys = [key for key in self._wjet if len(key) == order]
+        if not keys:
+            return None
+        out = np.zeros((len(pts),) + (self.dim,) * order)
+        for key in keys:
+            value = self._wjet[key](pts)
+            for perm in set(permutations(key)):
+                out[(slice(None), *perm)] = value
+        return out
 
     def _hessian_jets(self, points, order: int = 0) -> list:
         """[H, dH, d2H][:order + 1] at strictly interior points, exact formulas.
@@ -156,11 +227,10 @@ class SymplecticPotential:
             jets.append(-0.5 * np.einsum("ma,ak,ai,aj->mkij", 1.0 / L**2, N, N, N))
         if order >= 2:
             jets.append(np.einsum("ma,ak,al,ai,aj->mklij", 1.0 / L**3, N, N, N, N))
-        for key, poly in self._wjet.items():
-            r = len(key) - 2  # H takes the 2nd derivatives of w, d2H the 4th
-            if 0 <= r <= order:
-                i, j, *kl = key
-                jets[r][(slice(None), *kl, i, j)] += poly(pts)
+        for r, jet in enumerate(jets):
+            dw = self._w_tensor(pts, r + 2)  # H takes the 2nd derivatives of w
+            if dw is not None:
+                jet += dw
         return jets
 
     def hessian_many(self, points) -> np.ndarray:
@@ -172,23 +242,39 @@ class SymplecticPotential:
         return _inv(self.hessian_many(points))
 
     def scalar_curvature_many(self, points) -> np.ndarray:
-        """Batched s = -1/2 sum_ij d_i d_j G^ij by matrix calculus, organized
-        so only the traced contraction of the second derivative of G is ever
-        formed.  Points are taken CURVATURE_BLOCK at a time, which bounds the
-        rank-5 d2H array."""
+        """Batched scalar curvature by Abreu's formula in projection form (see
+        the module docstring); no derivative of H is formed.  Points are
+        taken CURVATURE_BLOCK at a time, which bounds the (m, n, n, n, n)
+        array of the fourth derivatives of w."""
         pts = _as_points(points)
         out = np.empty(pts.shape[0])
-        idx = np.arange(self.dim)
+        N = self.normals
+        n = self.dim
+        off = ~np.eye(N.shape[0], dtype=bool)
         for start in range(0, pts.shape[0], CURVATURE_BLOCK):
-            H, dH, d2H = self._hessian_jets(pts[start:start + CURVATURE_BLOCK], 2)
-            G = _inv(H)
-            # sum_kl [G d2H_kl G]_kl
-            term_a = np.einsum("mki,mklij,mjl->m", G, d2H, G)
-            A = np.einsum("mij,mkjl,mlp->mkip", G, dH, G)  # A[k] = G dH_k G
-            A_diag = A[:, idx, idx, :]                     # row k of A[k]
-            term_b = np.einsum("mkp,mlpq,mql->m", A_diag, dH, G)
-            term_c = np.einsum("mklp,mlpq,mqk->m", A, dH, G)
-            out[start:start + CURVATURE_BLOCK] = -0.5 * (-term_a + term_b + term_c)
+            block = pts[start:start + CURVATURE_BLOCK]
+            L = self._interior_ell(block)
+            W2, w3, w4 = (self._w_tensor(block, r) for r in (2, 3, 4))
+            H = (N.T * (0.5 / L)[:, None, :]) @ N
+            if W2 is not None:
+                H += W2
+            # one solve gives G and F = G N^T; G nu_a computed as G @ nu_a
+            # would carry the rounding of the columns of G into Pi
+            GF = _inv(H, np.concatenate([np.eye(n), N.T], axis=1))
+            G, F = GF[:, :, :n], GF[:, :, n:]
+            r = 1.0 / np.sqrt(L)
+            rr = r[:, :, None] * r[:, None, :]      # 1 / sqrt(ell_a ell_b)
+            Pi = 0.5 * (N @ F) * rr
+            P = np.diagonal(Pi, axis1=1, axis2=2)
+            Poff = np.where(off, Pi, 0.0)
+            defect = (Poff * Poff).sum(axis=2)      # Pi_aa - Pi_aa^2
+            if W2 is not None:
+                defect += 0.5 * ((W2 @ F) * F).sum(axis=1) / L
+            s = 2.0 * (P * defect / L).sum(axis=1) - (
+                (P[:, :, None] * P[:, None, :] + Poff * Poff) * Poff * rr).sum(axis=(1, 2))
+            if w3 is not None:  # w4 vanishes when w3 does
+                s -= 0.5 * _perturbation_terms(L, G, F, P, w3, w4)
+            out[start:start + CURVATURE_BLOCK] = s
         return out
 
     def hessian(self, x) -> np.ndarray:

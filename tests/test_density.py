@@ -60,6 +60,17 @@ class TestIntegrate:
         val, _ = td.integrate(P, u.scalar_curvature_many)
         assert val == pytest.approx(12 * float(P.volume()), rel=1e-12)
 
+    def test_curvature_integral_on_thin_slice_is_boundary_volume(self):
+        # with the slice's own canonical potential, the integral of s over P
+        # is the Leray volume of its boundary (Donaldson); nodes near the
+        # facets of the thin slab P(5/7) must carry s to ~eps/ell
+        family = td.MovingFamily(td.standard_simplex(3),
+                                 [td.AffineFunctional([1, 1, 1], 0)])
+        P = family.slice(F(5, 7)).polytope
+        u = td.guillemin_potential(P)
+        val, _ = td.integrate(P, u.scalar_curvature_many, rel_tol=1e-12)
+        assert val == pytest.approx(float(P.boundary_leray_volume()), rel=1e-14)
+
     def test_nonconvergence_carries_best(self, interval):
         rng = np.random.default_rng(0)
 

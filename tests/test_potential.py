@@ -1,11 +1,14 @@
 """Metric data: Hessians, inverse metrics, curvature, phi and conorms."""
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, prod
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricdensity as td
@@ -186,6 +189,121 @@ class TestScalarCurvature:
                 assert -0.5 * trace == pytest.approx(batched[m], rel=1e-12)
                 np.testing.assert_allclose(u.metric(p), G[m], **close)
                 assert u.conorm_sq(v, p) == pytest.approx(conorm[m], rel=1e-13)
+
+
+def exact_inverse(H):
+    """Inverse of a nonsingular Fraction matrix by Gauss-Jordan elimination."""
+    n = len(H)
+    A = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(H)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[p] = A[p], A[c]
+        A[c] = [v / A[c][c] for v in A[c]]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                A[r] = [v - A[r][c] * pv for v, pv in zip(A[r], A[c])]
+    return [row[n:] for row in A]
+
+
+def exact_curvature(P, w_terms, x):
+    """(s, min_a ell_a) at a rational point, exactly, from the identity
+    s = -1/2 (-<u_4, G (x) G> + tau^T G tau + |u_3|^2_G), tau_s = sum_ij G_ij u_ijs,
+    for u = 1/2 sum_a ell_a log ell_a + w with w = sum of c * x^e over
+    w_terms {e: c}; G = H^{-1} is an exact Fraction inverse."""
+    n = P.dim
+    x = [F(v) for v in x]
+    ells = [f.value(x) for f in P.facets]
+    w = {e: F(c) for e, c in w_terms.items()}
+
+    def d_w(idx):
+        total = F(0)
+        for expo, c in w.items():
+            e = list(expo)
+            for i in idx:
+                c *= e[i]
+                e[i] -= 1
+            if c:
+                total += c * prod(xi ** ei for xi, ei in zip(x, e))
+        return total
+
+    def d_u(idx):
+        # d^k of 1/2 ell log ell is 1/2 (-1)^k (k-2)! nu^(x)k / ell^(k-1)
+        k = len(idx)
+        coef = F((-1) ** k * factorial(k - 2), 2)
+        return d_w(idx) + sum(coef * prod(f.normal[i] for i in idx) / ell ** (k - 1)
+                              for f, ell in zip(P.facets, ells))
+
+    R = range(n)
+    G = exact_inverse([[d_u((i, j)) for j in R] for i in R])
+    u3 = {idx: d_u(idx) for idx in itertools.product(R, repeat=3)}
+    u4 = sum(d_u((i, j, k, l)) * G[i][j] * G[k][l]
+             for i, j, k, l in itertools.product(R, repeat=4))
+    tau = [sum(G[i][j] * u3[i, j, s] for i in R for j in R) for s in R]
+    tau_sq = sum(tau[i] * G[i][j] * tau[j] for i in R for j in R)
+    raised = u3
+    for axis in range(3):
+        raised = {idx: sum(raised[idx[:axis] + (k,) + idx[axis + 1:]] * G[k][idx[axis]]
+                           for k in R)
+                  for idx in itertools.product(R, repeat=3)}
+    u3_sq = sum(raised[idx] * u3[idx] for idx in u3)
+    return -F(1, 2) * (-u4 + tau_sq + u3_sq), min(ells)
+
+
+ORACLE_POLYTOPES = {
+    "simplex3": td.standard_simplex(3),
+    "square": td.box([1, 1]),
+    "cube": td.box([1, 1, 1]),
+    # the vertex (0, 1) is not Delzant: det of (1, 0) and (-1, -2) is -2
+    "non_delzant": td.Polytope(2, [td.AffineFunctional([1, 0], 0),
+                                   td.AffineFunctional([0, 1], 0),
+                                   td.AffineFunctional([-1, -2], -2)]),
+}
+# dyadic coefficients, so the float perturbation is exactly the rational one
+ORACLE_CUBICS = {2: {(3, 0): 1 / 32, (1, 2): -3 / 64, (2, 0): 1 / 16},
+                 3: {(3, 0, 0): 1 / 32, (1, 1, 1): 3 / 64, (0, 2, 1): -1 / 32}}
+
+
+@lru_cache(maxsize=None)
+def oracle_potential(name, perturbed):
+    P = ORACLE_POLYTOPES[name]
+    return td.SymplecticPotential(
+        P, Polynomial(P.dim, ORACLE_CUBICS[P.dim]) if perturbed else None)
+
+
+@st.composite
+def near_face(draw):
+    """(polytope name, float point) at relative depth 1e-6..1e-2 from a
+    facet, an edge or a vertex: a point p in the relative interior of the
+    face moved towards the vertex centroid c, to p + delta (c - p)."""
+    name = draw(st.sampled_from(sorted(ORACLE_POLYTOPES)))
+    P = ORACLE_POLYTOPES[name]
+    face = draw(st.sampled_from(P.faces(draw(st.integers(1, P.dim)))))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(face.vertex_ids),
+                                     max_size=len(face.vertex_ids))))
+    verts = np.array(P.vertices, dtype=float)
+    p = weights / weights.sum() @ verts[list(face.vertex_ids)]
+    delta = 10.0 ** draw(st.floats(-6.0, -2.0))
+    return name, p + delta * (verts.mean(axis=0) - p)
+
+
+class TestExactCurvatureOracle:
+    def test_reproduces_constant_curvature(self):
+        assert exact_curvature(td.standard_simplex(3), {}, [F(1, 4)] * 3)[0] == 12
+        assert exact_curvature(td.standard_simplex(2), {}, [F(1, 5), F(1, 2)])[0] == 6
+
+    @given(near_face(), st.booleans())
+    @example(("simplex3", np.full(3, (1 - 1e-3) / 3)), False)  # 1e-3 from x+y+z=1
+    @example(("simplex3", np.array([0.25e-6, 0.5 - 0.25e-6, 0.5 - 0.25e-6])), True)  # edge
+    @example(("cube", np.full(3, 1e-6)), True)  # vertex
+    @settings(max_examples=60, deadline=None)
+    def test_error_near_boundary(self, case, perturbed):
+        # the projection form errs by O(eps/ell) near a face, not O(eps/ell^3)
+        name, x = case
+        u = oracle_potential(name, perturbed)
+        exact, ell_min = exact_curvature(u.polytope, u.w.terms, x)
+        err = abs(u.scalar_curvature(x) - float(exact))
+        eps = np.finfo(float).eps
+        assert err <= 8 * eps * max(1.0, abs(float(exact))) / float(ell_min)
 
 
 class TestPhi:

@@ -9,8 +9,10 @@ and demos are this checkout's, so only the package differs.  Each run gets
 a fresh working directory; two runs go at a time.  The exit code, stdout
 and the bytes of every file the run writes are compared; stderr is not.
 Each difference is printed, a ``.json`` or ``.csv`` file field by field or
-cell by cell with both values, and the exit status is 1 if there is any, 0
-otherwise.
+cell by cell with both values.  Then each JSON field (dotted key) or CSV
+column that differs gets one summary line: the number of files where it
+differs and its largest absolute change.  The exit status is 1 if there is
+any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TASKS = ("check-delzant", "lattice-count", "density-profile", "em-check",
@@ -72,34 +76,48 @@ def json_leaves(value, key: str = "") -> dict:
 
 
 def fields(path: str, data: bytes) -> dict:
-    """{field: value} of a JSON file or {row and column header: cell} of a
-    CSV file; empty for any other file or one that does not parse."""
+    """{(row, field): value} of a JSON file, with row "", or {(row, column
+    header): cell} of a CSV file; empty for any other file or one that does
+    not parse."""
     try:
         if path.endswith(".json"):
-            return json_leaves(json.loads(data.decode()))
+            return {("", key): v for key, v in json_leaves(json.loads(data.decode())).items()}
         if path.endswith(".csv"):
             header, *rows = csv.reader(data.decode().splitlines())
-            return {f"row {i} {col}": cell for i, row in enumerate(rows, 1)
+            return {(f"row {i}", col): cell for i, row in enumerate(rows, 1)
                     for col, cell in zip(header, row)}
     except ValueError:
         pass
     return {}
 
 
-def field_differences(path: str, a: bytes, b: bytes) -> list[str]:
+class Difference(NamedTuple):
+    """One difference; a changed field or cell also carries its file, its
+    field (JSON key or CSV column) and both values."""
+
+    text: str
+    file: str | None = None
+    field: str | None = None
+    old: str | None = None
+    new: str | None = None
+
+
+def field_differences(path: str, a: bytes, b: bytes) -> list[Difference]:
     """Each field or cell that differs, with both values, in file order."""
     fa, fb = fields(path, a), fields(path, b)
     keys = list(fa) + [k for k in fb if k not in fa]
-    return [f"{path} {key}: {fa.get(key, '(missing)')} -> {fb.get(key, '(missing)')}"
+    return [Difference(f"{path} {' '.join(filter(None, key))}: "
+                       f"{fa.get(key, '(missing)')} -> {fb.get(key, '(missing)')}",
+                       path, key[1], fa.get(key), fb.get(key))
             for key in keys if fa.get(key) != fb.get(key)]
 
 
-def differences(name: str, old: dict, new: dict) -> list[str]:
+def differences(name: str, old: dict, new: dict) -> list[Difference]:
     diffs = []
     if old["exit"] != new["exit"]:
-        diffs.append(f"{name}: exit code {old['exit']} -> {new['exit']}")
+        diffs.append(Difference(f"exit code {old['exit']} -> {new['exit']}"))
     if old["stdout"] != new["stdout"]:
-        diffs.append(f"{name}: stdout differs")
+        diffs.append(Difference("stdout differs"))
     for path in sorted(set(old["files"]) | set(new["files"])):
         a, b = old["files"].get(path), new["files"].get(path)
         if a == b:
@@ -107,8 +125,29 @@ def differences(name: str, old: dict, new: dict) -> list[str]:
         fine = [] if a is None or b is None else field_differences(path, a, b)
         what = "missing in new" if b is None else "missing in old" if a is None \
             else "content differs"
-        diffs += [f"{name}: {d}" for d in fine] or [f"{name}: {path} {what}"]
-    return diffs
+        diffs += fine or [Difference(f"{path} {what}")]
+    return [d._replace(text=f"{name}: {d.text}", file=d.file and f"{name}: {d.file}")
+            for d in diffs]
+
+
+def field_summary(diffs: list[Difference]) -> list[str]:
+    """One line per JSON field or CSV column that differs: in how many files,
+    and its largest absolute change (nan when a value is missing or is not
+    a number)."""
+    files: dict[str, set] = {}
+    largest: dict[str, float] = {}
+    for d in diffs:
+        if d.field is None:
+            continue
+        files.setdefault(d.field, set()).add(d.file)
+        try:
+            change = abs(float(d.new) - float(d.old))
+        except (TypeError, ValueError):
+            change = math.nan
+        largest[d.field] = max(largest.get(d.field, 0.0), change,
+                               key=lambda v: math.inf if math.isnan(v) else v)
+    return [f"{field}: differs in {len(files[field])} file(s), "
+            f"largest absolute change {largest[field]:.3g}" for field in files]
 
 
 def main(argv=None) -> int:
@@ -130,7 +169,9 @@ def main(argv=None) -> int:
                  for d in differences(name, results["old", name].result(),
                                       results["new", name].result())]
     for d in diffs:
-        print(d)
+        print(d.text)
+    for line in field_summary(diffs):
+        print(line)
     cli_runs = sum(name.split("/")[0] != "demos" for name, _ in todo)
     print(f"{cli_runs} CLI runs and {len(todo) - cli_runs} demos per tree: "
           f"{len(diffs)} difference(s)")

@@ -26,8 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import (QuadratureScheme, _leray_simplices, integrate,
-                      integrate_simplices, pair_partial_density, tree_sum)
+from .density import (QuadratureScheme, _family_key, _field_key, _leray_simplices,
+                      _memoised, curvature_integral, integrate, integrate_simplices,
+                      pair_partial_density, tree_sum)
 from .fields import as_field
 from .polytope import MovingFamily, Polytope, Slice, _fr
 
@@ -129,27 +130,36 @@ def facet_integral(family: MovingFamily, potential, t, f, weight: str = "one",
     scale of the cut functional (the normalization the t-derivative and
     corner terms inherit from the sweep along Phi_a).  The scales coincide
     for primitive cut gradients; exact lattice counts on families with a
-    non-primitive cut force the distinction.
+    non-primitive cut force the distinction.  Memoised per potential and
+    active cut by ``_facet_integrals``.
     """
     if weight not in ("one", "conorm"):
         raise ValueError(f"unknown weight {weight!r}")
     sl = _slice_at_regular(family, t)
-    fld = as_field(f, family.base.dim)
-    total = 0.0
-    pieces = _facet_pieces(sl, scale="primitive" if weight == "one" else "cut")
-    for cut_idx, func, simplices, measures in pieces:
-        grad = func.normal_float()
+    return sum(_facet_integrals(family, potential, sl, f, weight, rel_tol).values(), 0.0)
 
-        if weight == "one":
-            def fn(pts):
-                return fld.value(pts)
-        else:
-            def fn(pts, g=grad):
-                return fld.value(pts) * potential.conorm_sq_many(g, pts)
 
-        val, _ = integrate_simplices(simplices, measures, fn, rel_tol=rel_tol)
-        total += val
-    return total
+def _facet_integrals(family: MovingFamily, potential, sl: Slice, f, weight: str,
+                     rel_tol) -> dict:
+    """Per active cut, the integral of ``facet_integral`` over its new facet
+    of sl.  Memoised per potential; the caller gets its own dict."""
+    def compute():
+        fld = as_field(f, family.base.dim)
+        per_cut = {}
+        pieces = _facet_pieces(sl, scale="primitive" if weight == "one" else "cut")
+        for cut_idx, func, simplices, measures in pieces:
+            if weight == "one":
+                fn = fld.value
+            else:
+                def fn(pts, g=func.normal_float()):
+                    return fld.value(pts) * potential.conorm_sq_many(g, pts)
+
+            per_cut[cut_idx], _ = integrate_simplices(simplices, measures, fn,
+                                                      rel_tol=rel_tol)
+        return per_cut
+
+    return dict(_memoised(potential, ("facet", _family_key(family), sl.t, weight,
+                                      _field_key(f), rel_tol), compute))
 
 
 def _corner_faces(sl: Slice):
@@ -171,9 +181,14 @@ def _corner_faces(sl: Slice):
 
 def dp_integral(family: MovingFamily, potential, t, f, rel_tol=1e-10) -> float:
     """int_{N(t)} f dp: corner measure |dPhi_a - dPhi_b|^2_g dtau_ab summed
-    over unordered pairs of active cuts."""
+    over unordered pairs of active cuts.  Memoised per potential."""
     sl = _slice_at_regular(family, t)
-    fld = as_field(f, family.base.dim)
+    return _memoised(potential, ("dp", _family_key(family), sl.t, _field_key(f), rel_tol),
+                     lambda: _dp_integral(potential, sl, as_field(f, family.base.dim),
+                                          rel_tol))
+
+
+def _dp_integral(potential, sl: Slice, fld, rel_tol) -> float:
     cuts = {cut: func for cut, func in sl.new_facets}
     total = 0.0
     for a, b, face in _corner_faces(sl):
@@ -212,24 +227,37 @@ class BoundaryDistribution:
         return self.facet_term + self.derivative_term + self.corner_term
 
 
-def _validate_stencil(family: MovingFamily, t, h: float):
+def _validate_stencil(family: MovingFamily, t, h):
+    """Reject a stencil [t-h, t+h] that leaves the regularity interval of t,
+    compared exactly; a float h is read by its shortest repr."""
+    t, h = _fr(t), Fraction(str(h))
     lo, hi = family.regularity_interval(t)
-    hi = float("inf") if hi is None else float(hi)
-    tf = float(_fr(t))
-    if tf - h <= float(lo) or tf + h >= hi:
+    if t - h <= lo or (hi is not None and t + h >= hi):
+        top = float("inf") if hi is None else float(hi)
         raise ValueError(
-            f"difference stencil [t-h, t+h] = [{tf - h}, {tf + h}] leaves the "
-            f"regularity interval ({float(lo)}, {hi})")
+            f"difference stencil [t-h, t+h] = [{float(t - h)}, {float(t + h)}] leaves "
+            f"the regularity interval ({float(lo)}, {top})")
 
 
-def _ddt(value_at, t: float, h: float, richardson: bool = True) -> float:
-    """Central difference, Richardson-extrapolated by default (O(h^4))."""
+def _ddt(value_at, t, h, richardson: bool = True) -> float:
+    """Central difference at the exact points t +- h (and t +- h/2),
+    Richardson-extrapolated by default (O(h^4)); h as in ``_validate_stencil``."""
+    t, h = _fr(t), Fraction(str(h))
+
     def cd(step):
-        return (value_at(t + step) - value_at(t - step)) / (2.0 * step)
+        return (value_at(t + step) - value_at(t - step)) / (2.0 * float(step))
 
     if not richardson:
         return cd(h)
-    return (4.0 * cd(h / 2.0) - cd(h)) / 3.0
+    return (4.0 * cd(h / 2) - cd(h)) / 3.0
+
+
+def _derivative_term(family: MovingFamily, potential, t: Fraction, f, h_t,
+                     richardson: bool, rel_tol) -> float:
+    """-1/2 d/dt int_{N(t)} f |dPhi|^2_g dsigma by ``_ddt``."""
+    return -0.5 * _ddt(
+        lambda tt: facet_integral(family, potential, tt, f, "conorm", rel_tol=rel_tol),
+        t, h_t, richardson)
 
 
 def a_hat_components(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
@@ -237,26 +265,14 @@ def a_hat_components(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
                      rel_tol=1e-10) -> BoundaryDistribution:
     """Assemble <a_hat_t, f> with a central difference for the d/dt term."""
     _validate_stencil(family, t, h_t)
-    return _a_hat(family, potential, _slice_at_regular(family, t), f, h_t,
-                  dp_convention, richardson, rel_tol)
-
-
-def _a_hat(family: MovingFamily, potential, sl: Slice, f, h_t: float, dp_convention: str,
-           richardson: bool = True, rel_tol=1e-10, facets: bool = True):
-    """<a_hat_t, f> on sl = P(t); with facets False, facet_terms stays empty."""
-    coef, t = _dp_coefficient(dp_convention), sl.t
-    fld = as_field(f, family.base.dim)
-    per_cut = {}
-    for cut_idx, _, simplices, measures in _facet_pieces(sl, "primitive") if facets else []:
-        val, _ = integrate_simplices(simplices, measures, fld.value,
-                                     rel_tol=rel_tol)
-        per_cut[cut_idx] = per_cut.get(cut_idx, 0.0) + val
-    deriv = -0.5 * _ddt(
-        lambda tt: facet_integral(family, potential, tt, f, "conorm", rel_tol=rel_tol),
-        float(t), h_t, richardson)
-    corner = -coef * dp_integral(family, potential, t, f, rel_tol=rel_tol)
-    return BoundaryDistribution(t=t, facet_terms=per_cut, derivative_term=deriv,
-                                corner_term=corner, dp_convention=dp_convention)
+    sl = _slice_at_regular(family, t)
+    coef = _dp_coefficient(dp_convention)
+    return BoundaryDistribution(
+        t=sl.t, facet_terms=_facet_integrals(family, potential, sl, f, "one", rel_tol),
+        derivative_term=_derivative_term(family, potential, sl.t, f, h_t, richardson,
+                                         rel_tol),
+        corner_term=-coef * dp_integral(family, potential, sl.t, f, rel_tol=rel_tol),
+        dp_convention=dp_convention)
 
 
 def a_hat_pair(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
@@ -291,7 +307,7 @@ def expansion_residual(family: MovingFamily, potential, t, f, k: int,
         return potential.scalar_curvature_many(pts) * fld.value(pts)
 
     s_term, _ = scheme.integrate(sf, rel_tol=1e-9)
-    a_hat = a_hat_pair(family, potential, t, fld, h_t=h_t,
+    a_hat = a_hat_pair(family, potential, t, f, h_t=h_t,
                        dp_convention=dp_convention)
     two_term = float(k) ** n * (vol_term + (s_term + a_hat) / (2.0 * k))
     return pairing - two_term
@@ -304,32 +320,20 @@ def boundary_volume_identity(family: MovingFamily, potential, t,
 
     At t = 0 the cut terms vanish and the identity degenerates to
     Vol_sigma(dP) = int_P s, which holds for every admissible potential.
+    No facet term of <a_hat_t, 1> is integrated.
     """
     t = _fr(t)
-    _dp_coefficient(dp_convention)  # rejects an unknown convention at t = 0 too
+    coef = _dp_coefficient(dp_convention)  # rejects an unknown convention at t = 0 too
     if t == 0:
-        lhs = float(family.base.boundary_leray_volume())
-        s_int, _ = integrate(family.base, potential.scalar_curvature_many,
-                             rel_tol=1e-9)
-        return lhs - s_int
-    return _boundary_identity(family, potential, t, h_t, dp_convention, facets=False)[0]
-
-
-def boundary_volume_terms(family: MovingFamily, potential, t, h_t: float = 1e-3,
-                          dp_convention: str = "corrected"):
-    """(boundary_volume_identity, int_{P(t)} s, a_hat_components with f = 1) at
-    a regular t != 0, computing each integral once."""
-    return _boundary_identity(family, potential, _fr(t), h_t, dp_convention, facets=True)
-
-
-def _boundary_identity(family: MovingFamily, potential, t: Fraction, h_t: float,
-                       dp_convention: str, facets: bool):
+        return float(family.base.boundary_leray_volume()) - \
+            curvature_integral(potential, family.base)
     sl = _slice_at_regular(family, t)
-    s_int, _ = integrate(sl.polytope, potential.scalar_curvature_many, rel_tol=1e-9)
     _validate_stencil(family, t, h_t)
-    comp = _a_hat(family, potential, sl, 1.0, h_t, dp_convention, facets=facets)
+    s_int = curvature_integral(potential, sl.polytope)
+    deriv = _derivative_term(family, potential, t, 1.0, h_t, True, 1e-10)
+    corner = -coef * dp_integral(family, potential, t, 1.0)
     lhs = sl.polytope.boundary_leray_volume(sl.old_facets)
-    return float(lhs) - (s_int + comp.derivative_term + comp.corner_term), s_int, comp
+    return float(lhs) - (s_int + deriv + corner)
 
 
 def divergence_identity_check(family: MovingFamily, potential, t, xi,
@@ -376,7 +380,7 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
         _, fc, ss, ms = pieces_t[0]
         return integrate_simplices(ss, ms, xi_dot(fc.normal_float()), rel_tol=1e-10)[0]
 
-    deriv = _ddt(flux_at, float(t), h_t)
+    deriv = _ddt(flux_at, t, h_t)
 
     # corner term: dW(t) pieces sit on (cut, old facet) pairs
     corner = 0.0

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import boundary_volume_terms, euler_maclaurin
+from .asymptotics import boundary_volume_identity, euler_maclaurin
 from .density import (QuadratureError, SectionBasis, density_profile,
                       pair_partial_density, section_expansion_check)
 from .fields import coordinate_field, constant_field
@@ -26,7 +26,7 @@ from .fileio import (Scenario, dump_csv, dump_json, load_scenario,
                      rational_to_str)
 from .polytope import build_test_config, check_delzant
 from .stability import (futaki_report, hilbert_coeffs_combinatorial,
-                        slope_mu, slope_report)
+                        hilbert_coeffs_geometric, slope_mu, slope_report)
 
 NORMALIZATION_NOTE = "pushed-down: the (2*pi)^n fibre factor is dropped"
 
@@ -238,13 +238,15 @@ def _run_report(scenario, outdir, opts):
             summary["checks"]["density"] = rc
             status = max(status, rc)
             tq = Fraction(t)
-            res, s_int, comp = boundary_volume_terms(family, pot, tq,
-                                                     dp_convention=opts.dp_convention)
+            res = boundary_volume_identity(family, pot, tq,
+                                           dp_convention=opts.dp_convention)
             summary["checks"]["boundary_volume_residual"] = res
             if abs(res) > 1e-6:
                 status = max(status, EXIT_CHECK_FAILED)
+            geometric = hilbert_coeffs_geometric(family, pot, tq,
+                                                 dp_convention=opts.dp_convention)
             hc = hilbert_coeffs_combinatorial(family, tq)
-            coeff_gap = abs(float(hc.A1) - 0.5 * (s_int + comp.value))
+            coeff_gap = abs(float(hc.A1) - geometric.A1)
             summary["checks"]["subleading_coefficient_gap"] = coeff_gap
             if coeff_gap > 1e-5 * max(1.0, abs(float(hc.A1))):
                 status = max(status, EXIT_CHECK_FAILED)

@@ -19,6 +19,18 @@ facet, corner, slope and Futaki integrals, whose regions are cut exactly
 ``_leray_simplices`` weights the simplices of any boundary face by its
 exact Leray measure.
 
+Metric integrals are computed once per potential.  ``curvature_integral``
+(int_R s dx) and the per-cut facet integrals and corner integrals of
+``asymptotics`` (``facet_integral``, the facet terms of <a_hat_t, f> and
+``dp_integral``) go through ``_memoised``, which keeps one float per
+distinct integral in a dict on the potential.  The keys are exact data:
+the facet keys of the region, or the base and cut keys of the family with
+the exact slice t; the integrand f (numbers and Polynomials by value, any
+other field or callable by identity); and rel_tol.  Quadrature is
+deterministic, so a stored value is the one a fresh call would compute.  A
+value is stored only once its computation returns: a QuadratureError is
+never cached.
+
 All results are pushed down to the polytope: the (2 pi)^n fibre factor is
 dropped throughout, so pairings satisfy <|e_{alpha,k}|^2, 1> = 1 and
 <rho_hat_tk, 1> = #lattice points exactly.
@@ -32,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import ScalarField, as_field
+from .fields import Polynomial, ScalarField, as_field
 from .polytope import MovingFamily, Polytope, _fr, _point, leray_simplex_measure
 
 DEFAULT_REL_TOL = 1e-8
@@ -304,6 +316,59 @@ def integrate(P: Polytope, f, scheme: QuadratureScheme | None = None, rel_tol=No
         scheme = QuadratureScheme.for_polytope(P)
     fld = as_field(f, P.dim)
     return scheme.integrate(fld.value, rel_tol=rel_tol)
+
+
+# ---------------------------------------------------------------------------
+# metric integrals, memoised per potential
+# ---------------------------------------------------------------------------
+
+class _Same:
+    """A key part equal only to itself: it holds the object, so the object's
+    id is not reused while the key lives."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return isinstance(other, _Same) and other.obj is self.obj
+
+
+def _field_key(f):
+    """Numbers and Polynomials by value; any other field or callable by identity."""
+    if isinstance(f, (int, float)):
+        return float(f)
+    if isinstance(f, Polynomial):
+        return f.nvars, tuple(sorted(f.terms.items()))
+    return _Same(f)
+
+
+def _region_key(P: Polytope) -> tuple:
+    return tuple(ell.key() for ell in P.facets)
+
+
+def _family_key(family: MovingFamily) -> tuple:
+    return _region_key(family.base), tuple(phi.key() for phi in family.cuts)
+
+
+def _memoised(potential, key: tuple, compute):
+    """compute() once per potential and exact key.  The value is stored only
+    after compute returns, so a QuadratureError is never cached."""
+    memo = potential._integrals
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def curvature_integral(potential, P: Polytope, rel_tol=1e-9) -> float:
+    """int_P s dx, computed once per potential, facets of P and rel_tol."""
+    return _memoised(
+        potential, ("curvature", _region_key(P), rel_tol),
+        lambda: integrate(P, potential.scalar_curvature_many, rel_tol=rel_tol)[0])
 
 
 # ---------------------------------------------------------------------------

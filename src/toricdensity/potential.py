@@ -134,6 +134,8 @@ class SymplecticPotential:
             raise ValueError("perturbation dimension does not match the polytope")
         self.normals = np.array([f.normal_float() for f in polytope.facets])
         self.offsets = np.array([float(f.offset) for f in polytope.facets])
+        # metric integrals by exact key, filled by density._memoised
+        self._integrals: dict = {}
         # d_i d_j ... w keyed by the nondecreasing index tuple (i <= j <= ...),
         # orders 1 to 4; partials that vanish identically are left out
         self._wjet: dict[tuple, Polynomial] = {}

@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import gcd
 
 from .asymptotics import _dp_coefficient, facet_integral
-from .density import _leray_simplices, integrate, integrate_simplices
+from .density import (_leray_simplices, curvature_integral, integrate,
+                      integrate_simplices)
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
                        TestConfigPolytope, _fr, _intersect)
 
@@ -132,7 +133,7 @@ def hilbert_coeffs_geometric(family: MovingFamily, potential, t,
     sl = family.slice(t)
     if sl.is_empty:
         return HilbertCoefficients(t=t, A0=0.0, A1=0.0, source="geometric")
-    s_int, _ = integrate(sl.polytope, potential.scalar_curvature_many, rel_tol=1e-9)
+    s_int = curvature_integral(potential, sl.polytope)
     a_hat = a_hat_pair(family, potential, t, 1.0, dp_convention=dp_convention)
     return HilbertCoefficients(t=t, A0=float(sl.polytope.volume()),
                                A1=0.5 * (s_int + a_hat), source="geometric")
@@ -233,7 +234,7 @@ def slope_excess_metric(family: MovingFamily, potential, c,
     P = family.base
     phi = family.cuts[0]
     vol = float(P.volume())
-    s_int, _ = integrate(P, potential.scalar_curvature_many, rel_tol=rel_tol)
+    s_int = curvature_integral(potential, P, rel_tol)
     av_s = s_int / vol
 
     cf = float(c)
@@ -370,7 +371,7 @@ def futaki_metric(config: TestConfigPolytope, potential,
                   dp_convention: str = "corrected") -> float:
     """F1 = (Vol Gamma / 2 Vol P) (Av_Gamma pr1* s - Av_P s - Delta(Gamma))."""
     gamma_s = gamma_scalar_integral(config, potential)
-    s_int, _ = integrate(config.family.base, potential.scalar_curvature_many, rel_tol=1e-9)
+    s_int = curvature_integral(potential, config.family.base)
     return _futaki_metric(config, gamma_s, s_int,
                           delta_gamma(config, potential, dp_convention=dp_convention))
 
@@ -412,7 +413,7 @@ def futaki_report(config: TestConfigPolytope, potential,
                   dp_convention: str = "corrected") -> FutakiReport:
     f1c = futaki_combinatorial(config)
     gamma_s = gamma_scalar_integral(config, potential)
-    s_int, _ = integrate(config.family.base, potential.scalar_curvature_many, rel_tol=1e-9)
+    s_int = curvature_integral(potential, config.family.base)
     skeleton = roof_skeleton_integral(config, potential)
     delta = _delta(config, skeleton, dp_convention)
     is_product = len(config.roof_skeleton) == 0

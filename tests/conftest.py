@@ -1,4 +1,12 @@
-"""Shared fixtures: the standard polytopes, potentials and families."""
+"""Shared fixtures: the standard polytopes, potentials and families.
+
+The potentials are session-scoped, and each keeps its memo of metric
+integrals (curvature, facet and corner integrals) across tests: a later
+call with the same exact arguments returns the stored value without
+integrating.  A test that patches the quadrature constants (NODE_BUDGET,
+MAX_ORDER, ...) and expects a memoised call to integrate again must build
+its own potential.
+"""
 
 from fractions import Fraction
 

@@ -286,3 +286,137 @@ def test_em_three_dimensional_exact():
     for k in (2, 5, 12):
         res = euler_maclaurin(s3, 1, k)
         assert res.residual == F(11 * k + 6, 6)
+
+
+# ---------------------------------------------------------------------------
+# the per-potential memo of metric integrals and the exact stencil
+# ---------------------------------------------------------------------------
+
+def _memo_case(name):
+    """(family, perturbation): the perturbed triangle cut at a vertex, the
+    perturbed square cut at a corner, the canonical 3-simplex cut at a vertex."""
+    cubic = Polynomial(2, {(3, 0): 0.02, (1, 2): 0.01})
+    if name == "triangle":
+        return td.MovingFamily(td.standard_simplex(2),
+                               [td.AffineFunctional([1, 1], 0)]), cubic
+    if name == "square":
+        return td.MovingFamily(td.box([1, 1]), [td.AffineFunctional([1, 0], 0),
+                                                td.AffineFunctional([0, 1], 0)]), cubic
+    return td.MovingFamily(td.standard_simplex(3),
+                           [td.AffineFunctional([1, 1, 1], 0)]), None
+
+
+MEMO_CASES = ("triangle", "square", "simplex3")
+T_MEMO = F(1, 3)
+
+
+def _fresh(family, w):
+    return td.SymplecticPotential(family.base, w)
+
+
+def _memoised_calls(family):
+    t = T_MEMO
+    calls = [lambda u: a_hat_components(family, u, t, 1.0),
+             lambda u: boundary_volume_identity(family, u, t),
+             lambda u: td.hilbert_coeffs_geometric(family, u, t)]
+    if len(family.cuts) == 1:
+        calls += [lambda u, c=c: td.slope_report(family, u, c)
+                  for c in (F(1, 4), F(1, 2), F(3, 4))]
+    calls.append(lambda u: td.futaki_report(td.build_test_config(family), u))
+    return calls
+
+
+class TestIntegralMemo:
+    @pytest.mark.parametrize("name", MEMO_CASES)
+    def test_warm_potential_gives_fresh_values(self, name):
+        family, w = _memo_case(name)
+        warm = _fresh(family, w)
+        for call in _memoised_calls(family):
+            assert call(warm) == call(_fresh(family, w))
+        n, t = family.base.dim, T_MEMO
+        variants = [
+            lambda u: a_hat_components(family, u, t, 1.0, rel_tol=1e-11),
+            lambda u: td.futaki_metric(td.build_test_config(family), u),
+            lambda u: a_hat_components(family, u, t, Polynomial.coordinate(n, 0)),
+            lambda u: a_hat_components(family, u, t, 1.0, dp_convention="printed"),
+            lambda u: boundary_volume_identity(family, u, t, dp_convention="printed"),
+            lambda u: td.hilbert_coeffs_geometric(family, u, t, dp_convention="printed"),
+            lambda u: a_hat_components(family, u, t, 1.0, h_t=2e-3),
+            lambda u: boundary_volume_identity(family, u, t, h_t=2e-3),
+        ]
+        if len(family.cuts) == 1:
+            variants.append(
+                lambda u: td.slope_excess_metric(family, u, F(1, 2), rel_tol=1e-10))
+        for call in variants:
+            assert call(warm) == call(_fresh(family, w))
+        # the memo tells the integrand f = 1 from f = x0
+        assert a_hat_components(family, warm, t, 1.0).value != \
+            a_hat_components(family, warm, t, Polynomial.coordinate(n, 0)).value
+
+    def test_quadrature_error_is_not_cached(self, monkeypatch):
+        from toricdensity import density
+        family, w = _memo_case("square")
+        u = _fresh(family, w)
+        calls = (lambda: a_hat_components(family, u, T_MEMO, 1.0),
+                 lambda: boundary_volume_identity(family, u, T_MEMO))
+        with monkeypatch.context() as patch:
+            patch.setattr(density, "NODE_BUDGET", 5)
+            for call in calls:
+                for _ in range(2):
+                    with pytest.raises(td.QuadratureError):
+                        call()
+        assert calls[0]() == a_hat_components(family, _fresh(family, w), T_MEMO, 1.0)
+        assert calls[1]() == boundary_volume_identity(family, _fresh(family, w), T_MEMO)
+
+    @pytest.mark.parametrize("name,together,alone", [
+        ("triangle", 6, 5), ("square", 12, 10), ("simplex3", 6, 5)])
+    def test_each_integral_computed_once(self, name, together, alone, monkeypatch):
+        from toricdensity import density
+        family, w = _memo_case(name)
+        td.build_test_config(family)
+        calls = []
+        integrate_orders = density.integrate_orders
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate_orders(*args, **kwargs)
+
+        monkeypatch.setattr(density, "integrate_orders", counted)
+
+        def count(*steps):
+            u = _fresh(family, w)
+            calls.clear()
+            for step in steps:
+                step(family, u, T_MEMO)
+            return len(calls)
+
+        a_hat = lambda fam, u, t: a_hat_components(fam, u, t, 1.0)  # noqa: E731
+        assert count(a_hat, boundary_volume_identity, td.hilbert_coeffs_geometric) \
+            == count(td.hilbert_coeffs_geometric) == together
+        assert count(boundary_volume_identity) == alone
+        if len(family.cuts) == 1:
+            # int_P s once; the cut region and the facet integral per c
+            assert count(*[lambda fam, u, t, c=c: td.slope_report(fam, u, c)
+                           for c in (F(1, 4), F(1, 2), F(3, 4))]) == 7
+
+    def test_expansion_residual_shares_a_hat(self, corner_family, interval, monkeypatch):
+        from toricdensity import density
+        u = td.guillemin_potential(interval)
+        expansion_residual(corner_family, u, F(1, 4), 1.0, 8)
+        calls = []
+        monkeypatch.setattr(density, "integrate_orders",
+                            lambda *args, **kwargs: calls.append(1))
+        a_hat_components(corner_family, u, F(1, 4), 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("t", [F(1, 3), F(2, 3)])
+    def test_stencil_points_are_exact(self, t, simplex2, u_simplex):
+        h = F(1, 1000)
+        stencil = {t, t - h, t + h, t - h / 2, t + h / 2}
+        family = td.MovingFamily(simplex2, [td.AffineFunctional([1, 1], 0)])
+        a_hat_components(family, u_simplex, t, 1.0)
+        assert set(family._slices) == stencil
+        family = td.MovingFamily(simplex2, [td.AffineFunctional([1, 1], 0)])
+        xi = [Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})]
+        divergence_identity_check(family, u_simplex, t, xi)
+        assert set(family._slices) == stencil

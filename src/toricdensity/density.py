@@ -20,13 +20,12 @@ facet, corner, slope and Futaki integrals, whose regions are cut exactly
 exact Leray measure.
 
 Metric integrals are computed once per potential.  ``curvature_integral``
-(int_R s dx) and the per-cut facet integrals and corner integrals of
-``asymptotics`` (``facet_integral``, the facet terms of <a_hat_t, f> and
-``dp_integral``) go through ``_memoised``, which keeps one float per
-distinct integral in a dict on the potential.  The keys are exact data:
-the facet keys of the region, or the base and cut keys of the family with
-the exact slice t; the integrand f (numbers and Polynomials by value, any
-other field or callable by identity); and rel_tol.  Quadrature is
+(int_R s dx), the facet and corner integrals of ``asymptotics`` and the
+Gamma integrals of ``stability`` go through ``_memoised``, which keeps one
+float per distinct integral in a dict on the potential.  The keys are exact
+data: the facet keys of the region, or the base and cut keys of the family
+with the exact slice t; the integrand f (numbers and Polynomials by value,
+any other field or callable by identity); and rel_tol.  Quadrature is
 deterministic, so a stored value is the one a fresh call would compute.  A
 value is stored only once its computation returns: a QuadratureError is
 never cached.

@@ -10,7 +10,9 @@ point analysis modules.
 
 Vertices and the vertex-facet incidence are enumerated together, once per
 polytope, by the double-description method on cleared integers; every
-vertex-on-facet question reads that table.  Slices P(t), the test
+vertex-on-facet question reads that table, and so do the face lattice and
+the pyramid recursion over it that gives volumes and Leray volumes; the
+centroid-fan triangulation serves quadrature only.  Slices P(t), the test
 configuration Gamma and the regions where one cut is smallest are pruned by
 one routine, ``_intersect``.
 """
@@ -104,17 +106,6 @@ def _nullspace_vector(rows: Sequence[Sequence[Fraction]], dim: int):
     return tuple(v.get(c, Fraction(0)) for c in range(dim))
 
 
-def _affine_dim(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull of a point set (-1 for empty)."""
-    if not points:
-        return -1
-    if len(points) == 1:
-        return 0
-    p0 = points[0]
-    diffs = [[p[i] - p0[i] for i in range(len(p0))] for p in points[1:]]
-    return _rank(diffs)
-
-
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 
@@ -171,9 +162,12 @@ class AffineFunctional:
         return all(v == 0 for v in self.normal)
 
     def normalized(self) -> "AffineFunctional":
-        """Positive rescaling with primitive integer normal."""
+        """Positive rescaling with primitive integer normal (self if it has one)."""
         if self.is_constant():
             raise ValueError("cannot normalize a functional with zero normal")
+        if all(v.denominator == 1 for v in self.normal) and \
+                gcd(*(v.numerator for v in self.normal)) == 1:
+            return self
         prim = _primitive(self.normal)
         idx = next(i for i, v in enumerate(self.normal) if v != 0)
         scale = Fraction(prim[idx]) / self.normal[idx]
@@ -204,7 +198,6 @@ class Face:
     active_facets: frozenset
     codim: int
     vertex_ids: tuple
-    affine_basis: tuple  # primitive integer (or rational-primitivized) tangent directions
 
 
 class Polytope:
@@ -212,11 +205,13 @@ class Polytope:
 
     Vertices, the face lattice, triangulations and volumes are computed
     exactly and cached; the vertices and the vertex-facet incidence come
-    from one double-description pass (``_candidate_vertices``).  Degenerate
-    content (empty or lower-dimensional, which arises for slices P(t) of
-    moving families) is permitted when ``require_full_dim=False``: then
-    normals that do not span give no vertices, and an unbounded region
-    gives its vertices.
+    from one double-description pass (``_candidate_vertices``); the faces
+    are read from that incidence and the volumes from a recursion over them
+    (``_leray``), and the triangulation serves quadrature only.  Degenerate content
+    (empty or lower-dimensional, which arises for slices P(t) of moving
+    families) is permitted when ``require_full_dim=False``: then normals
+    that do not span give no vertices, and an unbounded region gives its
+    vertices.
     """
 
     def __init__(self, dim: int, facets: Iterable[AffineFunctional],
@@ -235,8 +230,9 @@ class Polytope:
         self._incidence: list[frozenset] | None = None
         self._ray: tuple[int, ...] | None = None
         self._faces: dict[int, list[Face]] = {}
+        self._subface_memo: dict[frozenset, list[tuple[frozenset, int]]] = {}
+        self._measures: dict[frozenset, Fraction] = {}
         self._triangulation: list[tuple[Point, ...]] | None = None
-        self._volume: Fraction | None = None
         if require_full_dim:
             self._validate_full_dim()
 
@@ -284,7 +280,24 @@ class Polytope:
 
     @property
     def is_full_dim(self) -> bool:
-        return _affine_dim(self.vertices) == self.dim
+        return self._hull_dim() == self.dim
+
+    def _hull_dim(self) -> int:
+        """Dimension of the hull of the vertices, -1 for none: full when P is
+        bounded and no facet holds every vertex (those facets would cut out
+        its affine hull), else the length of a chain of faces to a vertex."""
+        vs = self.vertices
+        if not vs:
+            return -1
+        if self._ray is not None:
+            # the faces of an unbounded region are not its vertex sets
+            return _rank([[a - b for a, b in zip(v, vs[0])] for v in vs[1:]])
+        if all(len(ids) < len(vs) for ids in self.incidence):
+            return self.dim
+        ids, dim = frozenset(range(len(vs))), 0
+        while len(ids) > 1:
+            ids, dim = self._subfaces(ids)[0][0], dim + 1
+        return dim
 
     def contains(self, x, strict: bool = False) -> bool:
         pt = _point(x)
@@ -301,7 +314,7 @@ class Polytope:
     # -- face lattice ------------------------------------------------------
 
     def faces(self, codim: int) -> list[Face]:
-        """Faces of the given codimension (1 <= codim <= dim).
+        """Faces of the given codimension (1 <= codim <= dim), by vertex ids.
 
         active_facets is the full set of facets vanishing on the face; the
         spec of a convex polytope guarantees codim-2 faces have exactly two.
@@ -310,37 +323,45 @@ class Polytope:
             return self._faces[codim]
         if not 1 <= codim <= self.dim:
             raise ValueError(f"codim must be in 1..{self.dim}")
-        verts = self.vertices
-        onfacet = self.incidence
-        target = self.dim - codim
-        found: dict[frozenset, Face] = {}
-        for combo in itertools.combinations(range(len(self.facets)), codim):
-            common = frozenset.intersection(*(onfacet[a] for a in combo))
-            if not common:
-                continue
-            pts = [verts[i] for i in common]
-            if _affine_dim(pts) != target:
-                continue
-            if common in found:
-                continue
-            active = frozenset(a for a in range(len(self.facets))
-                               if common <= onfacet[a])
-            basis = _tangent_basis(pts)
-            found[common] = Face(active_facets=active, codim=codim,
-                                 vertex_ids=tuple(sorted(common)),
-                                 affine_basis=basis)
-        faces = sorted(found.values(), key=lambda f: f.vertex_ids)
-        self._faces[codim] = faces
-        return faces
+        self._faces[codim] = sorted(
+            (Face(frozenset(a for a, on in enumerate(self.incidence) if ids <= on), codim,
+                  tuple(sorted(ids))) for ids in self._level(self.dim - codim)),
+            key=lambda f: f.vertex_ids)
+        return self._faces[codim]
+
+    def _level(self, d: int) -> list[frozenset]:
+        """Vertex sets of the d-dimensional faces: the facets of the faces of
+        dimension d + 1, down from the hull of all vertices."""
+        top = self._hull_dim()
+        if d > top:
+            return []
+        level = [frozenset(range(len(self.vertices)))]
+        for _ in range(top - d):
+            level = list(dict.fromkeys(g for ids in level for g, _ in self._subfaces(ids)))
+        return level
+
+    def _subfaces(self, ids: frozenset) -> list[tuple[frozenset, int]]:
+        """The facets of the face with vertex ids, sorted, each with the lowest
+        b that cuts it out: the maximal proper nonempty sets among ids &
+        incidence[b] (Kaibel & Pfetsch, Comput. Geom. 23, 2002)."""
+        if ids not in self._subface_memo:
+            cut: dict[frozenset, int] = {}
+            for b, on in enumerate(self.incidence):
+                common = ids & on
+                if common and common != ids:
+                    cut.setdefault(common, b)
+            self._subface_memo[ids] = sorted(
+                ((g, b) for g, b in cut.items() if not any(g < h for h in cut)),
+                key=lambda gb: sorted(gb[0]))
+        return self._subface_memo[ids]
 
     def facet_vertex_ids(self, a: int) -> tuple:
         return tuple(sorted(self.incidence[a]))
 
     def essential_facets(self) -> list[int]:
         """Indices of facets that actually carry an (n-1)-dimensional face."""
-        verts = self.vertices
-        return [a for a, ids in enumerate(self.incidence)
-                if _affine_dim([verts[i] for i in ids]) == self.dim - 1]
+        facets = set(self._level(self.dim - 1))
+        return [a for a, ids in enumerate(self.incidence) if ids in facets]
 
     # -- triangulation and exact measures -----------------------------------
 
@@ -349,24 +370,10 @@ class Polytope:
 
         Simplex volumes sum to Vol(P) exactly.
         """
-        if self._triangulation is not None:
-            return self._triangulation
-        if self.is_empty or not self.is_full_dim:
-            self._triangulation = []
-            return self._triangulation
-        self._triangulation = self._triangulate_face(
-            tuple(range(len(self.vertices))), self.dim)
+        if self._triangulation is None:
+            self._triangulation = self._triangulate_face(
+                tuple(range(len(self.vertices))), self.dim) if self.is_full_dim else []
         return self._triangulation
-
-    def _subface_vertex_sets(self, vertex_ids: tuple, m: int) -> list[tuple]:
-        """Vertex sets of the (m-1)-faces of the face spanned by vertex_ids."""
-        want = set(vertex_ids)
-        codim = self.dim - (m - 1)
-        subs = []
-        for face in self.faces(codim):
-            if set(face.vertex_ids) <= want:
-                subs.append(face.vertex_ids)
-        return subs
 
     def _triangulate_face(self, vertex_ids: tuple, m: int) -> list[tuple[Point, ...]]:
         verts = [self.vertices[i] for i in vertex_ids]
@@ -378,26 +385,42 @@ class Polytope:
             return [(lo, hi)]
         c = tuple(sum(v[i] for v in verts) / len(verts) for i in range(self.dim))
         simplices = []
-        for sub in self._subface_vertex_sets(vertex_ids, m):
-            for s in self._triangulate_face(sub, m - 1):
+        for sub, _ in self._subfaces(frozenset(vertex_ids)):
+            for s in self._triangulate_face(tuple(sorted(sub)), m - 1):
                 simplices.append(s + (c,))
         return simplices
 
     def volume(self) -> Fraction:
-        """Exact Lebesgue volume."""
-        if self._volume is None:
-            total = Fraction(0)
-            for s in self.triangulation():
-                total += _simplex_volume(s)
-            self._volume = total
-        return self._volume
+        """Exact Lebesgue volume; 0 when P is empty or lower-dimensional."""
+        if not self.is_full_dim:
+            return Fraction(0)
+        return self._leray(frozenset(range(len(self.vertices))), ())
+
+    def _leray(self, ids: frozenset, cut: tuple) -> Fraction:
+        """Leray measure tau of the face F of dimension d with vertex ids:
+        d(tau) d(ell_a for a in cut) = dx, the facets in cut holding F with n - d
+        independent normals N.  Pyramid recursion from the vertex x0 of F with
+        the lowest id: tau(F) = (1/d) sum_G ell_b(x0) tau(G) over the facets
+        G = F cap {ell_b = 0} of F that miss x0, b appended to cut; a vertex
+        has 1/|det N|.  The memo keeps per face dx_{-J} = tau |det N_J|, J the
+        pivot columns of N, which depend only on the span of N."""
+        if self._ray is not None:
+            raise ValueError("an unbounded region has no finite measure")
+        _, _, values, _ = _row_reduce([self.facets[a].normal for a in cut], self.dim)
+        det = abs(prod(values, start=Fraction(1)))
+        if ids not in self._measures:
+            d = self.dim - len(cut)
+            x0 = min(ids)
+            self._measures[ids] = Fraction(1) if d == 0 else det * sum(
+                (self.facets[b].value(self.vertices[x0]) * self._leray(g, cut + (b,))
+                 for g, b in self._subfaces(ids) if x0 not in g), Fraction(0)) / d
+        return self._measures[ids] / det
 
     def facet_triangulation(self, a: int) -> list[tuple[Point, ...]]:
         """(n-1)-simplices exactly covering facet a."""
-        ids = self.facet_vertex_ids(a)
-        if _affine_dim([self.vertices[i] for i in ids]) != self.dim - 1:
+        if a not in self.essential_facets():
             return []
-        return self.face_triangulation(ids, 1)
+        return self.face_triangulation(self.facet_vertex_ids(a), 1)
 
     def face_triangulation(self, vertex_ids: tuple, codim: int) -> list[tuple[Point, ...]]:
         """Simplices exactly covering the codim face spanned by vertex_ids;
@@ -406,8 +429,9 @@ class Polytope:
 
     def facet_leray_volume(self, a: int) -> Fraction:
         """Exact Leray measure of facet a: d(sigma) d(ell_a) = dx."""
-        return sum((leray_simplex_measure(s, self.facets[a])
-                    for s in self.facet_triangulation(a)), Fraction(0))
+        if a not in self.essential_facets():
+            return Fraction(0)
+        return self._leray(self.incidence[a], (a,))
 
     def boundary_leray_volume(self, facets: Sequence[int] | None = None) -> Fraction:
         """Exact Leray measure of the listed facets, all of them by default."""
@@ -550,23 +574,6 @@ def leray_simplex_measure(simplex: Sequence[Point], *ells: AffineFunctional) -> 
     return _simplex_volume(proj) / abs(prod(values, start=Fraction(1)))
 
 
-def _tangent_basis(points: Sequence[Point]) -> tuple:
-    """Independent primitive integer directions spanning the affine hull."""
-    if len(points) < 2:
-        return ()
-    p0 = points[0]
-    basis_rows: list[list[Fraction]] = []
-    basis_out = []
-    for p in points[1:]:
-        d = [p[i] - p0[i] for i in range(len(p0))]
-        if all(v == 0 for v in d):
-            continue
-        if _rank(basis_rows + [d]) > len(basis_rows):
-            basis_rows.append(d)
-            basis_out.append(_primitive(d))
-    return tuple(basis_out)
-
-
 def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
     """(vertices, incidence, ray) of {x : facet(x) >= 0 for every facet}.
 
@@ -646,6 +653,7 @@ def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
     essential = full.essential_facets()
     pruned = Polytope(P.dim, [full.facets[i] for i in essential], require_full_dim=False)
     pruned._vertices, pruned._incidence = full.vertices, [full.incidence[i] for i in essential]
+    pruned._ray = full._ray
     kept = list(index.values())
     return pruned, [kept[i] for i in essential]
 
@@ -926,10 +934,10 @@ def _build_test_config(family: MovingFamily) -> TestConfigPolytope:
     skeleton = []
     for a, b in itertools.combinations(sorted(roof), 2):
         common = gamma.incidence[roof[a]] & gamma.incidence[roof[b]]
-        pts = [verts[i] for i in common]
-        if _affine_dim(pts) != n - 1:
+        # a ridge is a facet of the roof facet a
+        if all(common != g for g, _ in gamma._subfaces(gamma.incidence[roof[a]])):
             continue
-        horiz = len({p[-1] for p in pts}) == 1
+        horiz = len({verts[i][-1] for i in common}) == 1
         skeleton.append(RoofRidge(cut_a=a, cut_b=b,
                                   vertex_ids=tuple(sorted(common)),
                                   horizontal=horiz))

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 
 from .asymptotics import _dp_coefficient, facet_integral
-from .density import (_leray_simplices, curvature_integral, integrate,
-                      integrate_simplices)
+from .density import (_family_key, _leray_simplices, _memoised, curvature_integral,
+                      integrate, integrate_simplices)
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
                        TestConfigPolytope, _fr, _intersect)
 
@@ -306,22 +306,25 @@ def futaki_combinatorial(config: TestConfigPolytope, k_samples=None) -> Fraction
 
 def roof_skeleton_integral(config: TestConfigPolytope, potential,
                            rel_tol=1e-10) -> float:
-    """int over the roof skeleton of dp~ = |dPhi_a - dPhi_b|^2_g dtau~_ab."""
-    lifted = config.roof_functionals()
-    gamma = config.gamma
-    total = 0.0
-    for ridge in config.roof_skeleton:
-        diff = (config.family.cuts[ridge.cut_a].normal_float()
-                - config.family.cuts[ridge.cut_b].normal_float())
+    """int over the roof skeleton of dp~ = |dPhi_a - dPhi_b|^2_g dtau~_ab.
+    Memoised per potential, family and rel_tol."""
+    def compute():
+        lifted = config.roof_functionals()
+        total = 0.0
+        for ridge in config.roof_skeleton:
+            diff = (config.family.cuts[ridge.cut_a].normal_float()
+                    - config.family.cuts[ridge.cut_b].normal_float())
 
-        def fn(nodes, d=diff):
-            return potential.conorm_sq_many(d, nodes[:, :-1])
+            def fn(nodes, d=diff):
+                return potential.conorm_sq_many(d, nodes[:, :-1])
 
-        val, _ = integrate_simplices(
-            *_leray_simplices(gamma, ridge.vertex_ids, lifted[ridge.cut_a],
-                              lifted[ridge.cut_b]), fn, rel_tol=rel_tol)
-        total += val
-    return total
+            val, _ = integrate_simplices(
+                *_leray_simplices(config.gamma, ridge.vertex_ids, lifted[ridge.cut_a],
+                                  lifted[ridge.cut_b]), fn, rel_tol=rel_tol)
+            total += val
+        return total
+
+    return _memoised(potential, ("skeleton", _family_key(config.family), rel_tol), compute)
 
 
 def delta_gamma(config: TestConfigPolytope, potential,
@@ -332,12 +335,8 @@ def delta_gamma(config: TestConfigPolytope, potential,
     validated 1/2 coefficient on the corner measure; "printed" divides by
     Vol(Gamma) to reproduce the published normalization.
     """
-    return _delta(config, roof_skeleton_integral(config, potential), dp_convention)
-
-
-def _delta(config: TestConfigPolytope, skeleton: float, dp_convention: str) -> float:
-    """Delta(Gamma) from the roof-skeleton integral."""
-    return _dp_coefficient(dp_convention) * skeleton / float(config.gamma.volume())
+    return (_dp_coefficient(dp_convention) * roof_skeleton_integral(config, potential)
+            / float(config.gamma.volume()))
 
 
 def _roof_projection_pieces(config: TestConfigPolytope):
@@ -356,15 +355,19 @@ def _roof_projection_pieces(config: TestConfigPolytope):
 
 def gamma_scalar_integral(config: TestConfigPolytope, potential,
                           rel_tol=1e-9) -> float:
-    """int_Gamma pr1*(s) reduced to sum_a int_{R_a} s(x) Phi_a(x) dx."""
-    total = 0.0
-    for _, phi_a, region in _roof_projection_pieces(config):
-        def fn(pts, phi=phi_a):
-            return potential.scalar_curvature_many(pts) * phi.value_float(pts)
+    """int_Gamma pr1*(s) reduced to sum_a int_{R_a} s(x) Phi_a(x) dx.
+    Memoised per potential, family and rel_tol."""
+    def compute():
+        total = 0.0
+        for _, phi_a, region in _roof_projection_pieces(config):
+            def fn(pts, phi=phi_a):
+                return potential.scalar_curvature_many(pts) * phi.value_float(pts)
 
-        val, _ = integrate(region, fn, rel_tol=rel_tol)
-        total += val
-    return total
+            val, _ = integrate(region, fn, rel_tol=rel_tol)
+            total += val
+        return total
+
+    return _memoised(potential, ("gamma_s", _family_key(config.family), rel_tol), compute)
 
 
 def futaki_metric(config: TestConfigPolytope, potential,
@@ -372,13 +375,7 @@ def futaki_metric(config: TestConfigPolytope, potential,
     """F1 = (Vol Gamma / 2 Vol P) (Av_Gamma pr1* s - Av_P s - Delta(Gamma))."""
     gamma_s = gamma_scalar_integral(config, potential)
     s_int = curvature_integral(potential, config.family.base)
-    return _futaki_metric(config, gamma_s, s_int,
-                          delta_gamma(config, potential, dp_convention=dp_convention))
-
-
-def _futaki_metric(config: TestConfigPolytope, gamma_s: float, s_int: float,
-                   delta: float) -> float:
-    """F1 from int_Gamma pr1*(s), int_P s and Delta(Gamma)."""
+    delta = delta_gamma(config, potential, dp_convention=dp_convention)
     vol_gamma = float(config.gamma.volume())
     vol_p = float(config.family.base.volume())
     return (vol_gamma / (2.0 * vol_p)) * (gamma_s / vol_gamma - s_int / vol_p - delta)
@@ -387,14 +384,9 @@ def _futaki_metric(config: TestConfigPolytope, gamma_s: float, s_int: float,
 def roof_identity_residual(config: TestConfigPolytope, potential,
                            dp_convention: str = "corrected") -> float:
     """Residual of Vol(dGamma+) = int_Gamma pr1*(s) - c int dp~ (c=1/2 corrected)."""
-    return _roof_residual(config, gamma_scalar_integral(config, potential),
-                          roof_skeleton_integral(config, potential), dp_convention)
-
-
-def _roof_residual(config: TestConfigPolytope, gamma_s: float, skeleton: float,
-                   dp_convention: str) -> float:
     lhs = float(config.side_leray_volume())
-    return lhs - (gamma_s - _dp_coefficient(dp_convention) * skeleton)
+    return lhs - (gamma_scalar_integral(config, potential)
+                  - _dp_coefficient(dp_convention) * roof_skeleton_integral(config, potential))
 
 
 @dataclass
@@ -412,10 +404,6 @@ class FutakiReport:
 def futaki_report(config: TestConfigPolytope, potential,
                   dp_convention: str = "corrected") -> FutakiReport:
     f1c = futaki_combinatorial(config)
-    gamma_s = gamma_scalar_integral(config, potential)
-    s_int = curvature_integral(potential, config.family.base)
-    skeleton = roof_skeleton_integral(config, potential)
-    delta = _delta(config, skeleton, dp_convention)
     is_product = len(config.roof_skeleton) == 0
     if f1c < 0:
         verdict = "F1 < 0 strictly"
@@ -424,10 +412,11 @@ def futaki_report(config: TestConfigPolytope, potential,
     else:
         verdict = "violation"
     return FutakiReport(config=config, F1_combinatorial=f1c,
-                        F1_metric=_futaki_metric(config, gamma_s, s_int, delta),
-                        delta=delta, is_product=is_product,
-                        roof_identity_residual=_roof_residual(
-                            config, gamma_s, skeleton, dp_convention),
+                        F1_metric=futaki_metric(config, potential, dp_convention),
+                        delta=delta_gamma(config, potential, dp_convention),
+                        is_product=is_product,
+                        roof_identity_residual=roof_identity_residual(
+                            config, potential, dp_convention),
                         verdict=verdict)
 
 

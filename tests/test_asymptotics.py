@@ -23,6 +23,7 @@ from toricdensity.asymptotics import (a_hat_components, a_hat_pair,
                                       facet_integral)
 from toricdensity.density import QuadratureScheme, loglog_slope
 from toricdensity.fields import Polynomial
+from toricdensity.stability import gamma_scalar_integral, roof_skeleton_integral
 
 F = Fraction
 
@@ -326,6 +327,21 @@ def _memoised_calls(family):
     return calls
 
 
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """A list that grows by one entry per density.integrate_orders call."""
+    from toricdensity import density
+    calls = []
+    integrate_orders = density.integrate_orders
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate_orders(*args, **kwargs)
+
+    monkeypatch.setattr(density, "integrate_orders", counted)
+    return calls
+
+
 class TestIntegralMemo:
     @pytest.mark.parametrize("name", MEMO_CASES)
     def test_warm_potential_gives_fresh_values(self, name):
@@ -334,9 +350,15 @@ class TestIntegralMemo:
         for call in _memoised_calls(family):
             assert call(warm) == call(_fresh(family, w))
         n, t = family.base.dim, T_MEMO
+        cfg = td.build_test_config(family)
         variants = [
             lambda u: a_hat_components(family, u, t, 1.0, rel_tol=1e-11),
-            lambda u: td.futaki_metric(td.build_test_config(family), u),
+            lambda u: td.futaki_metric(cfg, u),
+            lambda u: td.futaki_metric(cfg, u, dp_convention="printed"),
+            lambda u: td.roof_identity_residual(cfg, u, dp_convention="printed"),
+            lambda u: td.delta_gamma(cfg, u, dp_convention="printed"),
+            lambda u: gamma_scalar_integral(cfg, u, rel_tol=1e-10),
+            lambda u: roof_skeleton_integral(cfg, u, rel_tol=1e-11),
             lambda u: a_hat_components(family, u, t, Polynomial.coordinate(n, 0)),
             lambda u: a_hat_components(family, u, t, 1.0, dp_convention="printed"),
             lambda u: boundary_volume_identity(family, u, t, dp_convention="printed"),
@@ -370,25 +392,16 @@ class TestIntegralMemo:
 
     @pytest.mark.parametrize("name,together,alone", [
         ("triangle", 6, 5), ("square", 12, 10), ("simplex3", 6, 5)])
-    def test_each_integral_computed_once(self, name, together, alone, monkeypatch):
-        from toricdensity import density
+    def test_each_integral_computed_once(self, name, together, alone, integrate_calls):
         family, w = _memo_case(name)
         td.build_test_config(family)
-        calls = []
-        integrate_orders = density.integrate_orders
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return integrate_orders(*args, **kwargs)
-
-        monkeypatch.setattr(density, "integrate_orders", counted)
 
         def count(*steps):
             u = _fresh(family, w)
-            calls.clear()
+            integrate_calls.clear()
             for step in steps:
                 step(family, u, T_MEMO)
-            return len(calls)
+            return len(integrate_calls)
 
         a_hat = lambda fam, u, t: a_hat_components(fam, u, t, 1.0)  # noqa: E731
         assert count(a_hat, boundary_volume_identity, td.hilbert_coeffs_geometric) \
@@ -398,6 +411,22 @@ class TestIntegralMemo:
             # int_P s once; the cut region and the facet integral per c
             assert count(*[lambda fam, u, t, c=c: td.slope_report(fam, u, c)
                            for c in (F(1, 4), F(1, 2), F(3, 4))]) == 7
+
+    @pytest.mark.parametrize("name,first", [("triangle", 2), ("square", 4), ("simplex3", 2)])
+    def test_futaki_integrals_computed_once(self, name, first, integrate_calls):
+        # int_Gamma pr1*(s) over each roof region, int_P s and the roof
+        # skeleton (one ridge on the square) are integrated by futaki_metric;
+        # the residual, Delta(Gamma) and the report then read the memo
+        family, w = _memo_case(name)
+        cfg = td.build_test_config(family)
+        u = _fresh(family, w)
+        counts = []
+        for step in (td.futaki_metric, td.roof_identity_residual, td.delta_gamma,
+                     td.futaki_report):
+            integrate_calls.clear()
+            step(cfg, u)
+            counts.append(len(integrate_calls))
+        assert counts == [first, 0, 0, 0]
 
     def test_expansion_residual_shares_a_hat(self, corner_family, interval, monkeypatch):
         from toricdensity import density

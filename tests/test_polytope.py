@@ -665,6 +665,135 @@ class TestVolumesAndTriangulation:
         assert cfg.gamma.volume() == F(1, 3)
 
 
+@st.composite
+def rational_polytopes(draw):
+    """A rational box in dimension 1..4 cut by up to three half-spaces, each
+    through a random point of the box: mostly full-dimensional, sometimes
+    lower-dimensional or empty."""
+    n = draw(st.integers(1, 4))
+    lo = [draw(fractions_small) for _ in range(n)]
+    hi = [a + draw(st.builds(F, st.integers(1, 3), st.integers(1, 3))) for a in lo]
+    facets = []
+    for i in range(n):
+        e = [int(j == i) for j in range(n)]
+        facets += [AffineFunctional(e, lo[i]), AffineFunctional([-v for v in e], -hi[i])]
+    for _ in range(draw(st.integers(0, 3))):
+        nu = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        p = [a + (b - a) * draw(st.builds(F, st.integers(0, 4), st.just(4)))
+             for a, b in zip(lo, hi)]
+        facets.append(AffineFunctional(nu, sum(v * c for v, c in zip(nu, p))))
+    return Polytope(n, _without_duplicates(facets), require_full_dim=False)
+
+
+def _assert_measures_match_centroid_fan(P):
+    """volume, facet and boundary Leray volumes against their sums over the
+    centroid fan: exact simplex volumes of ``triangulation`` and
+    ``leray_simplex_measure`` over ``facet_triangulation``."""
+    from toricdensity.polytope import _simplex_volume
+
+    fan = [sum((leray_simplex_measure(s, f) for s in P.facet_triangulation(a)), F(0))
+           for a, f in enumerate(P.facets)]
+    assert P.volume() == sum((_simplex_volume(s) for s in P.triangulation()), F(0))
+    assert [P.facet_leray_volume(a) for a in range(len(P.facets))] == fan
+    assert P.boundary_leray_volume() == sum(fan)
+
+
+def _affine_dim(points):
+    """Affine dimension of a point set by row reduction (the rank that
+    TestExactLinearAlgebra checks against the minors); -1 for none."""
+    from toricdensity.polytope import _rank
+
+    return _rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]]) if points else -1
+
+
+def _brute_faces(P, codim):
+    """The C(m, codim) enumeration: each codim-subset of facets, kept when its
+    common vertices span n - codim dimensions; (vertex ids, active facets)
+    sorted by vertex ids."""
+    found = {}
+    for combo in itertools.combinations(range(len(P.facets)), codim):
+        common = frozenset.intersection(*(P.incidence[a] for a in combo))
+        if common and _affine_dim([P.vertices[i] for i in common]) == P.dim - codim:
+            found[common] = frozenset(a for a, on in enumerate(P.incidence) if common <= on)
+    return sorted((tuple(sorted(ids)), active) for ids, active in found.items())
+
+
+def _assert_faces_match_brute_force(P):
+    faces = {codim: _brute_faces(P, codim) for codim in range(1, P.dim + 1)}
+    for codim, want in faces.items():
+        assert [(f.vertex_ids, f.active_facets) for f in P.faces(codim)] == want
+
+    def fan(ids, m):
+        """The centroid fan over the brute-force faces, in their order."""
+        verts = [P.vertices[i] for i in ids]
+        if len(verts) == m + 1:
+            return [tuple(verts)]
+        if m == 1:
+            return [(min(verts), max(verts))]
+        c = tuple(sum(v[i] for v in verts) / len(verts) for i in range(P.dim))
+        return [s + (c,) for sub, _ in faces[P.dim - m + 1] if set(sub) <= set(ids)
+                for s in fan(sub, m - 1)]
+
+    if P.is_full_dim:
+        assert P.triangulation() == fan(tuple(range(len(P.vertices))), P.dim)
+
+
+BOUNDED_NON_GENERIC = ("square_pyramid", "octahedron",
+                       "cube_with_an_inequality_through_one_vertex",
+                       "simplex_vertex2_gamma", "simplex_vertex3_gamma",
+                       "flat_pentagon_in_3d")
+
+
+class TestFaceRecursion:
+    @given(rational_polytopes())
+    @settings(max_examples=60, deadline=None)
+    def test_measures_match_centroid_fan(self, P):
+        _assert_measures_match_centroid_fan(P)
+
+    @given(rational_polytopes())
+    @settings(max_examples=60, deadline=None)
+    def test_faces_match_brute_force(self, P):
+        _assert_faces_match_brute_force(P)
+        assert P.is_full_dim == (_affine_dim(P.vertices) == P.dim)
+
+    @pytest.mark.parametrize("build", NON_GENERIC.values(), ids=NON_GENERIC.keys())
+    def test_non_generic_faces(self, build):
+        _assert_faces_match_brute_force(build())
+
+    @pytest.mark.parametrize("name", BOUNDED_NON_GENERIC)
+    def test_non_generic_measures(self, name):
+        _assert_measures_match_centroid_fan(NON_GENERIC[name]())
+
+    @pytest.mark.parametrize("kind,n,volume,boundary", [
+        ("box_corner", 4, F(1, 5), 3), ("box_corner", 5, F(1, 6), 3),
+        ("simplex_vertex", 4, F(1, 30), F(3, 4)), ("simplex_vertex", 5, F(1, 144), F(9, 40))])
+    def test_gamma_measures_take_no_triangulation_or_rank(self, kind, n, volume, boundary,
+                                                          monkeypatch):
+        from toricdensity import polytope as tp
+
+        def fail(*args):
+            raise AssertionError("a triangulation or a rank was computed")
+
+        if kind == "box_corner":
+            fam = td.MovingFamily(td.box([1] * n), [
+                AffineFunctional([int(i == j) for j in range(n)], 0) for i in range(n)])
+        else:
+            fam = td.MovingFamily(td.standard_simplex(n), [AffineFunctional([1] * n, 0)])
+        gamma = td.build_test_config(fam).gamma
+        monkeypatch.setattr(tp, "_simplex_volume", fail)
+        monkeypatch.setattr(tp, "_rank", fail)
+        monkeypatch.setattr(Polytope, "triangulation", fail)
+        monkeypatch.setattr(Polytope, "_triangulate_face", fail)
+        start = time.perf_counter()
+        assert (gamma.volume(), gamma.boundary_leray_volume()) == (volume, boundary)
+        # summed over the centroid fan (9600 simplices), box_corner5's Gamma
+        # takes 9-13 s on 2 vCPUs
+        assert time.perf_counter() - start < 1.0
+        assert gamma.is_full_dim and gamma.essential_facets() == list(range(len(gamma.facets)))
+        assert tp._intersect(gamma, [])[0].facets == gamma.facets
+        assert len(gamma.faces(n + 1)) == len(gamma.vertices)
+
+
 class TestFaceLattice:
     def test_codim2_faces_have_two_facets(self, square, simplex2, square_family):
         for P in (square, simplex2,
@@ -677,12 +806,6 @@ class TestFaceLattice:
                 on = [a for a, f in enumerate(P.facets)
                       if all(f.value(v) == 0 for v in verts)]
                 assert len(on) == 2
-
-    def test_edges_have_primitive_basis(self, square):
-        for face in square.faces(1):
-            assert len(face.affine_basis) == 1
-            d = face.affine_basis[0]
-            assert np.gcd.reduce([abs(int(c)) for c in d]) == 1
 
 
 class TestSlice:

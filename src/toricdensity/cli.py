@@ -12,6 +12,7 @@ on verification failures with a distinct code per error class:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from fractions import Fraction
@@ -351,8 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: tests, demos and the benchmark call main in process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario, task_override=args.command)
     except ValueError as exc:

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Polynomial, ScalarField, as_field
-from .polytope import MovingFamily, Polytope, _fr, _point, leray_simplex_measure
+from .polytope import _INT64_SAFE, MovingFamily, Polytope, _fr, _point, leray_simplex_measure
 
 DEFAULT_REL_TOL = 1e-8
 
@@ -378,8 +378,8 @@ def curvature_integral(potential, P: Polytope, rel_tol=1e-9) -> float:
 class SectionBasis:
     """Lattice points of P at level k with cached section norms.
 
-    alphas are exact rational points alpha = beta/k; norms are the
-    integrals int_P exp(-k phi(alpha, z)) dz computed adaptively.
+    alphas are exact rational points alpha = beta/k, lattice the integer
+    points beta; norms are the integrals int_P exp(-k phi(alpha, z)) dz.
     """
 
     potential: object
@@ -387,7 +387,9 @@ class SectionBasis:
     alphas: list
     norms: np.ndarray
     scheme: QuadratureScheme
+    lattice: np.ndarray
     _alpha_float: np.ndarray = field(init=False)
+    _masks: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self._alpha_float = np.array([[float(c) for c in a] for a in self.alphas])
@@ -413,7 +415,7 @@ class SectionBasis:
         norms, _ = integrate_orders(scheme.simplices, scheme.measures, fn,
                                     len(alphas), rel_tol=rel_tol)
         return cls(potential=potential, k=k, alphas=alphas, norms=norms,
-                   scheme=scheme)
+                   scheme=scheme, lattice=pts)
 
     def index_of(self, alpha) -> int:
         key = _point(alpha)
@@ -601,12 +603,23 @@ def _check_divisibility(family: MovingFamily, t, k: int):
 
 
 def partial_mask(family: MovingFamily, basis: SectionBasis, t) -> np.ndarray:
-    """Exact membership of each basis alpha in P(t)."""
+    """Exact membership of each basis alpha = m/k in P(t), read-only, once
+    per basis, family and t: <nu, m> >= k lam for the cleared integers of
+    every cut Phi - t, in int64 or, from 2**62, in Python ints."""
     t = _fr(t)
-    mask = np.ones(len(basis.alphas), dtype=bool)
-    for i, a in enumerate(basis.alphas):
-        mask[i] = all(phi.value(a) >= t for phi in family.cuts)
-    return mask
+    key = (_family_key(family), t)
+    if key not in basis._masks:
+        pts, k = basis.lattice, basis.k
+        reach = int(np.abs(pts).max(initial=0))
+        mask = np.ones(len(pts), dtype=bool)
+        for phi in family.cuts:
+            nu, lam = phi.shifted(t).cleared()
+            big = reach * sum(map(abs, nu)) + abs(k * lam) >= _INT64_SAFE
+            dtype = object if big else np.int64
+            mask &= pts.astype(dtype) @ np.array(nu, dtype=dtype) >= k * lam
+        mask.flags.writeable = False
+        basis._masks[key] = mask
+    return basis._masks[key]
 
 
 def partial_density(family: MovingFamily, potential, t, k: int, points,

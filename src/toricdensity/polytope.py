@@ -4,17 +4,17 @@ Everything combinatorial lives here: half-space representations, vertex
 enumeration, the face lattice, lattice-point counting, Leray boundary
 measures, one-parameter families of sliced polytopes and the associated
 (n+1)-dimensional test-configuration polytopes.  All geometry in this
-module is carried out over ``fractions.Fraction`` so that counts, volumes
-and critical values are exact and can serve as oracles for the floating
-point analysis modules.
+module is exact, in Fractions and in integers (linear algebra is one
+fraction-free elimination), so that counts, volumes and critical values can
+serve as oracles for the floating point analysis modules.
 
-Vertices and the vertex-facet incidence are enumerated together, once per
-polytope, by the double-description method on cleared integers; every
-vertex-on-facet question reads that table, and so do the face lattice and
-the pyramid recursion over it that gives volumes and Leray volumes; the
-centroid-fan triangulation serves quadrature only.  Slices P(t), the test
-configuration Gamma and the regions where one cut is smallest are pruned by
-one routine, ``_intersect``.
+Vertices and the facet-by-vertex table of integer slacks are enumerated
+together, once per polytope, by the double-description method on cleared
+integers; every vertex-on-facet question reads that table, and so do the
+face lattice and the pyramid recursion over it that gives volumes and Leray
+volumes; the centroid-fan triangulation serves quadrature only.  Slices
+P(t), the test configuration Gamma and the regions where one cut is
+smallest are pruned by one routine, ``_intersect``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,43 +50,46 @@ def _point(coords) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Fraction
+# small exact linear algebra on integers
 # ---------------------------------------------------------------------------
 
 def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int,
                 full_rank: bool = False):
-    """Gauss-Jordan elimination over Fraction on the first ``ncols`` columns.
+    """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on the
+    first ``ncols`` columns, over Python ints: every division is exact.
 
-    Returns (reduced rows, pivot columns, pivot values, row swaps).  Each
-    pivot row is scaled to 1 at its pivot column, which is cleared in every
-    other row; a pivot value is the entry before that scaling, so a square
-    matrix has det = (-1)^swaps * prod(pivot values) when every column pivots.
-    With ``full_rank`` the elimination stops at the first column without a
-    pivot, for callers that only use the result when every column pivots.
+    Each row, of ints or Fractions, is first cleared by the lcm of its
+    denominators.  Returns (reduced rows, pivot columns, det): the rows are
+    D times the reduced row echelon form, D the last pivot, and det is the
+    input's minor on the pivot rows and columns, signed as in the input when
+    every row pivots (so a square matrix of full rank has det A).  With
+    ``full_rank`` the elimination stops at the first column without a pivot.
     """
-    a = [list(r) for r in rows]
-    pivots, values, swaps = [], [], 0
+    scale = [lcm(*(v.denominator for v in r)) for r in rows]
+    a = [[v.numerator * (den // v.denominator) for v in r] for r, den in zip(rows, scale)]
+    pivots, prev, sign = [], 1, 1
     for col in range(ncols):
         rank = len(pivots)
         if rank == len(a):
             break
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if piv is None:
             if full_rank:
                 break
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
-            swaps += 1
-        inv = a[rank][col]
-        a[rank] = [v / inv for v in a[rank]]
+            scale[rank], scale[piv] = scale[piv], scale[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
         for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
+            if r != rank:
                 f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
+                a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
         pivots.append(col)
-        values.append(inv)
-    return a, pivots, values, swaps
+        prev = p
+    return a, pivots, Fraction(sign * prev, prod(scale[:len(pivots)]))
 
 
 def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -98,11 +102,12 @@ def _nullspace_vector(rows: Sequence[Sequence[Fraction]], dim: int):
     Only meaningful when the kernel is one-dimensional; used for the edge
     directions of ``check_delzant``.  The first free variable is set to 1.
     """
-    a, pivots, _, _ = _row_reduce(rows, dim)
+    a, pivots, _ = _row_reduce(rows, dim)
     free = next((c for c in range(dim) if c not in pivots), None)
     if free is None:
         return None
-    v = {free: Fraction(1), **{col: -r[free] for col, r in zip(pivots, a)}}
+    last = a[0][pivots[0]] if pivots else 1
+    v = {free: Fraction(1), **{col: Fraction(-r[free], last) for col, r in zip(pivots, a)}}
     return tuple(v.get(c, Fraction(0)) for c in range(dim))
 
 
@@ -132,11 +137,12 @@ class AffineFunctional:
     legal for constant cuts (trivial prisms), never for facets.
     """
 
-    __slots__ = ("normal", "offset")
+    __slots__ = ("normal", "offset", "_cleared")
 
     def __init__(self, normal, offset):
         self.normal: Point = _point(normal)
         self.offset: Fraction = _fr(offset)
+        self._cleared = None
 
     def value(self, x) -> Fraction:
         return sum(_fr(xi) * ni for xi, ni in zip(x, self.normal)) - self.offset
@@ -152,11 +158,13 @@ class AffineFunctional:
         """Integers (nu, lam) with <nu, x> >= lam exactly where self(x) >= 0.
 
         Normal and offset are scaled by the lcm of their denominators, a
-        positive factor, so the half-space is the same.
+        positive factor, so the half-space is the same.  Computed once.
         """
-        den = lcm(*(v.denominator for v in self.normal), self.offset.denominator)
-        return (tuple(v.numerator * (den // v.denominator) for v in self.normal),
-                self.offset.numerator * (den // self.offset.denominator))
+        if self._cleared is None:
+            den = lcm(*(v.denominator for v in self.normal), self.offset.denominator)
+            self._cleared = (tuple(v.numerator * (den // v.denominator) for v in self.normal),
+                             self.offset.numerator * (den // self.offset.denominator))
+        return self._cleared
 
     def is_constant(self) -> bool:
         return all(v == 0 for v in self.normal)
@@ -226,12 +234,17 @@ class Polytope:
                 raise ValueError(f"duplicate facet inequality {f!r}")
             seen[f.key()] = f
         self.facets: list[AffineFunctional] = facets
+        self._normals = [tuple(v.numerator for v in f.normal) for f in facets]
         self._vertices: list[Point] | None = None
+        self._slacks: list[list[int]] | None = None
         self._incidence: list[frozenset] | None = None
         self._ray: tuple[int, ...] | None = None
+        self._box: tuple[Point, Point] | None = None
         self._faces: dict[int, list[Face]] = {}
         self._subface_memo: dict[frozenset, list[tuple[frozenset, int]]] = {}
         self._measures: dict[frozenset, Fraction] = {}
+        # |det N_J| by set of normals, shared with the regions _intersect cuts
+        self._dets: dict[frozenset, Fraction] = {}
         self._triangulation: list[tuple[Point, ...]] | None = None
         if require_full_dim:
             self._validate_full_dim()
@@ -242,13 +255,16 @@ class Polytope:
     def vertices(self) -> list[Point]:
         """All vertices, exact and lexicographically sorted."""
         if self._vertices is None:
-            self._vertices, self._incidence, self._ray = _candidate_vertices(
+            self._vertices, self._slacks, self._ray = _candidate_vertices(
                 self.facets, self.dim)
+            self._incidence = [frozenset(i for i, s in enumerate(row) if not s)
+                               for row in self._slacks[:-1]]
         return self._vertices
 
     @property
     def incidence(self) -> list[frozenset]:
-        """For each facet, the ids (into ``vertices``) of the vertices on it."""
+        """For each facet, the ids (into ``vertices``) of the vertices on it:
+        the zero pattern of the slack table."""
         self.vertices
         return self._incidence
 
@@ -306,10 +322,10 @@ class Polytope:
         return all(f.value(pt) >= 0 for f in self.facets)
 
     def bounding_box(self) -> tuple[Point, Point]:
-        vs = self.vertices
-        lo = tuple(min(v[i] for v in vs) for i in range(self.dim))
-        hi = tuple(max(v[i] for v in vs) for i in range(self.dim))
-        return lo, hi
+        if self._box is None:
+            self._box = tuple(tuple(extreme(v[i] for v in self.vertices) for i in range(self.dim))
+                              for extreme in (min, max))
+        return self._box
 
     # -- face lattice ------------------------------------------------------
 
@@ -403,16 +419,22 @@ class Polytope:
         the lowest id: tau(F) = (1/d) sum_G ell_b(x0) tau(G) over the facets
         G = F cap {ell_b = 0} of F that miss x0, b appended to cut; a vertex
         has 1/|det N|.  The memo keeps per face dx_{-J} = tau |det N_J|, J the
-        pivot columns of N, which depend only on the span of N."""
+        pivot columns of N, which depend only on the span of N, and |det N_J|
+        once per set of normals.  ell_b(x0) is the slack over x0's denominator
+        (the last row) and b's clearing factor, its offset's denominator."""
         if self._ray is not None:
             raise ValueError("an unbounded region has no finite measure")
-        _, _, values, _ = _row_reduce([self.facets[a].normal for a in cut], self.dim)
-        det = abs(prod(values, start=Fraction(1)))
+        key = frozenset(self._normals[a] for a in cut)
+        if key not in self._dets:
+            self._dets[key] = abs(_row_reduce(key, self.dim)[2])
+        det = self._dets[key]
         if ids not in self._measures:
             d = self.dim - len(cut)
             x0 = min(ids)
             self._measures[ids] = Fraction(1) if d == 0 else det * sum(
-                (self.facets[b].value(self.vertices[x0]) * self._leray(g, cut + (b,))
+                (Fraction(self._slacks[b][x0],
+                          self.facets[b].offset.denominator * self._slacks[-1][x0])
+                 * self._leray(g, cut + (b,))
                  for g, b in self._subfaces(ids) if x0 not in g), Fraction(0)) / d
         return self._measures[ids] / det
 
@@ -550,10 +572,8 @@ def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
 
 
 def _det(rows) -> Fraction:
-    _, pivots, values, swaps = _row_reduce(rows, len(rows), full_rank=True)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return (-1) ** swaps * prod(values, start=Fraction(1))
+    _, pivots, det = _row_reduce(rows, len(rows), full_rank=True)
+    return det if len(pivots) == len(rows) else Fraction(0)
 
 
 def leray_simplex_measure(simplex: Sequence[Point], *ells: AffineFunctional) -> Fraction:
@@ -566,47 +586,58 @@ def leray_simplex_measure(simplex: Sequence[Point], *ells: AffineFunctional) -> 
     coordinates J keeps everything rational.  Raises when the normals are
     linearly dependent (a zero normal included).
     """
-    normals = [ell.normal for ell in ells]
-    _, cols, values, _ = _row_reduce(normals, len(simplex[0]))
-    if len(cols) < len(normals):
+    _, cols, det = _row_reduce([ell.normal for ell in ells], len(simplex[0]))
+    if len(cols) < len(ells):
         raise ValueError("Leray measure undefined: the normals are linearly dependent")
     proj = [tuple(c for i, c in enumerate(p) if i not in cols) for p in simplex]
-    return _simplex_volume(proj) / abs(prod(values, start=Fraction(1)))
+    return _simplex_volume(proj) / abs(det)
+
+
+def _start_cone(rows: Sequence[Sequence[int]], d: int):
+    """(basis, rays) of the double-description start cone {B y >= 0}, B the
+    first d independent integer rows (the pivot columns of rows^T), or None.
+
+    Ray r_i is primitive with B r_i = c e_i, c > 0: a column of B^-1, read
+    from the adjugate, as eliminating [B^T | I] turns I into D B^-T.
+    """
+    _, basis, _ = _row_reduce(list(zip(*rows)), len(rows))
+    if len(basis) < d:
+        return None
+    adj, _, _ = _row_reduce([[*col, *(int(i == j) for j in range(d))]
+                             for i, col in enumerate(zip(*(rows[a] for a in basis)))], d)
+    sign = 1 if adj[0][0] > 0 else -1
+    return basis, [_primitive([sign * v for v in r[d:]]) for r in adj]
 
 
 def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
-    """(vertices, incidence, ray) of {x : facet(x) >= 0 for every facet}.
+    """(vertices, slacks, ray) of {x : facet(x) >= 0 for every facet}.
 
     The double-description method (Motzkin et al. 1953; Fukuda & Prodon
     1996) on the integer cone {(x, s) : <nu, x> - lam*s >= 0, s >= 0} of
-    the cleared facets (nu, lam): its extreme rays with s > 0 are the
-    vertices (x/s, 1), those with s = 0 the extreme recession directions.
-    ``vertices`` is sorted, ``incidence[a]`` is the frozenset of ids of the
-    vertices on facet a, and ``ray`` is a primitive integer recession
-    direction, or None when the region is bounded.  When the normals do not
-    span there is no vertex and ``ray`` is None.
+    the cleared facets (nu, lam): its extreme rays (X, s) with s > 0 are the
+    vertices X/s, those with s = 0 the extreme recession directions.
+    ``vertices`` is sorted, ``slacks[a][i]`` = <nu_a, X_i> - lam_a s_i is 0
+    exactly on facet a, and its last row, of s >= 0, holds s_i.  ``ray`` is
+    a primitive integer recession direction, or None when the region is
+    bounded.  When the normals do not span there is no vertex or ray.
 
     Rays are primitive integer tuples and each carries its zero set, the
     bitmask of processed rows it lies on.  Two rays of opposite sign on a
     new row are combined only when adjacent: no other ray's zero set
     contains their common one.
     """
-    m, d = len(facets), dim + 1
+    d = dim + 1
     rows = [(*nu, -lam) for nu, lam in (f.cleared() for f in facets)]
     rows.append((0,) * dim + (1,))
-    # Gauss-Jordan on [rows^T | I]: the pivot columns are the first d
-    # independent rows B, and the identity block becomes B^-T, whose rows
-    # are the extreme rays of the simplicial cone {B y >= 0}.
-    start = [[Fraction(r[i]) for r in rows] + [Fraction(int(i == j)) for j in range(d)]
-             for i in range(d)]
-    reduced, basis, _, _ = _row_reduce(start, m + 1)
-    if len(basis) < d:
-        return [], [frozenset()] * m, None
+    start = _start_cone(rows, d)
+    if start is None:
+        return [], [[]] * len(rows), None
+    basis, start_rays = start
     every = sum(1 << a for a in basis)
-    rays = [(_primitive(r[m + 1:]), every & ~(1 << a)) for r, a in zip(reduced, basis)]
-    for i in sorted(set(range(m + 1)) - set(basis)):
+    rays = [(r, every & ~(1 << a)) for r, a in zip(start_rays, basis)]
+    for i in sorted(set(range(len(rows))) - set(basis)):
         row, bit = rows[i], 1 << i
-        slack = [sum(u * v for u, v in zip(row, r)) for r, _ in rays]
+        slack = [sum(map(mul, row, r)) for r, _ in rays]
         kept = [(r, z | bit if s == 0 else z) for (r, z), s in zip(rays, slack) if s >= 0]
         pos = [j for j, s in enumerate(slack) if s > 0]
         neg = [j for j, s in enumerate(slack) if s < 0]
@@ -623,10 +654,10 @@ def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
                 g = gcd(*new)
                 kept.append((tuple(c // g for c in new), common | bit))
         rays = kept
-    ends = sorted((tuple(Fraction(c, r[-1]) for c in r[:-1]), z) for r, z in rays if r[-1])
-    incidence = [frozenset(i for i, (_, z) in enumerate(ends) if z >> a & 1) for a in range(m)]
+    ends = sorted((tuple(Fraction(c, r[-1]) for c in r[:-1]), r) for r, _ in rays if r[-1])
+    slacks = [[sum(map(mul, row, r)) for _, r in ends] for row in rows]
     ray = min((r[:-1] for r, _ in rays if not r[-1]), default=None)
-    return [x for x, _ in ends], incidence, ray
+    return [x for x, _ in ends], slacks, ray
 
 
 def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
@@ -636,8 +667,8 @@ def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
     Q's facets are those of P + extra, normalized, without duplicates or
     inessential ones, in input order; kept[i] is the input index of facet i.
     A constant ell is dropped when it holds and empties Q when it fails.  Q
-    carries the vertices and incidence found here (P's own when no ell adds
-    a facet), so it is neither enumerated nor validated again.
+    carries the vertices and slacks found here (P's own when no ell adds a
+    facet), so it is neither enumerated nor validated again.
     """
     index = {f: a for a, f in enumerate(P.facets)}
     for a, ell in enumerate(extra, len(P.facets)):
@@ -652,8 +683,9 @@ def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
         return None
     essential = full.essential_facets()
     pruned = Polytope(P.dim, [full.facets[i] for i in essential], require_full_dim=False)
-    pruned._vertices, pruned._incidence = full.vertices, [full.incidence[i] for i in essential]
-    pruned._ray = full._ray
+    pruned._vertices, pruned._ray, pruned._dets = full.vertices, full._ray, P._dets
+    pruned._slacks = [full._slacks[i] for i in essential] + [full._slacks[-1]]
+    pruned._incidence = [full.incidence[i] for i in essential]
     kept = list(index.values())
     return pruned, [kept[i] for i in essential]
 

@@ -1,10 +1,10 @@
 """Slope stability and toric K-stability invariants, two independent ways.
 
-The combinatorial pipeline is exact: Hilbert coefficients A0(t), A1(t) come
-from rational interpolation of lattice counts on admissible k progressions,
-slopes mu_c from exact polynomial integration, and Donaldson-Futaki
-invariants F1 from the k^{-1} coefficient of w_k/(k d_k) with
-w_k = N(k Gamma) - N(kP), d_k = N(kP).
+The combinatorial pipeline is exact: Hilbert polynomials A0(t), A1(t) come
+from exact volumes and Leray boundary volumes of the slices (lattice counts
+are their oracle), slopes mu_c from exact polynomial integration, and
+Donaldson-Futaki invariants F1 from the k^{-1} coefficient of w_k/(k d_k)
+fitted to counts, w_k = N(k Gamma) - N(kP), d_k = N(kP).
 
 The metric pipeline evaluates the same invariants from a choice of
 symplectic potential: scalar curvature integrals, the cut-locus integral of
@@ -142,9 +142,11 @@ def hilbert_coeffs_geometric(family: MovingFamily, potential, t,
 def hilbert_polynomials(family: MovingFamily):
     """(A0(t), A1(t)) as exact polynomials on the first regularity interval.
 
-    Interpolated from n+2 rational t samples; degrees are at most n and
-    n-1, so the extra samples verify the fit.  Computed once per family;
-    each call returns fresh coefficient lists.
+    Interpolated from A0 = Vol P(t) and A1 = 1/2 boundary_leray_volume(), the
+    first two Ehrhart coefficients of kP(t) for admissible k (McMullen 1977),
+    at n+2 rational t samples; degrees are at most n and n-1, so the extra
+    samples verify the fit.  Computed once per family; each call returns
+    fresh coefficient lists.
     """
     if family._hilbert is None:
         family._hilbert = _hilbert_polynomials(family)
@@ -160,11 +162,9 @@ def _hilbert_polynomials(family: MovingFamily):
         raise ValueError("the family has no positive critical value")
     c1 = pos[0]
     samples = [c1 * Fraction(j, n + 3) for j in range(1, n + 3)]
-    a0_vals, a1_vals = [], []
-    for t in samples:
-        hc = hilbert_coeffs_combinatorial(family, t)
-        a0_vals.append(hc.A0)
-        a1_vals.append(hc.A1)
+    slices = [family.slice(t).polytope for t in samples]
+    a0_vals = [Q.volume() for Q in slices]
+    a1_vals = [Q.boundary_leray_volume() / 2 for Q in slices]
     A0 = _interpolate(samples[:n + 1], a0_vals[:n + 1])
     A1 = _interpolate(samples[:n], a1_vals[:n])
     for t, v in zip(samples, a0_vals):

@@ -197,6 +197,17 @@ class TestCliRuns:
         sc = load_scenario(FIXTURES / "scenarios" / "cp1_report.json")
         assert sc.family is sc.family
 
+    def test_parser_built_once_and_parses_each_call_afresh(self):
+        parser = cli._parser()
+        assert cli._parser() is parser
+        first = parser.parse_args(["futaki", "--scenario", "a.json", "--out", "o",
+                                   "--dp-convention", "printed", "--threads", "3"])
+        second = parser.parse_args(["slope", "--scenario", "b.json", "--out", "p"])
+        assert (first.command, first.dp_convention, first.threads) == ("futaki", "printed", 3)
+        assert vars(second) == {"command": "slope", "scenario": "b.json", "out": "p",
+                                "threads": 1, "tolerance": 1e-8,
+                                "dp_convention": "corrected"}
+
 
 @pytest.mark.slow
 class TestDeterminism:

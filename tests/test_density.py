@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricdensity as td
-from toricdensity.density import QuadratureScheme, loglog_slope, tree_sum
+from toricdensity.density import QuadratureScheme, loglog_slope, partial_mask, tree_sum
 
 F = Fraction
 
@@ -379,6 +381,48 @@ class TestPartialDensity:
                                      basis=basis)
         rho = basis.density(y)
         assert rho_hat[0] < 1e-4 * rho[0]
+
+
+@st.composite
+def masked_bases(draw):
+    """(family, basis, t, alpha): the unit box or simplex in dimension 1..3
+    at level k <= 6 with one to three rational cuts, some of whose cleared
+    integers pass 2**62, and a basis whose norms are placeholders.  t is
+    drawn, or is the smallest cut value at the lattice point alpha, which
+    then lies exactly on N(t); alpha is None otherwise."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    P = draw(st.sampled_from([td.box([1] * n), td.standard_simplex(n)]))
+    dens = st.one_of(st.integers(1, 5), st.integers(10**19, 10**21))
+    cuts = {}
+    for _ in range(draw(st.integers(1, 3))):
+        nu = draw(st.lists(st.builds(F, st.integers(-4, 4), dens), min_size=n, max_size=n)
+                  .filter(any))
+        lowest = min(sum(a * b for a, b in zip(nu, v)) for v in P.vertices)
+        ell = td.AffineFunctional(nu, lowest - draw(st.builds(F, st.integers(0, 3), dens)))
+        cuts[ell.key()] = ell
+    family = td.MovingFamily(P, list(cuts.values()))
+    lattice = P.lattice_points(k)
+    alphas = [tuple(F(m, k) for m in p) for p in lattice.tolist()]
+    basis = td.SectionBasis(potential=None, k=k, alphas=alphas, norms=np.ones(len(alphas)),
+                            scheme=None, lattice=lattice)
+    if draw(st.booleans()):
+        return family, basis, draw(st.builds(F, st.integers(0, 9), dens)), None
+    alpha = draw(st.sampled_from(alphas))
+    return family, basis, min(phi.value(alpha) for phi in family.cuts), alpha
+
+
+class TestPartialMask:
+    @given(masked_bases())
+    @settings(max_examples=120, deadline=None)
+    def test_mask_matches_fraction_values(self, case):
+        family, basis, t, alpha = case
+        want = [all(phi.value(a) >= t for phi in family.cuts) for a in basis.alphas]
+        mask = partial_mask(family, basis, t)
+        assert mask.dtype == bool and mask.tolist() == want
+        if alpha is not None:
+            assert mask[basis.alphas.index(alpha)]
+            assert td.region_classify(family, t, alpha) == "N"
+        assert partial_mask(family, basis, t) is mask and not mask.flags.writeable
 
 
 class TestRegionClassify:

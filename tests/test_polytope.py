@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricdensity as td
@@ -51,18 +51,23 @@ def _det(rows):
 
 
 small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+# integers up to 10^30, so the fraction-free elimination carries big ints
+big_integers = st.integers(-10**30, 10**30)
 
 
 @st.composite
 def rational_matrices(draw):
-    """An r x c rational matrix, r, c <= 4.
+    """An r x c rational matrix, r, c <= 4, of small fractions or of
+    integers up to 10^30.
 
     Half the draws are products B C through an inner size below min(r, c),
-    so singular and rank-deficient matrices come up often."""
+    so singular and rank-deficient matrices come up often (inner size 0
+    gives the zero matrix, of rank 0)."""
     r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([small_fractions, big_integers]))
 
     def matrix(p, q):
-        return [[draw(small_fractions) for _ in range(q)] for _ in range(p)]
+        return [[draw(entries) for _ in range(q)] for _ in range(p)]
 
     if draw(st.booleans()):
         rows = matrix(r, c)
@@ -85,6 +90,10 @@ def _largest_nonzero_minor(rows):
 class TestExactLinearAlgebra:
     @given(rational_matrices())
     @settings(max_examples=150, deadline=None)
+    @example([[F(0), F(0), F(0)]])
+    @example([[0, 0], [0, 0]])
+    @example([[F(1, 3), 10**30, F(-2, 7), 5]])
+    @example([[10**30, 10**30 + 1], [10**30 - 1, 10**30]])
     def test_row_reduction_wrappers(self, rows):
         from toricdensity import polytope as tp
 
@@ -102,6 +111,28 @@ class TestExactLinearAlgebra:
         k = min(r, c)
         square = [row[:k] for row in rows[:k]]
         assert tp._det(square) == _det(square)
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-5, 5), min_size=d, max_size=d), min_size=1, max_size=7)))
+    @settings(max_examples=150, deadline=None)
+    @example([[0, 0], [2, 4], [1, 2], [0, 3]])
+    def test_start_cone_rays_come_from_the_adjugate(self, rows):
+        from toricdensity import polytope as tp
+
+        d = len(rows[0])
+        start = tp._start_cone(rows, d)
+        if tp._rank(rows) < d:
+            assert start is None
+            return
+        basis, rays = start
+        # the first d independent rows, in order
+        assert basis == [i for i in range(len(rows))
+                         if tp._rank(rows[:i + 1]) > tp._rank(rows[:i])]
+        B = [rows[a] for a in basis]
+        for i, ray in enumerate(rays):
+            assert math.gcd(*ray) == 1 and all(isinstance(v, int) for v in ray)
+            image = [sum(a * b for a, b in zip(row, ray)) for row in B]
+            assert image[i] > 0 and image[:i] + image[i + 1:] == [0] * (d - 1)
 
 
 class TestVertexEnumeration:

@@ -12,16 +12,65 @@ Exact references derived by hand from the lattice counts:
         F1 = -1/6, Delta = 1
 """
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricdensity as td
-from toricdensity.stability import (_interpolate, _poly_eval,
+from toricdensity.stability import (_interpolate, _poly_coeff, _poly_eval,
                                     hilbert_polynomials)
 
 F = Fraction
+
+
+def dimension_family(kind, n):
+    """The n-simplex cut at a vertex, or the unit n-cube cut at a corner."""
+    if kind == "simplex_vertex":
+        return td.MovingFamily(td.standard_simplex(n), [td.AffineFunctional([1] * n, 0)])
+    return td.MovingFamily(td.box([1] * n), [
+        td.AffineFunctional([int(i == j) for j in range(n)], 0) for i in range(n)])
+
+
+DIMENSION_FAMILIES = [pytest.param(kind, n, marks=[pytest.mark.slow] if n == 5 else [])
+                      for kind in ("simplex_vertex", "box_corner") for n in (3, 4, 5)]
+
+
+def _count_fitted(family, samples):
+    """(A0, A1) interpolated from the lattice counts of
+    ``hilbert_coeffs_combinatorial`` at n+2 samples of the first regularity
+    interval; the samples past each degree verify the fit."""
+    n = family.base.dim
+    hcs = [td.hilbert_coeffs_combinatorial(family, t) for t in samples]
+    A0 = _interpolate(samples[:n + 1], [hc.A0 for hc in hcs[:n + 1]])
+    A1 = _interpolate(samples[:n], [hc.A1 for hc in hcs[:n]])
+    assert [(_poly_eval(A0, t), _poly_eval(A1, t)) for t in samples] == \
+        [(hc.A0, hc.A1) for hc in hcs]
+    return A0, A1
+
+
+@st.composite
+def rational_cut_families(draw):
+    """A rational box or scaled simplex in dimension 2..3 with one or two
+    distinct rational cuts, each nonnegative on it."""
+    n = draw(st.integers(2, 3))
+    sizes = st.builds(F, st.integers(1, 3), st.integers(1, 2))
+    if draw(st.booleans()):
+        P = td.box([draw(sizes) for _ in range(n)])
+    else:
+        P = td.standard_simplex(n, draw(sizes))
+    cuts = {}
+    for _ in range(draw(st.integers(1, 2))):
+        nu = draw(st.lists(st.builds(F, st.integers(-2, 2), st.integers(1, 2)),
+                           min_size=n, max_size=n).filter(any))
+        lowest = min(sum(a * b for a, b in zip(nu, v)) for v in P.vertices)
+        ell = td.AffineFunctional(nu, lowest - draw(st.builds(F, st.integers(0, 1),
+                                                              st.integers(1, 3))))
+        cuts[ell.key()] = ell
+    return td.MovingFamily(P, list(cuts.values()))
 
 
 class TestHilbertCoefficients:
@@ -60,6 +109,26 @@ class TestHilbertCoefficients:
         A0, A1 = hilbert_polynomials(vertex_family)
         assert A0 == [F(1, 2), 0, F(-1, 2)]
         assert A1 == [F(3, 2), F(-1, 2)]
+
+    @given(rational_cut_families())
+    @settings(max_examples=30, deadline=None)
+    def test_polynomials_equal_count_fit(self, family):
+        n = family.base.dim
+        c1 = next(c for c in family.critical_values() if c > 0)
+        samples = [c1 * F(j, n + 3) for j in range(1, n + 3)]
+        assert tuple(hilbert_polynomials(family)) == _count_fitted(family, samples)
+
+    @pytest.mark.parametrize("kind,n", DIMENSION_FAMILIES)
+    def test_dimension_families_equal_count_fit(self, kind, n):
+        # c1 = 1; samples with denominators <= 5 keep k <= 35
+        samples = [F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 5), F(2, 5)][:n + 2]
+        family = dimension_family(kind, n)
+        assert family.critical_values()[1] == 1
+        start = time.perf_counter()
+        exact = tuple(hilbert_polynomials(family))
+        # fitted to counts up to k = 56, simplex_vertex5 took 10-22 s on 2 vCPUs
+        assert time.perf_counter() - start < 1.0
+        assert exact == _count_fitted(family, samples)
 
     def test_polynomials_cached_as_fresh_lists(self, simplex2):
         fam = td.MovingFamily(simplex2, [td.AffineFunctional([1, 1], 0)])
@@ -181,6 +250,19 @@ class TestFutakiCombinatorial:
     def test_square_corner_config(self, square_family):
         cfg = td.build_test_config(square_family)
         assert td.futaki_combinatorial(cfg) == F(-1, 6)
+
+    @pytest.mark.parametrize("kind,n", DIMENSION_FAMILIES)
+    def test_closed_form_from_exact_volumes(self, kind, n):
+        # w_k = N(k Gamma) - N(kP) and d_k = N(kP) have the Ehrhart leading
+        # coefficients w_{n+1} = Vol Gamma, w_n = dVol(Gamma)/2 - Vol P,
+        # d_n = Vol P and d_{n-1} = dVol(P)/2, in the primitive-conormal measure
+        cfg = td.build_test_config(dimension_family(kind, n))
+        P = cfg.family.base
+        w_top, d_top = cfg.gamma.volume(), P.volume()
+        w_sub = cfg.gamma.boundary_leray_volume() / 2 - d_top
+        d_sub = P.boundary_leray_volume() / 2
+        closed = (w_sub * d_top - w_top * d_sub) / d_top ** 2
+        assert closed == td.futaki_combinatorial(cfg)
 
     def test_tent_wk_identity(self, tent_family, interval):
         cfg = td.build_test_config(tent_family)

@@ -5,16 +5,21 @@ Quadrature over simplex decompositions, section norms
 functions, pairings with test functions, and the pointwise decay and
 agreement checks in the forbidden/allowed regions.
 
-One quadrature driver, ``integrate_orders``, computes every integral on a
-centroid-fan triangulation with a Duffy-mapped Gauss rule whose collapse
-vertex is the interior apex of each fan simplex.  It raises the Gauss order
-on the fixed simplices, for many integrands at once on shared nodes, and
-accepts an integral once two successive orders each agree with the one
-before; past MAX_ORDER it refines instead, and a step beyond NODE_BUDGET
-nodes raises QuadratureError before allocating.  Every integrand is smooth
-on each simplex: section norms and pairings, and the metric-side curvature,
-facet, corner, slope and Futaki integrals, whose regions are cut exactly
-(the slope integrates over P cap {Phi <= c}, not a kink over P).
+One quadrature driver, ``integrate_orders``, computes every integral on the
+polytope's triangulation (a fan from the vertex centroid over facets pulled
+from their lowest vertex) with a Duffy-mapped Gauss rule whose collapse
+vertex is the centroid, the last vertex of each simplex.  It raises the
+Gauss order on the fixed simplices, for many integrands at once on shared
+nodes, and accepts an integral once two successive orders each agree with
+the one before; past MAX_ORDER it refines instead, and a step beyond
+NODE_BUDGET nodes raises QuadratureError before allocating.  The orders
+that every live integral must still take, three at first, are evaluated
+together in one integrand call per BLOCK entries, then read in sequence by
+the stop rule, so the results are those of one order at a time.  Every
+integrand is smooth on each simplex: section norms and pairings, and the
+metric-side curvature, facet, corner, slope and Futaki integrals, whose
+regions are cut exactly (the slope integrates over P cap {Phi <= c}, not a
+kink over P).
 ``integrate_simplices`` is its one-integrand front end, and
 ``_leray_simplices`` weights the simplices of any boundary face by its
 exact Leray measure.
@@ -101,8 +106,8 @@ def reference_rule(dim: int, order: int):
     Duffy map of a tensor Gauss-Legendre rule; weights are relative to the
     simplex measure (they sum to 1) and every node is strictly interior.
     The collapse vertex of the map (the one xi_1 -> 1 reaches), near which
-    the nodes crowd, is the simplex's last vertex: the interior apex of
-    every fan simplex, so no node crowds the boundary of the polytope.
+    the nodes crowd, is the simplex's last vertex: the vertex centroid of
+    the triangulated polytope or face, so no node crowds its boundary.
     Cached per (dim, order); the arrays are read-only.
     """
     if dim == 0:
@@ -171,27 +176,55 @@ def _refined(S, mu):
     return refine_simplices(S), np.tile(mu / (1 << m), 1 << m)
 
 
-def _order_values(S, mu, fn, live, order):
-    """Integrals of the components ``live`` at one Gauss order.
+def _calls(sizes, cap):
+    """Group the simplices of several steps, ``sizes`` giving (simplices,
+    nodes per simplex) of each, into integrand calls of at most ``cap`` nodes
+    (one simplex at least).  Yields (node count, runs) per call, a run
+    (step, first simplex, stop, offset of its first node)."""
+    runs, used = [], 0
+    for j, (count, r) in enumerate(sizes):
+        s0 = 0
+        while s0 < count:
+            n = min(count - s0, (cap - used) // r)
+            if n <= 0 and runs:
+                yield used, runs
+                runs, used = [], 0
+                continue
+            n = max(n, 1)
+            runs.append((j, s0, s0 + n, used))
+            used += n * r
+            s0 += n
+    if runs:
+        yield used, runs
 
-    Nodes and integrand values are formed at most BLOCK (component x node)
-    entries at a time; each simplex is summed over its nodes by numpy's
-    pairwise sum, and the simplices by ``_tree_sum_rows``.
+
+def _order_values(steps, fn, live):
+    """Integrals of the components ``live`` at each step, given as
+    (simplices, measures, Gauss order), from one ``fn`` call per BLOCK
+    (component x node) entries: a call takes the nodes of every step it can.
+
+    Each simplex is summed over its nodes by numpy's pairwise sum, and the
+    simplices of each step by ``_tree_sum_rows``, as for that step alone.
     """
-    s, m = S.shape[0], S.shape[1] - 1
-    bary, wts = reference_rule(m, order)
-    r = len(wts)
-    per_simplex = np.empty((live.size, s))
-    per_block = max(1, BLOCK // r)
+    rules = [reference_rule(S.shape[1] - 1, order) for S, _, order in steps]
+    sizes = [(S.shape[0], len(wts)) for (S, _, _), (_, wts) in zip(steps, rules)]
+    dim = steps[0][0].shape[2]
+    per_simplex = [np.empty((live.size, count)) for count, _ in sizes]
+    per_block = max(1, BLOCK // max(r for _, r in sizes))
     for c0 in range(0, live.size, per_block):
         comp = live[c0:c0 + per_block]
-        step = max(1, BLOCK // (comp.size * r))
-        for s0 in range(0, s, step):
-            nodes = np.einsum("rb,sbN->srN", bary, S[s0:s0 + step])
-            vals = fn(nodes.reshape(-1, S.shape[2]), comp)
-            per_simplex[c0:c0 + per_block, s0:s0 + step] = \
-                (vals.reshape(comp.size, -1, r) * wts).sum(axis=2)
-    return _tree_sum_rows(per_simplex * mu)
+        for total, runs in _calls(sizes, max(1, BLOCK // comp.size)):
+            nodes = np.empty((total, dim))
+            for j, s0, s1, at in runs:
+                np.einsum("rb,sbN->srN", rules[j][0], steps[j][0][s0:s1],
+                          out=nodes[at:at + (s1 - s0) * sizes[j][1]].reshape(s1 - s0, -1, dim))
+            vals = fn(nodes, comp)
+            for j, s0, s1, at in runs:
+                wts = rules[j][1]
+                block = vals[:, at:at + (s1 - s0) * len(wts)]
+                per_simplex[j][c0:c0 + per_block, s0:s1] = \
+                    (block.reshape(comp.size, -1, len(wts)) * wts).sum(axis=2)
+    return [_tree_sum_rows(sums * mu) for sums, (_, mu, _) in zip(per_simplex, steps)]
 
 
 def integrate_orders(simplices, measures, fn, components=1,
@@ -209,9 +242,15 @@ def integrate_orders(simplices, measures, fn, components=1,
     one agreement alone can come before convergence.  Returns
     (values, deltas) with the last step of each component as its delta.
 
-    The next step's node count is checked before its nodes are allocated:
-    past NODE_BUDGET nodes, QuadratureError is raised carrying the best
-    values and deltas of all components.
+    The steps every live component must still take are evaluated together,
+    in one ``fn`` call per BLOCK (component x node) entries: three at first,
+    then two, or one once some component has agreed; the stop rule then
+    reads them in sequence.  No component is accepted before the last of
+    them, so the values and deltas are those of one step at a time.
+
+    Each step's node count is checked before any nodes are formed: past
+    NODE_BUDGET nodes, the steps before it are evaluated and QuadratureError
+    is raised carrying the best values and deltas of all components.
     """
     S = np.asarray(simplices, dtype=float)
     mu = np.asarray(measures, dtype=float)
@@ -220,33 +259,41 @@ def integrate_orders(simplices, measures, fn, components=1,
         return np.zeros(components), np.zeros(components)
     m = S.shape[1] - 1
     if m == 0:  # point masses: one evaluation is exact
-        return _order_values(S, mu, fn, everything, 1), np.zeros(components)
+        (values,) = _order_values([(S, mu, 1)], fn, everything)
+        return values, np.zeros(components)
     values = np.full(components, np.nan)
     deltas = np.full(components, np.inf)
     agreed = np.zeros(components, dtype=bool)
     live = everything
-    order, count = FIRST_ORDER, S.shape[0]
+    order, count, batch = FIRST_ORDER, S.shape[0], 3
     while live.size:
-        if count * order ** m > NODE_BUDGET:
+        steps, over = [], False
+        for _ in range(batch):
+            over = count * order ** m > NODE_BUDGET
+            if over:
+                break
+            if count > S.shape[0]:
+                S, mu = _refined(S, mu)
+            steps.append((S, mu, order))
+            if order < MAX_ORDER:
+                order = min(order + ORDER_STEP, MAX_ORDER)
+            else:
+                count <<= m
+        for cur in _order_values(steps, fn, live) if steps else ():
+            step = np.abs(cur - values[live])  # nan on the first pass
+            deltas[live] = np.where(np.isnan(step), np.inf, step)
+            ok = deltas[live] <= np.maximum(rel_tol * np.abs(cur), abs_tol)
+            values[live] = cur
+            done = ok & agreed[live]
+            agreed[live] = ok
+        if over:
             raise QuadratureError(
                 f"{live.size} of {components} integrals did not converge to "
                 f"rel_tol={rel_tol} within {NODE_BUDGET} nodes (Gauss order "
                 f"{order}, largest last delta {deltas[live].max():.3g})",
                 best=values, delta=deltas)
-        if count > S.shape[0]:
-            S, mu = _refined(S, mu)
-        cur = _order_values(S, mu, fn, live, order)
-        step = np.abs(cur - values[live])  # nan on the first pass
-        deltas[live] = np.where(np.isnan(step), np.inf, step)
-        ok = deltas[live] <= np.maximum(rel_tol * np.abs(cur), abs_tol)
-        values[live] = cur
-        done = ok & agreed[live]
-        agreed[live] = ok
         live = live[~done]
-        if order < MAX_ORDER:
-            order = min(order + ORDER_STEP, MAX_ORDER)
-        else:
-            count <<= m
+        batch = 1 if agreed[live].any() else 2
     return values, deltas
 
 

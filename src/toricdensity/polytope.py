@@ -12,9 +12,9 @@ Vertices and the facet-by-vertex table of integer slacks are enumerated
 together, once per polytope, by the double-description method on cleared
 integers; every vertex-on-facet question reads that table, and so do the
 face lattice and the pyramid recursion over it that gives volumes and Leray
-volumes; the centroid-fan triangulation serves quadrature only.  Slices
-P(t), the test configuration Gamma and the regions where one cut is
-smallest are pruned by one routine, ``_intersect``.
+volumes; the triangulation (a centroid fan over pulled facets) serves
+quadrature only.  Slices P(t), the test configuration Gamma and the regions
+where one cut is smallest are pruned by one routine, ``_intersect``.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def _nullspace_vector(rows: Sequence[Sequence[Fraction]], dim: int):
     """A nonzero rational kernel vector of the given rows, or None.
 
-    Only meaningful when the kernel is one-dimensional; used for the edge
-    directions of ``check_delzant``.  The first free variable is set to 1.
+    Only meaningful when the kernel is one-dimensional.  The first free
+    variable is set to 1.
     """
     a, pivots, _ = _row_reduce(rows, dim)
     free = next((c for c in range(dim) if c not in pivots), None)
@@ -239,6 +239,7 @@ class Polytope:
         self._slacks: list[list[int]] | None = None
         self._incidence: list[frozenset] | None = None
         self._ray: tuple[int, ...] | None = None
+        self._hull: int | None = None  # _hull_dim(), filled with the vertices
         self._box: tuple[Point, Point] | None = None
         self._faces: dict[int, list[Face]] = {}
         self._subface_memo: dict[frozenset, list[tuple[frozenset, int]]] = {}
@@ -259,6 +260,7 @@ class Polytope:
                 self.facets, self.dim)
             self._incidence = [frozenset(i for i, s in enumerate(row) if not s)
                                for row in self._slacks[:-1]]
+            self._hull = self._hull_dim()
         return self._vertices
 
     @property
@@ -296,12 +298,14 @@ class Polytope:
 
     @property
     def is_full_dim(self) -> bool:
-        return self._hull_dim() == self.dim
+        self.vertices
+        return self._hull == self.dim
 
     def _hull_dim(self) -> int:
         """Dimension of the hull of the vertices, -1 for none: full when P is
         bounded and no facet holds every vertex (those facets would cut out
-        its affine hull), else the length of a chain of faces to a vertex."""
+        its affine hull), else the length of a chain of faces to a vertex.
+        Computed once, with the vertices (``_hull``)."""
         vs = self.vertices
         if not vs:
             return -1
@@ -348,11 +352,10 @@ class Polytope:
     def _level(self, d: int) -> list[frozenset]:
         """Vertex sets of the d-dimensional faces: the facets of the faces of
         dimension d + 1, down from the hull of all vertices."""
-        top = self._hull_dim()
-        if d > top:
-            return []
         level = [frozenset(range(len(self.vertices)))]
-        for _ in range(top - d):
+        if d > self._hull:
+            return []
+        for _ in range(self._hull - d):
             level = list(dict.fromkeys(g for ids in level for g, _ in self._subfaces(ids)))
         return level
 
@@ -382,7 +385,8 @@ class Polytope:
     # -- triangulation and exact measures -----------------------------------
 
     def triangulation(self) -> list[tuple[Point, ...]]:
-        """Fan from the vertex centroid over recursively triangulated facets.
+        """Fan from the vertex centroid over the facets, each facet pulled
+        from its lowest vertex (``_triangulate_face``).
 
         Simplex volumes sum to Vol(P) exactly.
         """
@@ -391,20 +395,26 @@ class Polytope:
                 tuple(range(len(self.vertices))), self.dim) if self.is_full_dim else []
         return self._triangulation
 
-    def _triangulate_face(self, vertex_ids: tuple, m: int) -> list[tuple[Point, ...]]:
+    def _triangulate_face(self, vertex_ids: tuple, m: int,
+                          pulled: bool = False) -> list[tuple[Point, ...]]:
+        """Simplices exactly covering the m-dimensional face with vertex_ids,
+        each ending with its apex.  The face is coned from its vertex
+        centroid over all of its facets; a face below it (``pulled``) is
+        pulled from its lowest vertex x0 over the facets that miss x0, as in
+        ``_leray``.  The n-cube gets 2n (n-1)! simplices; the centroid stays
+        the last vertex, which the Duffy rule's nodes crowd, so they crowd
+        the interior."""
         verts = [self.vertices[i] for i in vertex_ids]
         if len(verts) == m + 1:
             return [tuple(verts)]
-        if m == 1:
-            lo = min(verts)
-            hi = max(verts)
-            return [(lo, hi)]
-        c = tuple(sum(v[i] for v in verts) / len(verts) for i in range(self.dim))
-        simplices = []
-        for sub, _ in self._subfaces(frozenset(vertex_ids)):
-            for s in self._triangulate_face(tuple(sorted(sub)), m - 1):
-                simplices.append(s + (c,))
-        return simplices
+        subs = [g for g, _ in self._subfaces(frozenset(vertex_ids))]
+        if pulled:
+            x0 = min(vertex_ids)
+            apex, subs = self.vertices[x0], [g for g in subs if x0 not in g]
+        else:
+            apex = tuple(sum(v[i] for v in verts) / len(verts) for i in range(self.dim))
+        return [s + (apex,) for g in subs
+                for s in self._triangulate_face(tuple(sorted(g)), m - 1, pulled=True)]
 
     def volume(self) -> Fraction:
         """Exact Lebesgue volume; 0 when P is empty or lower-dimensional."""
@@ -654,10 +664,13 @@ def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
                 g = gcd(*new)
                 kept.append((tuple(c // g for c in new), common | bit))
         rays = kept
-    ends = sorted((tuple(Fraction(c, r[-1]) for c in r[:-1]), r) for r, _ in rays if r[-1])
-    slacks = [[sum(map(mul, row, r)) for _, r in ends] for row in rows]
+    # sorted by X (L/s), L the lcm of the s: the order of the points X/s
+    ends = [r for r, _ in rays if r[-1]]
+    big = lcm(*(r[-1] for r in ends))
+    ends.sort(key=lambda r: tuple(c * (big // r[-1]) for c in r[:-1]))
+    slacks = [[sum(map(mul, row, r)) for r in ends] for row in rows]
     ray = min((r[:-1] for r, _ in rays if not r[-1]), default=None)
-    return [x for x, _ in ends], slacks, ray
+    return [tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in ends], slacks, ray
 
 
 def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
@@ -684,6 +697,7 @@ def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
     essential = full.essential_facets()
     pruned = Polytope(P.dim, [full.facets[i] for i in essential], require_full_dim=False)
     pruned._vertices, pruned._ray, pruned._dets = full.vertices, full._ray, P._dets
+    pruned._hull = full._hull
     pruned._slacks = [full._slacks[i] for i in essential] + [full._slacks[-1]]
     pruned._incidence = [full.incidence[i] for i in essential]
     kept = list(index.values())
@@ -739,27 +753,10 @@ def check_delzant(P: Polytope) -> DelzantReport:
                 ok=False, reason=f"non-simple vertex: {len(active)} facets active"))
             ok_all = False
             continue
-        dirs = []
-        good = True
-        for drop in active:
-            rows = [list(P.facets[a].normal) for a in active if a != drop]
-            d = _nullspace_vector(rows, n) if rows else (Fraction(1),)
-            if d is None:
-                good = False
-                break
-            prim = _primitive(d)
-            # orient inward: positive on the dropped facet functional
-            s = sum(P.facets[drop].normal[i] * prim[i] for i in range(n))
-            if s < 0:
-                prim = tuple(-c for c in prim)
-            dirs.append(prim)
-        if not good:
-            certs.append(VertexCertificate(
-                vertex=v, edge_directions=(), determinant=0, simple=True,
-                ok=False, reason="degenerate edge directions"))
-            ok_all = False
-            continue
-        det = int(_det([[Fraction(c) for c in d] for d in dirs]))
+        # the inward primitive edge direction off facet a is kernel to the
+        # other active normals and positive on a's: a start-cone ray
+        _, dirs = _start_cone([P._normals[a] for a in active], n)
+        det = int(_det(dirs))
         ok = abs(det) == 1
         certs.append(VertexCertificate(
             vertex=v, edge_directions=tuple(dirs), determinant=det,

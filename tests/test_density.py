@@ -1,5 +1,6 @@
 """Quadrature, section norms, mass densities and partial density functions."""
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -88,6 +89,186 @@ class TestIntegrate:
         rng = np.random.default_rng(7)
         vals = rng.standard_normal(1001) * 10.0 ** rng.integers(-8, 8, 1001)
         assert tree_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-12)
+
+
+def _reference_integrate_orders(simplices, measures, fn, components=1,
+                                rel_tol=1e-8, abs_tol=1e-12):
+    """The order-raising driver one Gauss order per step: every step forms
+    its nodes and calls ``fn`` on its own.  The reference that
+    ``integrate_orders``, which evaluates several orders per call, must
+    reproduce bit for bit."""
+    from toricdensity import density
+
+    S = np.asarray(simplices, dtype=float)
+    mu = np.asarray(measures, dtype=float)
+    m = S.shape[1] - 1
+
+    def order_values(S, mu, live, order):
+        s = S.shape[0]
+        bary, wts = density.reference_rule(m, order)
+        r = len(wts)
+        per_simplex = np.empty((live.size, s))
+        per_block = max(1, density.BLOCK // r)
+        for c0 in range(0, live.size, per_block):
+            comp = live[c0:c0 + per_block]
+            step = max(1, density.BLOCK // (comp.size * r))
+            for s0 in range(0, s, step):
+                nodes = np.einsum("rb,sbN->srN", bary, S[s0:s0 + step])
+                vals = fn(nodes.reshape(-1, S.shape[2]), comp)
+                per_simplex[c0:c0 + per_block, s0:s0 + step] = \
+                    (vals.reshape(comp.size, -1, r) * wts).sum(axis=2)
+        return density._tree_sum_rows(per_simplex * mu)
+
+    values = np.full(components, np.nan)
+    deltas = np.full(components, np.inf)
+    agreed = np.zeros(components, dtype=bool)
+    live = np.arange(components)
+    order, count = density.FIRST_ORDER, S.shape[0]
+    while live.size:
+        if count * order ** m > density.NODE_BUDGET:
+            raise td.QuadratureError("budget", best=values, delta=deltas)
+        if count > S.shape[0]:
+            S, mu = density._refined(S, mu)
+        cur = order_values(S, mu, live, order)
+        step = np.abs(cur - values[live])
+        deltas[live] = np.where(np.isnan(step), np.inf, step)
+        ok = deltas[live] <= np.maximum(rel_tol * np.abs(cur), abs_tol)
+        values[live] = cur
+        done = ok & agreed[live]
+        agreed[live] = ok
+        live = live[~done]
+        if order < density.MAX_ORDER:
+            order = min(order + density.ORDER_STEP, density.MAX_ORDER)
+        else:
+            count <<= m
+    return values, deltas
+
+
+def _both_drivers(S, mu, fn, components, rel_tol, abs_tol):
+    """(values, deltas) or the QuadratureError's (best, delta), with a flag
+    for the error, from the batched driver and from the reference."""
+    from toricdensity.density import integrate_orders
+
+    out = []
+    for driver in (integrate_orders, _reference_integrate_orders):
+        try:
+            out.append((False, *driver(S, mu, fn, components, rel_tol=rel_tol,
+                                       abs_tol=abs_tol)))
+        except td.QuadratureError as exc:
+            out.append((True, exc.best, exc.delta))
+    return out
+
+
+@st.composite
+def smooth_integrands(draw):
+    """(simplices, measures, fn, components): a box or simplex fan in
+    dimension 1-3 and up to four components exp(<a, x>) cos(<b, x> + c),
+    some converging in a few orders and some needing many."""
+    from toricdensity.density import QuadratureScheme
+
+    n = draw(st.integers(1, 3))
+    P = draw(st.sampled_from([td.box([1] * n), td.standard_simplex(n)]))
+    scheme = QuadratureScheme.for_polytope(P)
+    components = draw(st.integers(1, 4))
+    coef = st.floats(-6.0, 6.0, allow_nan=False)
+    a = np.array(draw(st.lists(coef, min_size=components * n, max_size=components * n)))
+    b = np.array(draw(st.lists(coef, min_size=components * n, max_size=components * n)))
+    c = np.array(draw(st.lists(coef, min_size=components, max_size=components)))
+    a, b = a.reshape(components, n), b.reshape(components, n)
+
+    def fn(nodes, live):
+        return np.exp(a[live] @ nodes.T) * np.cos(b[live] @ nodes.T + c[live, None])
+
+    return scheme.simplices, scheme.measures, fn, components
+
+
+def _bump(nodes, live):
+    """Smooth but not analytic at x = 0.3: order raising alone stalls."""
+    x = nodes[:, 0] - 0.3
+    out = np.zeros(len(x))
+    out[x > 0] = np.exp(-1.0 / x[x > 0])
+    return np.stack([out, out * nodes[:, -1]])[live]
+
+
+class TestBatchedOrders:
+    @given(smooth_integrands(), st.sampled_from([1e-6, 1e-9, 1e-12, 1e-14]),
+           st.sampled_from([0.0, 1e-12, 1e-6]),
+           st.sampled_from([None, 60, 400, 5000]))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_one_order_per_call(self, case, rel_tol, abs_tol, budget):
+        from toricdensity import density
+
+        S, mu, fn, components = case
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(density, "NODE_BUDGET", budget)
+            (err, v, d), (ref_err, ref_v, ref_d) = _both_drivers(
+                S, mu, fn, components, rel_tol, abs_tol)
+        assert err == ref_err
+        assert np.array_equal(v, ref_v, equal_nan=True)
+        assert np.array_equal(d, ref_d)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("refinements", [None, 1])
+    def test_bump_refining_past_max_order(self, n, refinements, monkeypatch):
+        from toricdensity import density
+
+        scheme = td.QuadratureScheme.for_polytope(td.box([1] * n))
+        S, mu = scheme.simplices, scheme.measures
+        at_max_order = len(S) * density.MAX_ORDER ** n
+        if refinements is not None:  # stop after that many refinements
+            monkeypatch.setattr(density, "NODE_BUDGET", at_max_order << n * refinements)
+        (err, v, d), (ref_err, ref_v, ref_d) = _both_drivers(S, mu, _bump, 2, 1e-12, 0.0)
+        assert err == ref_err == (refinements is not None)
+        assert np.array_equal(v, ref_v) and np.array_equal(d, ref_d)
+        # one order per call: a call past MAX_ORDER's node count is a refinement
+        steps = []
+
+        def counted(nodes, live):
+            steps.append(len(nodes))
+            return _bump(nodes, live)
+
+        with pytest.raises(td.QuadratureError) if err else contextlib.nullcontext():
+            _reference_integrate_orders(S, mu, counted, 2, rel_tol=1e-12, abs_tol=0.0)
+        assert max(steps) > at_max_order
+
+    def test_third_order_acceptance_is_one_call(self, square):
+        from toricdensity.density import integrate_orders
+
+        scheme = td.QuadratureScheme.for_polytope(square)
+        calls = []
+
+        def fn(nodes, live):
+            calls.append((len(live), len(nodes)))
+            return np.stack([1.0 + nodes[:, 0] * nodes[:, 1], nodes[:, 1] ** 2])[live]
+
+        values, deltas = integrate_orders(scheme.simplices, scheme.measures, fn, 2,
+                                          rel_tol=1e-12)
+        assert len(calls) == 1
+        # orders 4, 6 and 8 of four triangles on one call
+        assert calls[0] == (2, 4 * (16 + 36 + 64))
+        assert values == pytest.approx([1.25, 1 / 3], rel=1e-14)
+
+    @pytest.mark.parametrize("block", [5000, 30000, 1 << 18])
+    def test_no_call_exceeds_block(self, block, monkeypatch):
+        from toricdensity import density
+
+        scheme = td.QuadratureScheme.for_polytope(td.box([1, 1, 1]))
+        k = np.arange(1, 6, dtype=float)
+        calls = []
+
+        def fn(nodes, live):
+            calls.append(len(live) * len(nodes))
+            return np.exp(-np.outer(k[live], nodes.sum(axis=1)))
+
+        want = density.integrate_orders(scheme.simplices, scheme.measures, fn, 5,
+                                        rel_tol=1e-12)
+        monkeypatch.setattr(density, "BLOCK", block)
+        calls.clear()
+        got = density.integrate_orders(scheme.simplices, scheme.measures, fn, 5,
+                                       rel_tol=1e-12)
+        assert max(calls) <= block
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestSectionBasis:

@@ -754,19 +754,26 @@ def _assert_faces_match_brute_force(P):
     for codim, want in faces.items():
         assert [(f.vertex_ids, f.active_facets) for f in P.faces(codim)] == want
 
-    def fan(ids, m):
-        """The centroid fan over the brute-force faces, in their order."""
+    def fan(ids, m, pulled=False):
+        """The centroid fan over pulled brute-force faces, in their order:
+        the face's centroid over all its facets, each facet below it pulled
+        from its lowest vertex over the facets that miss that vertex."""
         verts = [P.vertices[i] for i in ids]
         if len(verts) == m + 1:
             return [tuple(verts)]
-        if m == 1:
-            return [(min(verts), max(verts))]
-        c = tuple(sum(v[i] for v in verts) / len(verts) for i in range(P.dim))
-        return [s + (c,) for sub, _ in faces[P.dim - m + 1] if set(sub) <= set(ids)
-                for s in fan(sub, m - 1)]
+        subs = [sub for sub, _ in faces[P.dim - m + 1] if set(sub) <= set(ids)]
+        if pulled:
+            apex = P.vertices[ids[0]]
+            subs = [sub for sub in subs if ids[0] not in sub]
+        else:
+            apex = tuple(sum(v[i] for v in verts) / len(verts) for i in range(P.dim))
+        return [s + (apex,) for sub in subs for s in fan(sub, m - 1, pulled=True)]
 
     if P.is_full_dim:
-        assert P.triangulation() == fan(tuple(range(len(P.vertices))), P.dim)
+        tri = P.triangulation()
+        assert tri == fan(tuple(range(len(P.vertices))), P.dim)
+        if len(P.vertices) > P.dim + 1:
+            assert all(s[-1] == P.centroid_of_vertices() for s in tri)
 
 
 BOUNDED_NON_GENERIC = ("square_pyramid", "octahedron",
@@ -786,6 +793,12 @@ class TestFaceRecursion:
     def test_faces_match_brute_force(self, P):
         _assert_faces_match_brute_force(P)
         assert P.is_full_dim == (_affine_dim(P.vertices) == P.dim)
+
+    @pytest.mark.parametrize("n,count", [(2, 4), (3, 12), (4, 48)])
+    def test_cube_fan_sizes(self, n, count):
+        cube = td.box([1] * n)
+        _assert_faces_match_brute_force(cube)
+        assert len(cube.triangulation()) == count
 
     @pytest.mark.parametrize("build", NON_GENERIC.values(), ids=NON_GENERIC.keys())
     def test_non_generic_faces(self, build):

@@ -96,21 +96,6 @@ def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
-def _nullspace_vector(rows: Sequence[Sequence[Fraction]], dim: int):
-    """A nonzero rational kernel vector of the given rows, or None.
-
-    Only meaningful when the kernel is one-dimensional.  The first free
-    variable is set to 1.
-    """
-    a, pivots, _ = _row_reduce(rows, dim)
-    free = next((c for c in range(dim) if c not in pivots), None)
-    if free is None:
-        return None
-    last = a[0][pivots[0]] if pivots else 1
-    v = {free: Fraction(1), **{col: Fraction(-r[free], last) for col, r in zip(pivots, a)}}
-    return tuple(v.get(c, Fraction(0)) for c in range(dim))
-
-
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 

@@ -20,22 +20,32 @@ fourth derivatives of u, tau_s = sum_ij G_ij u_ijs)
 
     s = -1/2 (-<u_4, G (x) G> + tau^T G tau + |u_3|^2_G)
 
-in projection form.  Write b_a = nu_a / sqrt(2 ell_a), so that the
-canonical part of H is B^T B, q_ab = nu_a^T G nu_b and Pi = B G B^T, so
-that Pi_ab = q_ab / (2 sqrt(ell_a ell_b)).  The canonical terms of u_3 and
-u_4 give
+in Gram form.  Write b_a = nu_a / sqrt(ell_a), so that 2H = B^T B + 2 W_2
+with W_2 = Hess w, and factor 2H = C C^T (Cholesky).  With U = C^{-1} B^T by
+forward substitution, Pi = U^T U = B (2H)^{-1} B^T, and with
+q_ab = nu_a^T G nu_b, Pi_ab = q_ab / (2 sqrt(ell_a ell_b)).  The canonical
+terms of u_3 and u_4 give
 
-    s_0 = 2 sum_a Pi_aa (sum_{b != a} Pi_ab^2 + (B G W_2 G B^T)_aa) / ell_a
-          - sum_{a != b} (Pi_aa Pi_bb + Pi_ab^2) Pi_ab / sqrt(ell_a ell_b),
+    s_0 = 2 sum_a Pi_aa (sum_{b != a} Pi_ab^2 + (G nu_a)^T W_2 (G nu_a) / (2 ell_a)) / ell_a
+          - sum_{a != b} (Pi_aa Pi_bb + Pi_ab^2) Pi_ab / sqrt(ell_a ell_b).
 
-where W_2 = Hess w.  The identity Pi - Pi^2 = B G W_2 G B^T gives the
-diagonal Pi_aa - Pi_aa^2 without subtracting two terms of size 1/ell, so
-the error near a facet grows like eps/ell, not eps/ell^3.  The third and
-fourth derivatives w_3, w_4 of w add -1/2 (-<w_4, G (x) G> + B_w + C_w),
-with tau_c = -1/2 sum_a q_aa nu_a / ell_a^2 and tau_w,s = sum_ij G_ij w_ijs:
+The identity Pi - Pi^2 = 2 B (2H)^{-1} W_2 (2H)^{-1} B^T gives the diagonal
+Pi_aa - Pi_aa^2 without subtracting two terms of size 1/ell, so the error
+near a facet grows like eps/ell, not eps/ell^3.  The third and fourth
+derivatives w_3, w_4 of w add -1/2 (-<w_4, G (x) G> + B_w + C_w), with
+tau_c = -1/2 sum_a q_aa nu_a / ell_a^2 and tau_w,s = sum_ij G_ij w_ijs:
 
     B_w = 2 tau_c^T G tau_w + tau_w^T G tau_w,
     C_w = -sum_a w_3(G nu_a, G nu_a, G nu_a) / ell_a^2 + |w_3|^2_G.
+
+G and G nu_a come from one back substitution of 2 C^{-1} [I, N^T], and only
+when w is not zero.  The factor is of 2H, not H: doubling is exact, while
+scaling every b_a by sqrt(1/2) to factor H rounds each row, and on boxes
+that biased s by +4e-16 on average.  Every array of the curvature keeps
+the node axis last, so each step is one vector operation over a block of
+points.  ``metric_many`` and ``conorm_sq_many`` keep ``np.linalg.inv``: the
+Richardson d/dt stencil of ``asymptotics`` amplifies the last bits of the
+conorm facet integrals.
 
 The derivatives dH and d2H come from ``_hessian_jets`` and are not used by
 the curvature.  They stay behind the public pointwise
@@ -57,8 +67,8 @@ import numpy as np
 from .fields import Polynomial
 from .polytope import AffineFunctional, Polytope
 
-# points per batch of scalar_curvature_many; it bounds the m * n^4 array of
-# the fourth derivatives of w
+# points per block of scalar_curvature_many; it bounds the memory of every
+# array the curvature forms, the n^4 fourth derivatives of w included
 CURVATURE_BLOCK = 1024
 
 
@@ -69,41 +79,27 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-def _inv(H: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-    """H^{-1} for a stack of H, or H^{-1} rhs by one solve for an (n, k) rhs."""
+def _inv(H: np.ndarray) -> np.ndarray:
+    """H^{-1} for a stack of H."""
     try:
-        if rhs is None:
-            return np.linalg.inv(H)
-        return np.linalg.solve(H, np.broadcast_to(rhs, H.shape[:-1] + rhs.shape[-1:]))
+        return np.linalg.inv(H)
     except np.linalg.LinAlgError:
         raise ValueError("Hessian is singular: strict convexity violated") from None
 
 
-def _perturbation_terms(L, G, F, P, w3, w4) -> np.ndarray:
-    """-<w4, G (x) G> + B_w + C_w: the part of sum_ij d_i d_j G^ij that the
-    third and fourth derivatives w3, w4 of w add (w4 may be None).
-
-    L = ell, G = H^{-1}, F[:, :, a] = G nu_a and P = Pi_aa, as in
-    ``SymplecticPotential.scalar_curvature_many``.
-    """
-    m, n = G.shape[:2]
-    total = np.zeros(m)
-    if w4 is not None:
-        Gf = G.reshape(m, n * n, 1)
-        total -= (w4.reshape(m, n * n, n * n) @ Gf * Gf).sum(axis=(1, 2))
-    tau_w = (G.reshape(m, 1, n * n) @ w3.reshape(m, n * n, n))[:, 0]
-    G_tau_c = -(F * (P / L)[:, None, :]).sum(axis=2)   # G tau_c
-    G_tau_w = (G @ tau_w[:, :, None])[:, :, 0]
-    total += (tau_w * (2.0 * G_tau_c + G_tau_w)).sum(axis=1)
-    # w3(G nu_a, G nu_a, G nu_a)
-    Ft = F.transpose(0, 2, 1)
-    FF = (Ft[:, :, :, None] * Ft[:, :, None, :]).reshape(m, -1, n * n)
-    cubes = ((Ft @ w3.reshape(m, n, n * n)) * FF).sum(axis=2)
-    # |w3|^2_G: raise each index of w3 with G in turn
-    T = w3
-    for _ in range(3):
-        T = (T.reshape(m, n * n, n) @ G).reshape(m, n, n, n).transpose(0, 3, 1, 2)
-    return total - (cubes / L**2).sum(axis=1) + (T * w3).sum(axis=(1, 2, 3))
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor C of a stack A = C C^T with the node axis
+    last, shape (n, n, k), by a loop over the n columns."""
+    n = A.shape[0]
+    C = np.zeros_like(A)
+    for j in range(n):
+        d = A[j, j] - (C[j, :j] ** 2).sum(axis=0)
+        if not np.all(d > 0.0):
+            raise ValueError("Hessian is singular: strict convexity violated")
+        C[j, j] = np.sqrt(d)
+        for i in range(j + 1, n):
+            C[i, j] = (A[i, j] - (C[i, :j] * C[j, :j]).sum(axis=0)) / C[j, j]
+    return C
 
 
 @dataclass
@@ -198,21 +194,21 @@ class SymplecticPotential:
         L = self._interior_ell(pts)
         out = 0.5 * (np.log(L) + 1.0) @ self.normals
         dw = self._w_tensor(pts, 1)
-        return out if dw is None else out + dw
+        return out if dw is None else out + dw.T
 
     # -- metric tensors ------------------------------------------------------
 
     def _w_tensor(self, pts: np.ndarray, order: int) -> np.ndarray | None:
-        """The order-th derivatives of w at pts, shape (m,) + (n,) * order, or
-        None when they all vanish identically."""
+        """The order-th derivatives of w at pts, node axis last: shape
+        (n,) * order + (m,), or None when they all vanish identically."""
         keys = [key for key in self._wjet if len(key) == order]
         if not keys:
             return None
-        out = np.zeros((len(pts),) + (self.dim,) * order)
+        out = np.zeros((self.dim,) * order + (len(pts),))
         for key in keys:
             value = self._wjet[key](pts)
             for perm in set(permutations(key)):
-                out[(slice(None), *perm)] = value
+                out[perm] = value
         return out
 
     def _hessian_jets(self, points, order: int = 0) -> list:
@@ -232,7 +228,7 @@ class SymplecticPotential:
         for r, jet in enumerate(jets):
             dw = self._w_tensor(pts, r + 2)  # H takes the 2nd derivatives of w
             if dw is not None:
-                jet += dw
+                jet += np.moveaxis(dw, -1, 0)
         return jets
 
     def hessian_many(self, points) -> np.ndarray:
@@ -244,39 +240,72 @@ class SymplecticPotential:
         return _inv(self.hessian_many(points))
 
     def scalar_curvature_many(self, points) -> np.ndarray:
-        """Batched scalar curvature by Abreu's formula in projection form (see
-        the module docstring); no derivative of H is formed.  Points are
-        taken CURVATURE_BLOCK at a time, which bounds the (m, n, n, n, n)
-        array of the fourth derivatives of w."""
+        """Batched scalar curvature by Abreu's formula in Gram form (see the
+        module docstring); no derivative of H is formed.  Every array keeps
+        the node axis last, so each step is one vector operation over a block
+        of CURVATURE_BLOCK points; each block is written into the output."""
         pts = _as_points(points)
         out = np.empty(pts.shape[0])
         N = self.normals
-        n = self.dim
-        off = ~np.eye(N.shape[0], dtype=bool)
+        n, m = self.dim, N.shape[0]
+        diag = np.arange(m)
         for start in range(0, pts.shape[0], CURVATURE_BLOCK):
             block = pts[start:start + CURVATURE_BLOCK]
-            L = self._interior_ell(block)
-            W2, w3, w4 = (self._w_tensor(block, r) for r in (2, 3, 4))
-            H = (N.T * (0.5 / L)[:, None, :]) @ N
-            if W2 is not None:
-                H += W2
-            # one solve gives G and F = G N^T; G nu_a computed as G @ nu_a
-            # would carry the rounding of the columns of G into Pi
-            GF = _inv(H, np.concatenate([np.eye(n), N.T], axis=1))
-            G, F = GF[:, :, :n], GF[:, :, n:]
+            L = np.ascontiguousarray(self._interior_ell(block).T)   # (m, k)
+            k = L.shape[1]
+            W2, w3, w4 = (self._w_tensor(block, order) for order in (2, 3, 4))
             r = 1.0 / np.sqrt(L)
-            rr = r[:, :, None] * r[:, None, :]      # 1 / sqrt(ell_a ell_b)
-            Pi = 0.5 * (N @ F) * rr
-            P = np.diagonal(Pi, axis1=1, axis2=2)
-            Poff = np.where(off, Pi, 0.0)
-            defect = (Poff * Poff).sum(axis=2)      # Pi_aa - Pi_aa^2
+            # 2H = B^T B + 2 W2 with b_a = nu_a / sqrt(ell_a)
+            A = (N.T @ (N[:, :, None] / L[:, None, :]).reshape(m, -1)).reshape(n, n, k)
             if W2 is not None:
-                defect += 0.5 * ((W2 @ F) * F).sum(axis=1) / L
-            s = 2.0 * (P * defect / L).sum(axis=1) - (
-                (P[:, :, None] * P[:, None, :] + Poff * Poff) * Poff * rr).sum(axis=(1, 2))
+                A += 2.0 * W2
+            C = _cholesky(A)
+            # forward substitution: U = C^{-1} B^T, so that Pi = U^T U, and,
+            # when w is not zero, 2 C^{-1} [I, N^T] (doubling is exact)
+            X = np.empty((n, m if W2 is None else 2 * m + n, k))
+            X[:, :m] = N.T[:, :, None] * r
+            if W2 is not None:
+                X[:, m:m + n] = 2.0 * np.eye(n)[:, :, None]
+                X[:, m + n:] = 2.0 * N.T[:, :, None]
+            for i in range(n):
+                for j in range(i):
+                    X[i] -= C[i, j] * X[j]
+                X[i] /= C[i, i]
+            U = X[:, :m]
+            Pi = U[0][:, None] * U[0][None, :]
+            for i in range(1, n):
+                Pi += U[i][:, None] * U[i][None, :]
+            P = Pi[diag, diag]
+            Pi[diag, diag] = 0.0                            # Pi off the diagonal
+            Pi2 = Pi * Pi
+            defect = Pi2.sum(axis=1)                        # Pi_aa - Pi_aa^2
+            if W2 is not None:
+                # back substitution: [G, F] = C^{-T} 2 C^{-1} [I, N^T]
+                Y = X[:, m:]
+                for i in reversed(range(n)):
+                    for j in range(i + 1, n):
+                        Y[i] -= C[j, i] * Y[j]
+                    Y[i] /= C[i, i]
+                G, F = Y[:, :n], Y[:, n:]                   # F[:, a] = G nu_a
+                defect += 0.5 * (np.einsum("ijk,jak->iak", W2, F) * F).sum(axis=0) / L
+            s = 2.0 * (P * defect / L).sum(axis=0) - (
+                (P[:, None] * P[None, :] + Pi2) * Pi * (r[:, None] * r[None, :])).sum(axis=(0, 1))
             if w3 is not None:  # w4 vanishes when w3 does
-                s -= 0.5 * _perturbation_terms(L, G, F, P, w3, w4)
-            out[start:start + CURVATURE_BLOCK] = s
+                # -<w4, G (x) G> + B_w + C_w, as in the module docstring
+                pert = np.zeros(k) if w4 is None else -np.einsum("ijlpk,ijk,lpk->k", w4, G, G)
+                tau_w = np.einsum("ijk,ijsk->sk", G, w3)
+                G_tau_c = -(F * (P / L)).sum(axis=1)
+                G_tau_w = np.einsum("ijk,jk->ik", G, tau_w)
+                pert += (tau_w * (2.0 * G_tau_c + G_tau_w)).sum(axis=0)
+                # w3(G nu_a, G nu_a, G nu_a)
+                cubes = np.einsum("ijak,iak,jak->ak", np.einsum("ijlk,lak->ijak", w3, F), F, F)
+                # |w3|^2_G: raise each index of w3 with G in turn
+                T = w3
+                for _ in range(3):
+                    T = np.einsum("ijlk,lpk->pijk", T, G)
+                pert += (T * w3).sum(axis=(0, 1, 2)) - (cubes / L**2).sum(axis=0)
+                s -= 0.5 * pert
+            out[start:start + k] = s
         return out
 
     def hessian(self, x) -> np.ndarray:

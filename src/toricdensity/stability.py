@@ -18,9 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
+from . import density
 from .asymptotics import _dp_coefficient, facet_integral
-from .density import (_family_key, _leray_simplices, _memoised, curvature_integral,
-                      integrate, integrate_simplices)
+from .density import (QuadratureScheme, _family_key, _leray_simplices, _memoised,
+                      curvature_integral, integrate, integrate_simplices)
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
                        TestConfigPolytope, _fr, _intersect)
 
@@ -353,32 +356,50 @@ def _roof_projection_pieces(config: TestConfigPolytope):
     return pieces
 
 
-def gamma_scalar_integral(config: TestConfigPolytope, potential,
-                          rel_tol=1e-9) -> float:
-    """int_Gamma pr1*(s) reduced to sum_a int_{R_a} s(x) Phi_a(x) dx.
-    Memoised per potential, family and rel_tol."""
+def _gamma_integrals(config: TestConfigPolytope, potential, rel_tol=1e-9) -> tuple:
+    """(int_Gamma pr1*(s), int_Gamma pr1*(s - Av_P s)), each reduced to a sum
+    over the roof projection pieces of int_{R_a} (.) Phi_a dx; both come from
+    one integrate_orders pass per piece.  Memoised per potential, family and
+    rel_tol."""
     def compute():
-        total = 0.0
+        P = config.family.base
+        av_s = curvature_integral(potential, P, rel_tol) / float(P.volume())
+        total = np.zeros(2)
         for _, phi_a, region in _roof_projection_pieces(config):
-            def fn(pts, phi=phi_a):
-                return potential.scalar_curvature_many(pts) * phi.value_float(pts)
+            def fn(pts, live, phi=phi_a):
+                s = potential.scalar_curvature_many(pts)
+                phi_x = phi.value_float(pts)
+                return np.stack([s * phi_x, (s - av_s) * phi_x])[live]
 
-            val, _ = integrate(region, fn, rel_tol=rel_tol)
-            total += val
-        return total
+            scheme = QuadratureScheme.for_polytope(region)
+            vals, _ = density.integrate_orders(scheme.simplices, scheme.measures, fn, 2,
+                                               rel_tol=rel_tol)
+            total += vals
+        return float(total[0]), float(total[1])
 
     return _memoised(potential, ("gamma_s", _family_key(config.family), rel_tol), compute)
 
 
+def gamma_scalar_integral(config: TestConfigPolytope, potential,
+                          rel_tol=1e-9) -> float:
+    """int_Gamma pr1*(s) reduced to sum_a int_{R_a} s(x) Phi_a(x) dx."""
+    return _gamma_integrals(config, potential, rel_tol)[0]
+
+
 def futaki_metric(config: TestConfigPolytope, potential,
                   dp_convention: str = "corrected") -> float:
-    """F1 = (Vol Gamma / 2 Vol P) (Av_Gamma pr1* s - Av_P s - Delta(Gamma))."""
-    gamma_s = gamma_scalar_integral(config, potential)
-    s_int = curvature_integral(potential, config.family.base)
+    """F1 = (Vol Gamma / 2 Vol P) (Av_Gamma pr1* s - Av_P s - Delta(Gamma)).
+
+    The difference of averages is taken as Av_Gamma pr1*(s - Av_P s), an
+    integral of centred curvature, since pr1* 1 integrates to Vol Gamma: two
+    averages of size s, each rounded on its own, would leave their rounding
+    in an F1 that vanishes when s is constant.
+    """
+    centred = _gamma_integrals(config, potential)[1]
     delta = delta_gamma(config, potential, dp_convention=dp_convention)
     vol_gamma = float(config.gamma.volume())
     vol_p = float(config.family.base.volume())
-    return (vol_gamma / (2.0 * vol_p)) * (gamma_s / vol_gamma - s_int / vol_p - delta)
+    return (vol_gamma / (2.0 * vol_p)) * (centred / vol_gamma - delta)
 
 
 def roof_identity_residual(config: TestConfigPolytope, potential,

@@ -306,6 +306,125 @@ class TestExactCurvatureOracle:
         assert err <= 8 * eps * max(1.0, abs(float(exact))) / float(ell_min)
 
 
+def _reference_scalar_curvature_many(u, points):
+    """Abreu's curvature in projection form, node axis first: one LAPACK
+    solve per point for G and F = G N^T, then Pi = (N F) / (2 sqrt(ell_a
+    ell_b)).  The kernel that the Gram form replaced, kept as its reference."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    N = u.normals
+    n = u.dim
+    off = ~np.eye(N.shape[0], dtype=bool)
+    L = u.ell(pts)
+    W2, w3, w4 = (None if (t := u._w_tensor(pts, r)) is None else np.moveaxis(t, -1, 0)
+                  for r in (2, 3, 4))
+    H = (N.T * (0.5 / L)[:, None, :]) @ N
+    if W2 is not None:
+        H += W2
+    GF = np.linalg.solve(H, np.broadcast_to(np.concatenate([np.eye(n), N.T], axis=1),
+                                            H.shape[:-1] + (n + N.shape[0],)))
+    G, F = GF[:, :, :n], GF[:, :, n:]
+    r = 1.0 / np.sqrt(L)
+    rr = r[:, :, None] * r[:, None, :]
+    Pi = 0.5 * (N @ F) * rr
+    P = np.diagonal(Pi, axis1=1, axis2=2)
+    Poff = np.where(off, Pi, 0.0)
+    defect = (Poff * Poff).sum(axis=2)
+    if W2 is not None:
+        defect += 0.5 * ((W2 @ F) * F).sum(axis=1) / L
+    s = 2.0 * (P * defect / L).sum(axis=1) - (
+        (P[:, :, None] * P[:, None, :] + Poff * Poff) * Poff * rr).sum(axis=(1, 2))
+    if w3 is None:
+        return s
+    m = len(pts)
+    total = np.zeros(m)
+    if w4 is not None:
+        Gf = G.reshape(m, n * n, 1)
+        total -= (w4.reshape(m, n * n, n * n) @ Gf * Gf).sum(axis=(1, 2))
+    tau_w = (G.reshape(m, 1, n * n) @ w3.reshape(m, n * n, n))[:, 0]
+    G_tau_c = -(F * (P / L)[:, None, :]).sum(axis=2)
+    G_tau_w = (G @ tau_w[:, :, None])[:, :, 0]
+    total += (tau_w * (2.0 * G_tau_c + G_tau_w)).sum(axis=1)
+    Ft = F.transpose(0, 2, 1)
+    FF = (Ft[:, :, :, None] * Ft[:, :, None, :]).reshape(m, -1, n * n)
+    cubes = ((Ft @ w3.reshape(m, n, n * n)) * FF).sum(axis=2)
+    T = w3
+    for _ in range(3):
+        T = (T.reshape(m, n * n, n) @ G).reshape(m, n, n, n).transpose(0, 3, 1, 2)
+    total += (T * w3).sum(axis=(1, 2, 3)) - (cubes / L**2).sum(axis=1)
+    return s - 0.5 * total
+
+
+# ORACLE_POLYTOPES and two 4-D ones; the quartic term makes w4 nonzero
+KERNEL_POLYTOPES = {**ORACLE_POLYTOPES, "simplex4": td.standard_simplex(4),
+                    "cube4": td.box([1, 1, 1, 1])}
+KERNEL_PERTURBATIONS = {
+    **ORACLE_CUBICS,
+    4: {(3, 0, 0, 0): 1 / 32, (1, 1, 1, 0): 3 / 64, (0, 0, 2, 1): -1 / 32,
+        (0, 1, 0, 3): 1 / 64, (2, 0, 0, 2): 1 / 64}}
+
+
+def seeded_points(P, count, seed):
+    """Points of P at relative depth 1e-6..1e-1 from a random face (a facet,
+    an edge, ..., a vertex), moved towards the vertex centroid, as
+    ``near_face`` draws them, plus as many uniform Dirichlet points."""
+    rng = np.random.default_rng(seed)
+    verts = np.array(P.vertices, dtype=float)
+    faces = [f for c in range(1, P.dim + 1) for f in P.faces(c)]
+    out = []
+    for _ in range(count):
+        ids = list(faces[rng.integers(len(faces))].vertex_ids)
+        p = rng.dirichlet(np.ones(len(ids))) @ verts[ids]
+        out.append(p + 10.0 ** rng.uniform(-6, -1) * (verts.mean(axis=0) - p))
+    return np.vstack([out, rng.dirichlet(np.ones(len(verts)), count) @ verts])
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("name", sorted(KERNEL_POLYTOPES))
+    def test_matches_projection_form(self, name, perturbed):
+        P = KERNEL_POLYTOPES[name]
+        u = td.SymplecticPotential(
+            P, Polynomial(P.dim, KERNEL_PERTURBATIONS[P.dim]) if perturbed else None)
+        pts = seeded_points(P, 300, seed=sorted(KERNEL_POLYTOPES).index(name))
+        got = u.scalar_curvature_many(pts)
+        ref = _reference_scalar_curvature_many(u, pts)
+        ell_min = u.ell(pts).min(axis=1)
+        # twice the bound the projection form meets against the exact oracle
+        bound = 16 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref)) / ell_min
+        assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unbiased_on_boxes(self, n):
+        # s = 2n on the n-cube; no scaling of the rows biases the sign of
+        # the rounding (scaling b_a by sqrt(1/2) read +4e-16)
+        u = td.guillemin_potential(td.box([1] * n))
+        x = np.random.default_rng(n).random((20000, n))
+        rel = (u.scalar_curvature_many(x) - 2 * n) / (2 * n)
+        assert abs(rel.mean()) <= 1e-16
+
+    @pytest.mark.parametrize("name", ["cube3_perturbed", "cube4"])
+    def test_memory_is_bounded_by_the_block(self, name):
+        import tracemalloc
+        n = int(name[4])
+        w = Polynomial(n, ORACLE_CUBICS[n]) if name.endswith("perturbed") else None
+        u = td.SymplecticPotential(td.box([1] * n), w)
+        extra = []
+        for count in (20_000, 200_000):
+            x = np.random.default_rng(count).uniform(0.05, 0.95, (count, n))
+            tracemalloc.start()
+            out = u.scalar_curvature_many(x)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            extra.append(peak - out.nbytes)
+        assert extra[1] - extra[0] < 1 << 20
+
+    def test_non_positive_pivot_raises(self, square):
+        u = td.guillemin_potential(square)
+        u._wjet = {(0, 0): Polynomial.constant(2, -10.0)}   # Hess w = -10 e0 e0^T
+        with pytest.raises(ValueError, match="strict convexity violated"):
+            u.scalar_curvature_many([[0.5, 0.5]])
+
+
 class TestPhi:
     def test_phi_at_diagonal(self, u_simplex):
         assert u_simplex.phi([1 / 3, 1 / 3], [1 / 3, 1 / 3]) == pytest.approx(0.0, abs=1e-14)

@@ -352,6 +352,19 @@ class TestFutakiMetric:
         metric = td.futaki_metric(cfg, u)
         assert abs(comb - metric) <= 1e-4
 
+    @pytest.mark.parametrize("fixture,ufix", [
+        ("tent_family", "u_interval"), ("skew_tent", "u_interval"),
+        ("square_family", "u_square"), ("skew_square", "u_square"),
+        ("vertex_family", "u_simplex"), ("product_family", "u_simplex")])
+    def test_constant_curvature_leaves_only_delta(self, fixture, ufix, request):
+        # s is constant, so Av_Gamma pr1*s - Av_P s = 0: F1 integrates the
+        # centred curvature and keeps no rounding of two separate averages
+        fam = request.getfixturevalue(fixture)
+        u = td.guillemin_potential(request.getfixturevalue(ufix).polytope)
+        cfg = td.build_test_config(fam)
+        ratio = float(cfg.gamma.volume()) / (2.0 * float(fam.base.volume()))
+        assert abs(td.futaki_metric(cfg, u) + ratio * td.delta_gamma(cfg, u)) <= 1e-15
+
 
 class TestRoofIdentity:
     @pytest.mark.parametrize("fixture,ufix", [

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import (QuadratureScheme, _family_key, _field_key, _leray_simplices,
-                      _memoised, curvature_integral, integrate, integrate_simplices,
+from .density import (QuadratureScheme, _family_key, _field_key, _memoised,
+                      curvature_integral, integrate, integrate_simplices,
                       pair_partial_density, tree_sum)
 from .fields import as_field
 from .polytope import MovingFamily, Polytope, Slice, _fr
@@ -79,11 +79,9 @@ def euler_maclaurin(P: Polytope, f, k: int) -> EulerMaclaurinResult:
     pts = P.lattice_points(k).astype(float) / k
     lattice_sum = tree_sum(fld.value(pts)) if len(pts) else 0.0
     vol_term, _ = integrate(P, fld)
-    bdry = 0.0
-    for a in P.essential_facets():
-        val, _ = integrate_simplices(
-            *_leray_simplices(P, P.facet_vertex_ids(a), P.facets[a]), fld.value)
-        bdry += val
+    bdry = sum(integrate_simplices(
+        *QuadratureScheme.for_polytope(P, P.facet_vertex_ids(a), P.facets[a]), fld.value)[0]
+        for a in P.essential_facets())
     approx = float(k) ** n * vol_term + float(k) ** (n - 1) / 2.0 * bdry
     return EulerMaclaurinResult(k=k, lattice_sum=lattice_sum, approximation=approx,
                                 residual=lattice_sum - approx, exact=False)
@@ -105,7 +103,7 @@ def _slice_at_regular(family: MovingFamily, t) -> Slice:
 
 def _facet_pieces(sl: Slice, scale: str = "cut"):
     """Per new facet of sl: (cut index, functional, simplices, measures),
-    the last two from ``_leray_simplices`` for ``integrate_simplices``.
+    the last two from ``QuadratureScheme.for_polytope``.
 
     scale "cut" takes the Leray measure of the cut functional Phi_a - t
     itself; "primitive" that of the primitive integer conormal of the
@@ -116,7 +114,7 @@ def _facet_pieces(sl: Slice, scale: str = "cut"):
     for (cut_idx, func), fid in zip(sl.new_facets, sl.new_facet_ids):
         norm_by = func if scale == "cut" else poly.facets[fid]
         out.append((cut_idx, func,
-                    *_leray_simplices(poly, poly.facet_vertex_ids(fid), norm_by)))
+                    *QuadratureScheme.for_polytope(poly, poly.facet_vertex_ids(fid), norm_by)))
     return out
 
 
@@ -199,7 +197,8 @@ def _dp_integral(potential, sl: Slice, fld, rel_tol) -> float:
             return fld.value(pts) * potential.conorm_sq_many(d, pts)
 
         val, _ = integrate_simplices(
-            *_leray_simplices(sl.polytope, face.vertex_ids, fa, fb), fn, rel_tol=rel_tol)
+            *QuadratureScheme.for_polytope(sl.polytope, face.vertex_ids, fa, fb), fn,
+            rel_tol=rel_tol)
         total += val
     return total
 
@@ -239,49 +238,42 @@ def _validate_stencil(family: MovingFamily, t, h):
             f"the regularity interval ({float(lo)}, {top})")
 
 
-def _ddt(value_at, t, h, richardson: bool = True) -> float:
-    """Central difference at the exact points t +- h (and t +- h/2),
-    Richardson-extrapolated by default (O(h^4)); h as in ``_validate_stencil``."""
+def _ddt(value_at, t, h) -> float:
+    """Central differences at the exact points t +- h and t +- h/2,
+    Richardson-extrapolated (O(h^4)); h as in ``_validate_stencil``."""
     t, h = _fr(t), Fraction(str(h))
 
     def cd(step):
         return (value_at(t + step) - value_at(t - step)) / (2.0 * float(step))
 
-    if not richardson:
-        return cd(h)
     return (4.0 * cd(h / 2) - cd(h)) / 3.0
 
 
-def _derivative_term(family: MovingFamily, potential, t: Fraction, f, h_t,
-                     richardson: bool, rel_tol) -> float:
+def _derivative_term(family: MovingFamily, potential, t: Fraction, f, h_t, rel_tol) -> float:
     """-1/2 d/dt int_{N(t)} f |dPhi|^2_g dsigma by ``_ddt``."""
     return -0.5 * _ddt(
         lambda tt: facet_integral(family, potential, tt, f, "conorm", rel_tol=rel_tol),
-        t, h_t, richardson)
+        t, h_t)
 
 
 def a_hat_components(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
-                     dp_convention: str = "corrected", richardson: bool = True,
-                     rel_tol=1e-10) -> BoundaryDistribution:
+                     dp_convention: str = "corrected", rel_tol=1e-10) -> BoundaryDistribution:
     """Assemble <a_hat_t, f> with a central difference for the d/dt term."""
     _validate_stencil(family, t, h_t)
     sl = _slice_at_regular(family, t)
     coef = _dp_coefficient(dp_convention)
     return BoundaryDistribution(
         t=sl.t, facet_terms=_facet_integrals(family, potential, sl, f, "one", rel_tol),
-        derivative_term=_derivative_term(family, potential, sl.t, f, h_t, richardson,
-                                         rel_tol),
+        derivative_term=_derivative_term(family, potential, sl.t, f, h_t, rel_tol),
         corner_term=-coef * dp_integral(family, potential, sl.t, f, rel_tol=rel_tol),
         dp_convention=dp_convention)
 
 
 def a_hat_pair(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
-               dp_convention: str = "corrected", richardson: bool = True,
-               rel_tol=1e-10) -> float:
+               dp_convention: str = "corrected", rel_tol=1e-10) -> float:
     """<a_hat_t, f> as a number."""
     return a_hat_components(family, potential, t, f, h_t=h_t,
-                            dp_convention=dp_convention, richardson=richardson,
-                            rel_tol=rel_tol).value
+                            dp_convention=dp_convention, rel_tol=rel_tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +322,7 @@ def boundary_volume_identity(family: MovingFamily, potential, t,
     sl = _slice_at_regular(family, t)
     _validate_stencil(family, t, h_t)
     s_int = curvature_integral(potential, sl.polytope)
-    deriv = _derivative_term(family, potential, t, 1.0, h_t, True, 1e-10)
+    deriv = _derivative_term(family, potential, t, 1.0, h_t, 1e-10)
     corner = -coef * dp_integral(family, potential, t, 1.0)
     lhs = sl.polytope.boundary_leray_volume(sl.old_facets)
     return float(lhs) - (s_int + deriv + corner)
@@ -396,7 +388,7 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
                 continue
             ell_b = poly.facets[old_on[0]]
             val, _ = integrate_simplices(
-                *_leray_simplices(poly, face.vertex_ids, func, ell_b),
+                *QuadratureScheme.for_polytope(poly, face.vertex_ids, func, ell_b),
                 xi_dot(ell_b.normal_float()), rel_tol=1e-10)
             corner += val
     return lhs - (deriv - corner)

@@ -111,8 +111,7 @@ def _run_density_profile(scenario, outdir, opts):
     per_axis = int(scenario.params.get("grid", 9))
     pot = scenario.potential
     pts = scenario.polytope.interior_float_grid(per_axis)
-    basis = SectionBasis.build(pot, k, rel_tol=opts.tolerance,
-                               threads=opts.threads)
+    basis = SectionBasis.build(pot, k, rel_tol=opts.tolerance)
     rows = density_profile(family, pot, t, k, [tuple(p) for p in pts],
                            basis=basis)
     out = []
@@ -342,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; does not change "
-                            "how section norms are computed")
+                       help="accepted for compatibility and ignored")
         p.add_argument("--tolerance", type=float, default=1e-8,
                        help="relative quadrature tolerance")
         p.add_argument("--dp-convention", choices=("corrected", "printed"),

@@ -20,9 +20,9 @@ integrand is smooth on each simplex: section norms and pairings, and the
 metric-side curvature, facet, corner, slope and Futaki integrals, whose
 regions are cut exactly (the slope integrates over P cap {Phi <= c}, not a
 kink over P).
-``integrate_simplices`` is its one-integrand front end, and
-``_leray_simplices`` weights the simplices of any boundary face by its
-exact Leray measure.
+``integrate_simplices`` is its one-integrand front end, and every
+quadrature takes its simplices from ``QuadratureScheme.for_polytope``: the
+triangulation of a polytope or of a face, weighted by exact Leray measures.
 
 Metric integrals are computed once per potential.  ``curvature_integral``
 (int_R s dx), the facet and corner integrals of ``asymptotics`` and the
@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,10 @@ from .fields import Polynomial, ScalarField, as_field
 from .polytope import _INT64_SAFE, MovingFamily, Polytope, _fr, _point, leray_simplex_measure
 
 DEFAULT_REL_TOL = 1e-8
+# the interior expansion is refused this close to the boundary, and
+# loglog_slope reads a |residual| below SLOPE_FLOOR as numerical zero
+EXPANSION_MARGIN = 0.02
+SLOPE_FLOOR = 1e-13
 
 # the order sequence, order cap, node budget and evaluation block of
 # integrate_orders
@@ -313,55 +318,31 @@ def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
     return float(value), float(delta)
 
 
-def _float_simplices(simplices) -> np.ndarray:
-    """Rational simplices as floats, shape (count, vertices, n)."""
-    return np.array([[[float(c) for c in v] for v in s] for s in simplices])
+class QuadratureScheme(NamedTuple):
+    """Weighted simplices, taken as ``integrate_simplices(*scheme, fn)``."""
 
-
-def _leray_simplices(P: Polytope, vertex_ids: tuple, *ells):
-    """(simplices, measures) of the face of P on {ell = 0 for ell in ells}
-    spanned by vertex_ids, for ``integrate_simplices``.
-
-    The face is triangulated exactly (a vertex is one point) and each simplex
-    carries its exact Leray measure d(tau) d(ell_1) ... d(ell_c) = dx.
-    """
-    tri = P.face_triangulation(vertex_ids, len(ells))
-    measures = np.array([float(leray_simplex_measure(s, *ells)) for s in tri])
-    return _float_simplices(tri), measures
-
-
-@dataclass
-class QuadratureScheme:
-    """Simplex decomposition of a polytope with an interior-node base rule."""
-
-    polytope: Polytope
     simplices: np.ndarray
     measures: np.ndarray
-    exact_volumes: list
-    rel_tol: float = DEFAULT_REL_TOL
 
     @classmethod
-    def for_polytope(cls, P: Polytope, rel_tol=DEFAULT_REL_TOL) -> "QuadratureScheme":
-        tri = P.triangulation()
-        if not tri:
-            return cls(P, np.zeros((0, P.dim + 1, P.dim)), np.zeros(0), [], rel_tol)
-        from .polytope import _simplex_volume
-        vols = [_simplex_volume(s) for s in tri]
-        simplices = _float_simplices(tri)
-        return cls(P, simplices, np.array([float(v) for v in vols]), vols, rel_tol)
+    def for_polytope(cls, P: Polytope, vertex_ids: tuple | None = None,
+                     *ells) -> "QuadratureScheme":
+        """The triangulation of P, or of the face on {ell = 0 for ell in ells}
+        that ``vertex_ids`` span, each simplex weighted by its exact Leray
+        measure d(tau) d(ell_1) ... d(ell_c) = dx: its volume without ells."""
+        tri = (P.triangulation() if vertex_ids is None
+               else P.face_triangulation(vertex_ids, len(ells)))
+        simplices = np.array([[[float(c) for c in v] for v in s] for s in tri], dtype=float)
+        return cls(simplices.reshape(len(tri), P.dim + 1 - len(ells), P.dim),
+                   np.array([float(leray_simplex_measure(s, *ells)) for s in tri]))
 
-    def integrate(self, fn, rel_tol=None):
-        return integrate_simplices(
-            self.simplices, self.measures, fn,
-            rel_tol=rel_tol if rel_tol is not None else self.rel_tol)
+    def integrate(self, fn, rel_tol=DEFAULT_REL_TOL):
+        return integrate_simplices(*self, fn, rel_tol=rel_tol)
 
 
-def integrate(P: Polytope, f, scheme: QuadratureScheme | None = None, rel_tol=None):
+def integrate(P: Polytope, f, rel_tol=DEFAULT_REL_TOL):
     """Integral of a scalar field over the polytope: (value, delta)."""
-    if scheme is None:
-        scheme = QuadratureScheme.for_polytope(P)
-    fld = as_field(f, P.dim)
-    return scheme.integrate(fld.value, rel_tol=rel_tol)
+    return QuadratureScheme.for_polytope(P).integrate(as_field(f, P.dim).value, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +414,7 @@ class SectionBasis:
     k: int
     alphas: list
     norms: np.ndarray
-    scheme: QuadratureScheme
+    rel_tol: float
     lattice: np.ndarray
     _alpha_float: np.ndarray = field(init=False)
     _masks: dict = field(init=False, default_factory=dict)
@@ -444,25 +425,20 @@ class SectionBasis:
             raise ValueError("section norms must be strictly positive")
 
     @classmethod
-    def build(cls, potential, k: int, rel_tol=DEFAULT_REL_TOL,
-              threads: int = 1) -> "SectionBasis":
-        """All norms of level k by one order-raising pass on shared nodes.
-
-        ``threads`` is accepted for compatibility and changes nothing.
-        """
+    def build(cls, potential, k: int, rel_tol=DEFAULT_REL_TOL) -> "SectionBasis":
+        """All norms of level k by one order-raising pass on shared nodes."""
         P = potential.polytope
         pts = P.lattice_points(k)
         alphas = [tuple(Fraction(m, k) for m in p) for p in pts.tolist()]
-        scheme = QuadratureScheme.for_polytope(P, rel_tol=rel_tol)
         alpha_float = pts.astype(float) / k
 
         def fn(nodes, live):
             return np.exp(-k * potential.phi_matrix(alpha_float[live], nodes))
 
-        norms, _ = integrate_orders(scheme.simplices, scheme.measures, fn,
+        norms, _ = integrate_orders(*QuadratureScheme.for_polytope(P), fn,
                                     len(alphas), rel_tol=rel_tol)
         return cls(potential=potential, k=k, alphas=alphas, norms=norms,
-                   scheme=scheme, lattice=pts)
+                   rel_tol=rel_tol, lattice=pts)
 
     def index_of(self, alpha) -> int:
         key = _point(alpha)
@@ -505,8 +481,7 @@ def mass_density(basis: SectionBasis, alpha, y) -> float:
     return float(val[0]) if pts.shape[0] == 1 else val
 
 
-def pair_alpha(potential, alpha, k: int, f, scheme: QuadratureScheme | None = None,
-               rel_tol=None, abs_tol=1e-13):
+def pair_alpha(potential, alpha, k: int, f, rel_tol=DEFAULT_REL_TOL, abs_tol=1e-13):
     """<|e_{alpha,k}|^2, f> for one lattice point, no basis required.
 
     The density |e_{alpha,k}|^2 and its f-moment are two components of one
@@ -515,12 +490,9 @@ def pair_alpha(potential, alpha, k: int, f, scheme: QuadratureScheme | None = No
     pairing itself however small the norm.  On non-convergence the
     QuadratureError carries the best pairing and its first-order error.
     """
-    if scheme is None:
-        scheme = QuadratureScheme.for_polytope(potential.polytope)
     af = np.array([float(_fr(c)) for c in alpha])
     fld = as_field(f, potential.polytope.dim)
-    rel_tol = rel_tol if rel_tol is not None else scheme.rel_tol
-    S, mu = scheme.simplices, scheme.measures
+    S, mu = QuadratureScheme.for_polytope(potential.polytope)
 
     def kernel(nodes):
         return np.exp(-k * potential.phi_many(af, nodes))
@@ -545,10 +517,10 @@ def pair_alpha(potential, alpha, k: int, f, scheme: QuadratureScheme | None = No
 
 
 def pair_section(basis: SectionBasis, alpha, f, rel_tol=None, abs_tol=1e-13):
-    """<|e_{alpha,k}|^2, f>: ratio of two quadratures sharing one node set."""
+    """``pair_alpha`` at the basis's build tolerance unless ``rel_tol`` is given."""
     basis.index_of(alpha)  # validate membership
-    return pair_alpha(basis.potential, alpha, basis.k, f, scheme=basis.scheme,
-                      rel_tol=rel_tol, abs_tol=abs_tol)
+    return pair_alpha(basis.potential, alpha, basis.k, f, abs_tol=abs_tol,
+                      rel_tol=basis.rel_tol if rel_tol is None else rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -575,19 +547,18 @@ def section_expansion_bracket(potential, alpha, k: int, f: ScalarField) -> float
     return fa + (s * fa + 0.5 * total) / (2.0 * k)
 
 
-def section_expansion_residual(potential, alpha, k: int, f,
-                               margin: float = 0.02, rel_tol=1e-10) -> float:
+def section_expansion_residual(potential, alpha, k: int, f, rel_tol=1e-10) -> float:
     """<|e|^2, f> minus the first-order bracket; O(k^-2) when all is well.
 
-    Refuses alphas closer to the boundary than ``margin``: only the
+    Refuses alphas closer to the boundary than EXPANSION_MARGIN: only the
     interior expansion is implemented.
     """
     from .potential import interior_distance
 
     a = _point(alpha)
-    if interior_distance(potential.polytope, [float(c) for c in a]) < margin:
+    if interior_distance(potential.polytope, [float(c) for c in a]) < EXPANSION_MARGIN:
         raise ValueError(
-            f"alpha {alpha} is within {margin} of the boundary; "
+            f"alpha {alpha} is within {EXPANSION_MARGIN} of the boundary; "
             "the interior expansion does not apply")
     k = int(k)
     pairing = pair_alpha(potential, a, k, f, rel_tol=rel_tol)
@@ -597,16 +568,16 @@ def section_expansion_residual(potential, alpha, k: int, f,
 DEFAULT_K_GRIDS = {1: (10, 20, 40, 80), 2: (8, 16, 32)}
 
 
-def loglog_slope(ks, values, floor=1e-13):
+def loglog_slope(ks, values):
     """Least-squares slope of log|values| against log k.
 
-    Returns -inf when every |value| sits below ``floor`` (residuals at
+    Returns -inf when every |value| sits below SLOPE_FLOOR (residuals at
     numerical zero count as maximally decaying).
     """
     vals = np.abs(np.asarray(values, dtype=float))
-    if np.all(vals < floor):
+    if np.all(vals < SLOPE_FLOOR):
         return float("-inf")
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, SLOPE_FLOOR)
     lk = np.log(np.asarray(ks, dtype=float))
     lv = np.log(vals)
     A = np.stack([lk, np.ones_like(lk)], axis=1)
@@ -614,8 +585,7 @@ def loglog_slope(ks, values, floor=1e-13):
     return float(slope)
 
 
-def section_expansion_check(potential, alpha, f, ks=None,
-                            margin: float = 0.02):
+def section_expansion_check(potential, alpha, f, ks=None):
     """Residuals over a k grid together with their fitted log-log slope.
 
     The default grid is dimension-aware: {10,20,40,80} in one dimension,
@@ -623,8 +593,7 @@ def section_expansion_check(potential, alpha, f, ks=None,
     """
     if ks is None:
         ks = DEFAULT_K_GRIDS.get(potential.polytope.dim, (8, 16, 32))
-    residuals = [section_expansion_residual(potential, alpha, k, f, margin=margin)
-                 for k in ks]
+    residuals = [section_expansion_residual(potential, alpha, k, f) for k in ks]
     return {"ks": list(ks), "residuals": residuals,
             "slope": loglog_slope(ks, residuals)}
 
@@ -694,7 +663,7 @@ def pair_partial_density(family: MovingFamily, potential, t, k: int, f,
     def fn(pts, live):
         return (basis.density(pts, mask=mask) * fld.value(pts))[None, :]
 
-    vals, deltas = integrate_orders(basis.scheme.simplices, basis.scheme.measures,
+    vals, deltas = integrate_orders(*QuadratureScheme.for_polytope(potential.polytope),
                                     fn, rel_tol=rel_tol)
     return float(vals[0]), float(deltas[0])
 

@@ -323,6 +323,7 @@ class Polytope:
 
         active_facets is the full set of facets vanishing on the face; the
         spec of a convex polytope guarantees codim-2 faces have exactly two.
+        Raises on an unbounded region (``_level``).
         """
         if codim in self._faces:
             return self._faces[codim]
@@ -336,8 +337,11 @@ class Polytope:
 
     def _level(self, d: int) -> list[frozenset]:
         """Vertex sets of the d-dimensional faces: the facets of the faces of
-        dimension d + 1, down from the hull of all vertices."""
+        dimension d + 1, down from the hull of all vertices.  Raises on an
+        unbounded region, whose faces are not its vertex sets."""
         level = [frozenset(range(len(self.vertices)))]
+        if self._ray is not None:
+            raise ValueError(f"unbounded region: recession ray {self._ray}")
         if d > self._hull:
             return []
         for _ in range(self._hull - d):
@@ -363,7 +367,8 @@ class Polytope:
         return tuple(sorted(self.incidence[a]))
 
     def essential_facets(self) -> list[int]:
-        """Indices of facets that actually carry an (n-1)-dimensional face."""
+        """Indices of facets that actually carry an (n-1)-dimensional face;
+        raises on an unbounded region (``_level``)."""
         facets = set(self._level(self.dim - 1))
         return [a for a, ids in enumerate(self.incidence) if ids in facets]
 
@@ -432,12 +437,6 @@ class Polytope:
                  * self._leray(g, cut + (b,))
                  for g, b in self._subfaces(ids) if x0 not in g), Fraction(0)) / d
         return self._measures[ids] / det
-
-    def facet_triangulation(self, a: int) -> list[tuple[Point, ...]]:
-        """(n-1)-simplices exactly covering facet a."""
-        if a not in self.essential_facets():
-            return []
-        return self.face_triangulation(self.facet_vertex_ids(a), 1)
 
     def face_triangulation(self, vertex_ids: tuple, codim: int) -> list[tuple[Point, ...]]:
         """Simplices exactly covering the codim face spanned by vertex_ids;

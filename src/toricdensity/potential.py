@@ -67,9 +67,11 @@ import numpy as np
 from .fields import Polynomial
 from .polytope import AffineFunctional, Polytope
 
-# points per block of scalar_curvature_many; it bounds the memory of every
-# array the curvature forms, the n^4 fourth derivatives of w included
+# points per block of scalar_curvature_many (it bounds the memory of every
+# array the curvature forms, the n^4 fourth derivatives of w included), and
+# per axis of the interior grid on which the constructor checks convexity
 CURVATURE_BLOCK = 1024
+CONVEXITY_GRID = 11
 
 
 def _as_points(x) -> np.ndarray:
@@ -121,8 +123,7 @@ class SymplecticPotential:
     potential if positive-definiteness fails anywhere on the sample.
     """
 
-    def __init__(self, polytope: Polytope, perturbation: Polynomial | None = None,
-                 convexity_grid: int = 11):
+    def __init__(self, polytope: Polytope, perturbation: Polynomial | None = None):
         self.polytope = polytope
         n = polytope.dim
         self.w = perturbation if perturbation is not None else Polynomial.zero(n)
@@ -141,14 +142,14 @@ class SymplecticPotential:
                      for k in range(idx[-1] if idx else 0, n)
                      if not (dp := p.partial(k)).is_zero}
             self._wjet.update(level)
-        self._check_convexity(convexity_grid)
+        self._check_convexity()
 
     @property
     def dim(self) -> int:
         return self.polytope.dim
 
-    def _check_convexity(self, per_axis: int):
-        pts = self.polytope.interior_float_grid(per_axis)
+    def _check_convexity(self):
+        pts = self.polytope.interior_float_grid(CONVEXITY_GRID)
         H = self._hessian_jets(pts)[0]
         try:
             np.linalg.cholesky(H)

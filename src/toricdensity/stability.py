@@ -22,8 +22,8 @@ import numpy as np
 
 from . import density
 from .asymptotics import _dp_coefficient, facet_integral
-from .density import (QuadratureScheme, _family_key, _leray_simplices, _memoised,
-                      curvature_integral, integrate, integrate_simplices)
+from .density import (QuadratureScheme, _family_key, _memoised, curvature_integral,
+                      integrate, integrate_simplices)
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
                        TestConfigPolytope, _fr, _intersect)
 
@@ -322,8 +322,9 @@ def roof_skeleton_integral(config: TestConfigPolytope, potential,
                 return potential.conorm_sq_many(d, nodes[:, :-1])
 
             val, _ = integrate_simplices(
-                *_leray_simplices(config.gamma, ridge.vertex_ids, lifted[ridge.cut_a],
-                                  lifted[ridge.cut_b]), fn, rel_tol=rel_tol)
+                *QuadratureScheme.for_polytope(config.gamma, ridge.vertex_ids,
+                                               lifted[ridge.cut_a], lifted[ridge.cut_b]),
+                fn, rel_tol=rel_tol)
             total += val
         return total
 
@@ -371,8 +372,7 @@ def _gamma_integrals(config: TestConfigPolytope, potential, rel_tol=1e-9) -> tup
                 phi_x = phi.value_float(pts)
                 return np.stack([s * phi_x, (s - av_s) * phi_x])[live]
 
-            scheme = QuadratureScheme.for_polytope(region)
-            vals, _ = density.integrate_orders(scheme.simplices, scheme.measures, fn, 2,
+            vals, _ = density.integrate_orders(*QuadratureScheme.for_polytope(region), fn, 2,
                                                rel_tol=rel_tol)
             total += vals
         return float(total[0]), float(total[1])

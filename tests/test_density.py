@@ -39,10 +39,42 @@ class TestIntegrate:
         val, _ = td.integrate(interval, fn, rel_tol=1e-10)
         assert val == pytest.approx(trapezoid_oracle(fn), abs=1e-8)
 
-    def test_scheme_volumes_exact(self, simplex2, square):
-        for P in (simplex2, square):
-            scheme = QuadratureScheme.for_polytope(P)
-            assert sum(scheme.exact_volumes) == P.volume()
+    def test_schemes_match_face_fans(self):
+        # the whole polytope, every facet (primitive normal and twice it),
+        # every codim-2 face, the new facets of a slice in the scale of
+        # their non-primitive cut functionals, and the roof ridges of Gamma
+        from toricdensity.polytope import leray_simplex_measure
+
+        family = td.MovingFamily(td.box([1, 1, 1]), [td.AffineFunctional([2, 0, 0], 0),
+                                                      td.AffineFunctional([0, 3, 3], 0)])
+        sl = family.slice(F(1, 2))
+        config = td.build_test_config(td.MovingFamily(
+            td.box([1, 1]), [td.AffineFunctional([1, 0], 0), td.AffineFunctional([0, 1], 0)]))
+        lifted = config.roof_functionals()
+        ridges = [(r.vertex_ids, (lifted[r.cut_a], lifted[r.cut_b]))
+                  for r in config.roof_skeleton]
+        cuts = [(sl.polytope.facet_vertex_ids(fid), (func,))
+                for (_, func), fid in zip(sl.new_facets, sl.new_facet_ids)]
+        assert ridges and cuts
+        for P, extra in ((td.box([1, 1, 1]), []), (td.standard_simplex(3), []),
+                         (sl.polytope, cuts), (config.gamma, ridges)):
+            faces = [(None, ())] + extra
+            for a in P.essential_facets():
+                f = P.facets[a]
+                twice = td.AffineFunctional([2 * c for c in f.normal], 2 * f.offset)
+                faces += [(P.facet_vertex_ids(a), (f,)), (P.facet_vertex_ids(a), (twice,))]
+            faces += [(face.vertex_ids, tuple(P.facets[a] for a in sorted(face.active_facets)[:2]))
+                      for face in P.faces(2)]
+            for ids, ells in faces:
+                tri = P.triangulation() if ids is None else P.face_triangulation(ids, len(ells))
+                got = QuadratureScheme.for_polytope(P, ids, *ells)
+                assert got.simplices.shape == (len(tri), P.dim + 1 - len(ells), P.dim)
+                assert np.array_equal(got.simplices,
+                                      [[[float(c) for c in v] for v in s] for s in tri])
+                assert np.array_equal(got.measures,
+                                      [float(leray_simplex_measure(s, *ells)) for s in tri])
+            assert math.fsum(QuadratureScheme.for_polytope(P).measures) == \
+                pytest.approx(float(P.volume()), rel=1e-14)
 
     def test_nodes_strictly_interior(self, simplex2):
         scheme = QuadratureScheme.for_polytope(simplex2)
@@ -333,11 +365,6 @@ class TestSectionBasis:
         with pytest.raises(ValueError, match="lattice point"):
             td.section_norm(cp1_bases[10], [F(1, 3)])
 
-    def test_threaded_build_identical(self, u_square):
-        a = td.SectionBasis.build(u_square, 5, threads=1)
-        b = td.SectionBasis.build(u_square, 5, threads=4)
-        assert np.array_equal(a.norms, b.norms)
-
 
 def _xlogx(x: float) -> float:
     return x * math.log(x) if x > 0.0 else 0.0
@@ -585,7 +612,7 @@ def masked_bases(draw):
     lattice = P.lattice_points(k)
     alphas = [tuple(F(m, k) for m in p) for p in lattice.tolist()]
     basis = td.SectionBasis(potential=None, k=k, alphas=alphas, norms=np.ones(len(alphas)),
-                            scheme=None, lattice=lattice)
+                            rel_tol=1e-8, lattice=lattice)
     if draw(st.booleans()):
         return family, basis, draw(st.builds(F, st.integers(0, 9), dens)), None
     alpha = draw(st.sampled_from(alphas))

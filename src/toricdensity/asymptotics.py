@@ -26,13 +26,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import (QuadratureScheme, _family_key, _field_key, _memoised,
-                      curvature_integral, integrate, integrate_simplices,
-                      pair_partial_density, tree_sum)
+from .density import (CURVATURE_REL_TOL, FACET_REL_TOL, QuadratureScheme, _family_key,
+                      _field_key, _memoised, curvature_integral, integrate,
+                      integrate_simplices, pair_partial_density, tree_sum)
 from .fields import as_field
 from .polytope import MovingFamily, Polytope, Slice, _fr
 
 DP_COEFFICIENTS = {"corrected": 0.5, "printed": 1.0}
+# the step h of the d/dt stencil t +- h, t +- h/2; exact, so every stencil
+# point is an exact slice
+STENCIL_STEP = Fraction(1, 1000)
 
 
 def _dp_coefficient(convention: str) -> float:
@@ -118,9 +121,8 @@ def _facet_pieces(sl: Slice, scale: str = "cut"):
     return out
 
 
-def facet_integral(family: MovingFamily, potential, t, f, weight: str = "one",
-                   rel_tol=1e-10) -> float:
-    """int_{N(t)} f * weight dsigma over the new facets of P(t).
+def facet_integral(family: MovingFamily, potential, t, f, weight: str = "one") -> float:
+    """int_{N(t)} f * weight dsigma over the new facets of P(t), at FACET_REL_TOL.
 
     weight "one" integrates f against the primitive-conormal Leray measure
     (the normalization of the lattice expansion's boundary term); weight
@@ -134,11 +136,10 @@ def facet_integral(family: MovingFamily, potential, t, f, weight: str = "one",
     if weight not in ("one", "conorm"):
         raise ValueError(f"unknown weight {weight!r}")
     sl = _slice_at_regular(family, t)
-    return sum(_facet_integrals(family, potential, sl, f, weight, rel_tol).values(), 0.0)
+    return sum(_facet_integrals(family, potential, sl, f, weight).values(), 0.0)
 
 
-def _facet_integrals(family: MovingFamily, potential, sl: Slice, f, weight: str,
-                     rel_tol) -> dict:
+def _facet_integrals(family: MovingFamily, potential, sl: Slice, f, weight: str) -> dict:
     """Per active cut, the integral of ``facet_integral`` over its new facet
     of sl.  Memoised per potential; the caller gets its own dict."""
     def compute():
@@ -153,11 +154,11 @@ def _facet_integrals(family: MovingFamily, potential, sl: Slice, f, weight: str,
                     return fld.value(pts) * potential.conorm_sq_many(g, pts)
 
             per_cut[cut_idx], _ = integrate_simplices(simplices, measures, fn,
-                                                      rel_tol=rel_tol)
+                                                      rel_tol=FACET_REL_TOL)
         return per_cut
 
     return dict(_memoised(potential, ("facet", _family_key(family), sl.t, weight,
-                                      _field_key(f), rel_tol), compute))
+                                      _field_key(f)), compute))
 
 
 def _corner_faces(sl: Slice):
@@ -177,16 +178,16 @@ def _corner_faces(sl: Slice):
     return out
 
 
-def dp_integral(family: MovingFamily, potential, t, f, rel_tol=1e-10) -> float:
+def dp_integral(family: MovingFamily, potential, t, f) -> float:
     """int_{N(t)} f dp: corner measure |dPhi_a - dPhi_b|^2_g dtau_ab summed
-    over unordered pairs of active cuts.  Memoised per potential."""
+    over unordered pairs of active cuts, at FACET_REL_TOL.  Memoised per
+    potential."""
     sl = _slice_at_regular(family, t)
-    return _memoised(potential, ("dp", _family_key(family), sl.t, _field_key(f), rel_tol),
-                     lambda: _dp_integral(potential, sl, as_field(f, family.base.dim),
-                                          rel_tol))
+    return _memoised(potential, ("dp", _family_key(family), sl.t, _field_key(f)),
+                     lambda: _dp_integral(potential, sl, as_field(f, family.base.dim)))
 
 
-def _dp_integral(potential, sl: Slice, fld, rel_tol) -> float:
+def _dp_integral(potential, sl: Slice, fld) -> float:
     cuts = {cut: func for cut, func in sl.new_facets}
     total = 0.0
     for a, b, face in _corner_faces(sl):
@@ -198,7 +199,7 @@ def _dp_integral(potential, sl: Slice, fld, rel_tol) -> float:
 
         val, _ = integrate_simplices(
             *QuadratureScheme.for_polytope(sl.polytope, face.vertex_ids, fa, fb), fn,
-            rel_tol=rel_tol)
+            rel_tol=FACET_REL_TOL)
         total += val
     return total
 
@@ -226,10 +227,10 @@ class BoundaryDistribution:
         return self.facet_term + self.derivative_term + self.corner_term
 
 
-def _validate_stencil(family: MovingFamily, t, h):
-    """Reject a stencil [t-h, t+h] that leaves the regularity interval of t,
-    compared exactly; a float h is read by its shortest repr."""
-    t, h = _fr(t), Fraction(str(h))
+def _validate_stencil(family: MovingFamily, t):
+    """Reject a stencil [t-h, t+h], h = STENCIL_STEP, that leaves the
+    regularity interval of t, compared exactly."""
+    t, h = _fr(t), STENCIL_STEP
     lo, hi = family.regularity_interval(t)
     if t - h <= lo or (hi is not None and t + h >= hi):
         top = float("inf") if hi is None else float(hi)
@@ -238,10 +239,10 @@ def _validate_stencil(family: MovingFamily, t, h):
             f"the regularity interval ({float(lo)}, {top})")
 
 
-def _ddt(value_at, t, h) -> float:
+def _ddt(value_at, t) -> float:
     """Central differences at the exact points t +- h and t +- h/2,
-    Richardson-extrapolated (O(h^4)); h as in ``_validate_stencil``."""
-    t, h = _fr(t), Fraction(str(h))
+    h = STENCIL_STEP, Richardson-extrapolated (O(h^4))."""
+    t, h = _fr(t), STENCIL_STEP
 
     def cd(step):
         return (value_at(t + step) - value_at(t - step)) / (2.0 * float(step))
@@ -249,31 +250,28 @@ def _ddt(value_at, t, h) -> float:
     return (4.0 * cd(h / 2) - cd(h)) / 3.0
 
 
-def _derivative_term(family: MovingFamily, potential, t: Fraction, f, h_t, rel_tol) -> float:
+def _derivative_term(family: MovingFamily, potential, t: Fraction, f) -> float:
     """-1/2 d/dt int_{N(t)} f |dPhi|^2_g dsigma by ``_ddt``."""
-    return -0.5 * _ddt(
-        lambda tt: facet_integral(family, potential, tt, f, "conorm", rel_tol=rel_tol),
-        t, h_t)
+    return -0.5 * _ddt(lambda tt: facet_integral(family, potential, tt, f, "conorm"), t)
 
 
-def a_hat_components(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
-                     dp_convention: str = "corrected", rel_tol=1e-10) -> BoundaryDistribution:
+def a_hat_components(family: MovingFamily, potential, t, f,
+                     dp_convention: str = "corrected") -> BoundaryDistribution:
     """Assemble <a_hat_t, f> with a central difference for the d/dt term."""
-    _validate_stencil(family, t, h_t)
+    _validate_stencil(family, t)
     sl = _slice_at_regular(family, t)
     coef = _dp_coefficient(dp_convention)
     return BoundaryDistribution(
-        t=sl.t, facet_terms=_facet_integrals(family, potential, sl, f, "one", rel_tol),
-        derivative_term=_derivative_term(family, potential, sl.t, f, h_t, rel_tol),
-        corner_term=-coef * dp_integral(family, potential, sl.t, f, rel_tol=rel_tol),
+        t=sl.t, facet_terms=_facet_integrals(family, potential, sl, f, "one"),
+        derivative_term=_derivative_term(family, potential, sl.t, f),
+        corner_term=-coef * dp_integral(family, potential, sl.t, f),
         dp_convention=dp_convention)
 
 
-def a_hat_pair(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
-               dp_convention: str = "corrected", rel_tol=1e-10) -> float:
+def a_hat_pair(family: MovingFamily, potential, t, f,
+               dp_convention: str = "corrected") -> float:
     """<a_hat_t, f> as a number."""
-    return a_hat_components(family, potential, t, f, h_t=h_t,
-                            dp_convention=dp_convention, rel_tol=rel_tol).value
+    return a_hat_components(family, potential, t, f, dp_convention=dp_convention).value
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +279,7 @@ def a_hat_pair(family: MovingFamily, potential, t, f, h_t: float = 1e-3,
 # ---------------------------------------------------------------------------
 
 def expansion_residual(family: MovingFamily, potential, t, f, k: int,
-                       basis=None, h_t: float = 1e-3,
-                       dp_convention: str = "corrected") -> float:
+                       basis=None, dp_convention: str = "corrected") -> float:
     """<rho_hat_tk, f> - k^n [ int_{P(t)} f + (1/2k)(int_{P(t)} s f + <a_hat_t, f>) ].
 
     Bounded by O(k^{n-2}) when the two-term expansion holds.
@@ -298,15 +295,13 @@ def expansion_residual(family: MovingFamily, potential, t, f, k: int,
     def sf(pts):
         return potential.scalar_curvature_many(pts) * fld.value(pts)
 
-    s_term, _ = scheme.integrate(sf, rel_tol=1e-9)
-    a_hat = a_hat_pair(family, potential, t, f, h_t=h_t,
-                       dp_convention=dp_convention)
+    s_term, _ = scheme.integrate(sf, rel_tol=CURVATURE_REL_TOL)
+    a_hat = a_hat_pair(family, potential, t, f, dp_convention=dp_convention)
     two_term = float(k) ** n * (vol_term + (s_term + a_hat) / (2.0 * k))
     return pairing - two_term
 
 
 def boundary_volume_identity(family: MovingFamily, potential, t,
-                             h_t: float = 1e-3,
                              dp_convention: str = "corrected") -> float:
     """Residual of Vol(dP(t)+) = int_{P(t)} s - 1/2 d/dt int |dPhi|^2 - c int dp.
 
@@ -320,16 +315,15 @@ def boundary_volume_identity(family: MovingFamily, potential, t,
         return float(family.base.boundary_leray_volume()) - \
             curvature_integral(potential, family.base)
     sl = _slice_at_regular(family, t)
-    _validate_stencil(family, t, h_t)
+    _validate_stencil(family, t)
     s_int = curvature_integral(potential, sl.polytope)
-    deriv = _derivative_term(family, potential, t, 1.0, h_t, 1e-10)
+    deriv = _derivative_term(family, potential, t, 1.0)
     corner = -coef * dp_integral(family, potential, t, 1.0)
     lhs = sl.polytope.boundary_leray_volume(sl.old_facets)
     return float(lhs) - (s_int + deriv + corner)
 
 
-def divergence_identity_check(family: MovingFamily, potential, t, xi,
-                              h_t: float = 1e-3) -> float:
+def divergence_identity_check(family: MovingFamily, potential, t, xi) -> float:
     """Residual of the slice divergence identity for a single-cut family:
 
         int_{W(t)} div(xi) dsigma
@@ -361,18 +355,18 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
     if not pieces:
         raise ValueError(f"the cut is not active at t = {t}")
     _, func, simplices, measures = pieces[0]
-    lhs, _ = integrate_simplices(simplices, measures, div_fn, rel_tol=1e-10)
+    lhs, _ = integrate_simplices(simplices, measures, div_fn, rel_tol=FACET_REL_TOL)
 
-    _validate_stencil(family, t, h_t)
+    _validate_stencil(family, t)
 
     def flux_at(tt):
         pieces_t = _facet_pieces(family.slice(tt))
         if not pieces_t:
             return 0.0
         _, fc, ss, ms = pieces_t[0]
-        return integrate_simplices(ss, ms, xi_dot(fc.normal_float()), rel_tol=1e-10)[0]
+        return integrate_simplices(ss, ms, xi_dot(fc.normal_float()), rel_tol=FACET_REL_TOL)[0]
 
-    deriv = _ddt(flux_at, t, h_t)
+    deriv = _ddt(flux_at, t)
 
     # corner term: dW(t) pieces sit on (cut, old facet) pairs
     corner = 0.0
@@ -389,6 +383,6 @@ def divergence_identity_check(family: MovingFamily, potential, t, xi,
             ell_b = poly.facets[old_on[0]]
             val, _ = integrate_simplices(
                 *QuadratureScheme.for_polytope(poly, face.vertex_ids, func, ell_b),
-                xi_dot(ell_b.normal_float()), rel_tol=1e-10)
+                xi_dot(ell_b.normal_float()), rel_tol=FACET_REL_TOL)
             corner += val
     return lhs - (deriv - corner)

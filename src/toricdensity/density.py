@@ -30,10 +30,12 @@ Gamma integrals of ``stability`` go through ``_memoised``, which keeps one
 float per distinct integral in a dict on the potential.  The keys are exact
 data: the facet keys of the region, or the base and cut keys of the family
 with the exact slice t; the integrand f (numbers and Polynomials by value,
-any other field or callable by identity); and rel_tol.  Quadrature is
-deterministic, so a stored value is the one a fresh call would compute.  A
-value is stored only once its computation returns: a QuadratureError is
-never cached.
+any other field or callable by identity) -- and nothing else: each kind of
+integral runs at one fixed tolerance, CURVATURE_REL_TOL for the integrals
+weighted by the scalar curvature and FACET_REL_TOL for the facet, corner and
+roof-ridge integrals.  Quadrature is deterministic, so a stored value is the
+one a fresh call would compute.  A value is stored only once its computation
+returns: a QuadratureError is never cached.
 
 All results are pushed down to the polytope: the (2 pi)^n fibre factor is
 dropped throughout, so pairings satisfy <|e_{alpha,k}|^2, 1> = 1 and
@@ -53,6 +55,13 @@ from .fields import Polynomial, ScalarField, as_field
 from .polytope import _INT64_SAFE, MovingFamily, Polytope, _fr, _point, leray_simplex_measure
 
 DEFAULT_REL_TOL = 1e-8
+# the one relative tolerance of each kind of integral: those weighted by the
+# scalar curvature, and pair_partial_density; the facet, corner, roof-ridge
+# and divergence-check integrals, and the pairing of
+# section_expansion_residual.  pair_alpha's absolute floor is PAIRING_FLOOR.
+CURVATURE_REL_TOL = 1e-9
+FACET_REL_TOL = 1e-10
+PAIRING_FLOOR = 1e-13
 # the interior expansion is refused this close to the boundary, and
 # loglog_slope reads a |residual| below SLOPE_FLOOR as numerical zero
 EXPANSION_MARGIN = 0.02
@@ -302,8 +311,7 @@ def integrate_orders(simplices, measures, fn, components=1,
     return values, deltas
 
 
-def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
-                        abs_tol=1e-12):
+def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL):
     """Integral of one function ``fn(nodes)`` over weighted simplices.
 
     ``simplices`` is (s, m+1, N); ``measures`` the intrinsic measure of
@@ -313,8 +321,7 @@ def integrate_simplices(simplices, measures, fn, rel_tol=DEFAULT_REL_TOL,
     def one(nodes, live):
         return np.broadcast_to(fn(nodes), (1, len(nodes)))
 
-    (value,), (delta,) = integrate_orders(simplices, measures, one,
-                                          rel_tol=rel_tol, abs_tol=abs_tol)
+    (value,), (delta,) = integrate_orders(simplices, measures, one, rel_tol=rel_tol)
     return float(value), float(delta)
 
 
@@ -391,11 +398,12 @@ def _memoised(potential, key: tuple, compute):
     return memo[key]
 
 
-def curvature_integral(potential, P: Polytope, rel_tol=1e-9) -> float:
-    """int_P s dx, computed once per potential, facets of P and rel_tol."""
+def curvature_integral(potential, P: Polytope) -> float:
+    """int_P s dx at CURVATURE_REL_TOL, computed once per potential and facets
+    of P."""
     return _memoised(
-        potential, ("curvature", _region_key(P), rel_tol),
-        lambda: integrate(P, potential.scalar_curvature_many, rel_tol=rel_tol)[0])
+        potential, ("curvature", _region_key(P)),
+        lambda: integrate(P, potential.scalar_curvature_many, CURVATURE_REL_TOL)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +489,12 @@ def mass_density(basis: SectionBasis, alpha, y) -> float:
     return float(val[0]) if pts.shape[0] == 1 else val
 
 
-def pair_alpha(potential, alpha, k: int, f, rel_tol=DEFAULT_REL_TOL, abs_tol=1e-13):
+def pair_alpha(potential, alpha, k: int, f, rel_tol=DEFAULT_REL_TOL):
     """<|e_{alpha,k}|^2, f> for one lattice point, no basis required.
 
     The density |e_{alpha,k}|^2 and its f-moment are two components of one
     order-raising pass on shared nodes, so f = 1 pairs to exactly 1.  The
-    kernel is first divided by the section norm, so ``abs_tol`` floors the
+    kernel is first divided by the section norm, so PAIRING_FLOOR floors the
     pairing itself however small the norm.  On non-convergence the
     QuadratureError carries the best pairing and its first-order error.
     """
@@ -506,7 +514,7 @@ def pair_alpha(potential, alpha, k: int, f, rel_tol=DEFAULT_REL_TOL, abs_tol=1e-
 
     try:
         (den, num), _ = integrate_orders(S, mu, fn, 2, rel_tol=rel_tol,
-                                         abs_tol=abs_tol)
+                                         abs_tol=PAIRING_FLOOR)
     except QuadratureError as exc:
         (den, num), (d_den, d_num) = exc.best, exc.delta
         ratio = num / den
@@ -516,11 +524,10 @@ def pair_alpha(potential, alpha, k: int, f, rel_tol=DEFAULT_REL_TOL, abs_tol=1e-
     return num / den
 
 
-def pair_section(basis: SectionBasis, alpha, f, rel_tol=None, abs_tol=1e-13):
-    """``pair_alpha`` at the basis's build tolerance unless ``rel_tol`` is given."""
+def pair_section(basis: SectionBasis, alpha, f):
+    """``pair_alpha`` at the basis's build tolerance."""
     basis.index_of(alpha)  # validate membership
-    return pair_alpha(basis.potential, alpha, basis.k, f, abs_tol=abs_tol,
-                      rel_tol=basis.rel_tol if rel_tol is None else rel_tol)
+    return pair_alpha(basis.potential, alpha, basis.k, f, rel_tol=basis.rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +554,9 @@ def section_expansion_bracket(potential, alpha, k: int, f: ScalarField) -> float
     return fa + (s * fa + 0.5 * total) / (2.0 * k)
 
 
-def section_expansion_residual(potential, alpha, k: int, f, rel_tol=1e-10) -> float:
-    """<|e|^2, f> minus the first-order bracket; O(k^-2) when all is well.
+def section_expansion_residual(potential, alpha, k: int, f) -> float:
+    """<|e|^2, f> (paired at FACET_REL_TOL) minus the first-order bracket;
+    O(k^-2) when all is well.
 
     Refuses alphas closer to the boundary than EXPANSION_MARGIN: only the
     interior expansion is implemented.
@@ -561,7 +569,7 @@ def section_expansion_residual(potential, alpha, k: int, f, rel_tol=1e-10) -> fl
             f"alpha {alpha} is within {EXPANSION_MARGIN} of the boundary; "
             "the interior expansion does not apply")
     k = int(k)
-    pairing = pair_alpha(potential, a, k, f, rel_tol=rel_tol)
+    pairing = pair_alpha(potential, a, k, f, rel_tol=FACET_REL_TOL)
     return pairing - section_expansion_bracket(potential, a, k, f)
 
 
@@ -610,14 +618,6 @@ def required_divisor(family: MovingFamily, t) -> int:
     return sl.polytope.integrality_divisor()
 
 
-def _check_divisibility(family: MovingFamily, t, k: int):
-    N = required_divisor(family, t)
-    if k % N != 0:
-        raise ValueError(
-            f"kP(t) is not an integral polytope for k={k}, t={t}: "
-            f"k must be divisible by N={N}")
-
-
 def partial_mask(family: MovingFamily, basis: SectionBasis, t) -> np.ndarray:
     """Exact membership of each basis alpha = m/k in P(t), read-only, once
     per basis, family and t: <nu, m> >= k lam for the cleared integers of
@@ -638,33 +638,41 @@ def partial_mask(family: MovingFamily, basis: SectionBasis, t) -> np.ndarray:
     return basis._masks[key]
 
 
+def _partial_basis(family: MovingFamily, potential, t, k: int,
+                   basis: SectionBasis | None):
+    """(basis, mask) of rho_hat_tk: kP(t) must be integral, the basis of
+    level k is built when none is given, and the mask is its ``partial_mask``."""
+    N = required_divisor(family, t)
+    if k % N != 0:
+        raise ValueError(
+            f"kP(t) is not an integral polytope for k={k}, t={t}: "
+            f"k must be divisible by N={N}")
+    if basis is None:
+        basis = SectionBasis.build(potential, k)
+    return basis, partial_mask(family, basis, t)
+
+
 def partial_density(family: MovingFamily, potential, t, k: int, points,
                     basis: SectionBasis | None = None):
     """rho_hat_tk at the given points (pushed-down normalization)."""
-    _check_divisibility(family, t, k)
-    if basis is None:
-        basis = SectionBasis.build(potential, k)
-    mask = partial_mask(family, basis, t)
+    basis, mask = _partial_basis(family, potential, t, k, basis)
     vals = basis.density(points, mask=mask)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return float(vals[0]) if pts.shape[0] == 1 and np.ndim(points) == 1 else vals
 
 
 def pair_partial_density(family: MovingFamily, potential, t, k: int, f,
-                         basis: SectionBasis | None = None,
-                         rel_tol=1e-9):
-    """<rho_hat_tk, f> by order-raising quadrature of the density over P."""
-    _check_divisibility(family, t, k)
-    if basis is None:
-        basis = SectionBasis.build(potential, k)
-    mask = partial_mask(family, basis, t)
+                         basis: SectionBasis | None = None):
+    """<rho_hat_tk, f> by order-raising quadrature of the density over P, at
+    CURVATURE_REL_TOL."""
+    basis, mask = _partial_basis(family, potential, t, k, basis)
     fld = as_field(f, potential.polytope.dim)
 
     def fn(pts, live):
         return (basis.density(pts, mask=mask) * fld.value(pts))[None, :]
 
     vals, deltas = integrate_orders(*QuadratureScheme.for_polytope(potential.polytope),
-                                    fn, rel_tol=rel_tol)
+                                    fn, rel_tol=CURVATURE_REL_TOL)
     return float(vals[0]), float(deltas[0])
 
 
@@ -706,9 +714,7 @@ def decay_report(family: MovingFamily, potential, t, points, ks,
             raise ValueError(f"point {p} lies on the interface N(t): no pointwise claim")
     bases = bases if bases is not None else {}
     for k in ks:
-        _check_divisibility(family, t, k)
-        if k not in bases:
-            bases[k] = SectionBasis.build(potential, k)
+        bases[k], _ = _partial_basis(family, potential, t, k, bases.get(k))
     rows = []
     for p in pts:
         region = region_classify(family, t, p)
@@ -744,10 +750,7 @@ def decay_report(family: MovingFamily, potential, t, points, ks,
 def density_profile(family: MovingFamily, potential, t, k: int, points,
                     basis: SectionBasis | None = None):
     """Rows (y..., rho_k, rho_hat_tk, region) for CSV export."""
-    _check_divisibility(family, t, k)
-    if basis is None:
-        basis = SectionBasis.build(potential, k)
-    mask = partial_mask(family, basis, t)
+    basis, mask = _partial_basis(family, potential, t, k, basis)
     pts = np.atleast_2d(np.asarray(
         [[float(_fr(c)) for c in p] for p in points], dtype=float))
     rho = basis.density(pts)

@@ -46,10 +46,6 @@ class Polynomial:
             terms[expo] = terms.get(expo, 0.0) + float(m["coeff"])
         return cls(nvars, terms)
 
-    def to_monomials(self) -> list:
-        return [{"exponents": list(e), "coeff": c}
-                for e, c in sorted(self.terms.items())]
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

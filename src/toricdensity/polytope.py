@@ -34,6 +34,9 @@ Point = tuple[Fraction, ...]
 # Lattice counts switch from int64 to Python-int (object) arrays once a
 # bound on the values they compute reaches this size.
 _INT64_SAFE = 2**62
+# lattice_points refuses more points than this before it builds any array
+# of them; at this size a section basis holds 0.4-0.5 GB before its first norm
+LATTICE_BUDGET = 1 << 20
 
 
 def _fr(x) -> Fraction:
@@ -513,15 +516,20 @@ class Polytope:
 
         Built fibre by fibre from exact integer bounds (see ``_fibres``);
         the dtype is int64, or object (Python ints) when coordinates or
-        intermediate bounds could pass 2**62.
+        intermediate bounds could pass 2**62.  Raises ValueError, before any
+        (N, n) array exists, when N passes LATTICE_BUDGET.
         """
         fibres = self._fibres(k)
         if fibres is None:
             return np.zeros((0, self.dim), dtype=np.int64)
         prefix, lower, length = fibres
+        count = int(length.sum())
+        if count > LATTICE_BUDGET:
+            raise ValueError(f"k*P has {count} lattice points at k={k}, past the "
+                             f"budget of {LATTICE_BUDGET}")
         reps = length.astype(np.int64)
         start = np.cumsum(reps) - reps
-        step = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(start, reps)
+        step = np.arange(count, dtype=np.int64) - np.repeat(start, reps)
         last = np.repeat(lower, reps) + step.astype(lower.dtype)
         return np.column_stack([np.repeat(prefix, reps, axis=0), last])
 
@@ -580,6 +588,8 @@ def leray_simplex_measure(simplex: Sequence[Point], *ells: AffineFunctional) -> 
     coordinates J keeps everything rational.  Raises when the normals are
     linearly dependent (a zero normal included).
     """
+    if not ells:
+        return _simplex_volume(simplex)
     _, cols, det = _row_reduce([ell.normal for ell in ells], len(simplex[0]))
     if len(cols) < len(ells):
         raise ValueError("Leray measure undefined: the normals are linearly dependent")
@@ -874,9 +884,6 @@ class MovingFamily:
         if lo is None or t < 0:
             raise ValueError(f"t = {t} is below the family range")
         return lo, hi
-
-    def top_critical_value(self) -> Fraction:
-        return self.critical_values()[-1]
 
 
 @dataclass

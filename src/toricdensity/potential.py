@@ -72,6 +72,8 @@ from .polytope import AffineFunctional, Polytope
 # per axis of the interior grid on which the constructor checks convexity
 CURVATURE_BLOCK = 1024
 CONVEXITY_GRID = 11
+# the step of the finite-difference curvature oracle
+FD_STEP = 1e-4
 
 
 def _as_points(x) -> np.ndarray:
@@ -336,9 +338,11 @@ class SymplecticPotential:
         """s(x) = -1/2 sum_ij d_i d_j G^ij via the analytic derivatives."""
         return float(self.scalar_curvature_many(x)[0])
 
-    def scalar_curvature_fd(self, x, h: float = 1e-4) -> float:
-        """Finite-difference cross-check of the curvature (central stencils)."""
+    def scalar_curvature_fd(self, x) -> float:
+        """Finite-difference cross-check of the curvature (central stencils
+        of step FD_STEP)."""
         x = np.asarray(x, dtype=float).reshape(-1)
+        h = FD_STEP
         e = h * np.eye(self.dim)
 
         def g(p, i, j):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import density
 from .asymptotics import _dp_coefficient, facet_integral
-from .density import (QuadratureScheme, _family_key, _memoised, curvature_integral,
-                      integrate, integrate_simplices)
+from .density import (CURVATURE_REL_TOL, FACET_REL_TOL, QuadratureScheme, _family_key,
+                      _memoised, curvature_integral, integrate, integrate_simplices)
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
                        TestConfigPolytope, _fr, _intersect)
 
@@ -77,16 +77,11 @@ def _poly_coeff(coeffs, d: int) -> Fraction:
 
 
 def _fit_counts(ks, counts, degree: int, what: str):
-    """Interpolate on degree+1 points and verify the rest exactly."""
-    if len(ks) < degree + 2:
-        raise ValueError(
-            f"{what}: need at least {degree + 2} sample points for a verified "
-            f"degree-{degree} fit, got {len(ks)}")
+    """Interpolate on degree+1 points and verify the rest exactly (callers
+    pass degree+2)."""
     xs = [Fraction(k) for k in ks[:degree + 1]]
     ys = [Fraction(c) for c in counts[:degree + 1]]
     coeffs = _interpolate(xs, ys)
-    if len(coeffs) > degree + 1:
-        raise ValueError(f"{what}: counts exceed degree {degree}")
     for k, c in zip(ks[degree + 1:], counts[degree + 1:]):
         if _poly_eval(coeffs, Fraction(k)) != c:
             raise ValueError(
@@ -107,9 +102,9 @@ class HilbertCoefficients:
     source: str
 
 
-def hilbert_coeffs_combinatorial(family: MovingFamily, t,
-                                 k_samples=None) -> HilbertCoefficients:
-    """Exact A0(t), A1(t) from lattice counts of P(t) on an admissible grid."""
+def hilbert_coeffs_combinatorial(family: MovingFamily, t) -> HilbertCoefficients:
+    """Exact A0(t), A1(t) from lattice counts of P(t) at k = N, 2N, ..., (n+2)N,
+    N the integrality divisor of P(t)."""
     t = _fr(t)
     n = family.base.dim
     sl = family.slice(t)
@@ -117,11 +112,7 @@ def hilbert_coeffs_combinatorial(family: MovingFamily, t,
         return HilbertCoefficients(t=t, A0=Fraction(0), A1=Fraction(0),
                                    source="combinatorial")
     N_div = sl.polytope.integrality_divisor()
-    if k_samples is None:
-        k_samples = [N_div * j for j in range(1, n + 3)]
-    for k in k_samples:
-        if k % N_div != 0:
-            raise ValueError(f"k={k} is inadmissible: requires divisibility by {N_div}")
+    k_samples = [N_div * j for j in range(1, n + 3)]
     counts = [sl.polytope.count_lattice_points(k) for k in k_samples]
     coeffs = _fit_counts(k_samples, counts, n, "Hilbert polynomial")
     return HilbertCoefficients(t=t, A0=_poly_coeff(coeffs, n),
@@ -218,8 +209,7 @@ class SlopeReport:
     verdict: str
 
 
-def slope_excess_metric(family: MovingFamily, potential, c,
-                        rel_tol=1e-9) -> float:
+def slope_excess_metric(family: MovingFamily, potential, c) -> float:
     """mu_c - mu(X) from metric data, for a single-cut family:
 
         [2 int_0^c Vol(P(t)) dt]^{-1} { int_0^c int_{P(t)} (s - Av s) dx dt
@@ -228,6 +218,7 @@ def slope_excess_metric(family: MovingFamily, potential, c,
     As s - Av s integrates to 0 over P, the double integral is
     -int_0^c int_{C(t)} (s - Av s) dx dt = -int (c - Phi)(s - Av s) dx over
     the polytope C(c) = P cap {Phi <= c}, where the integrand is smooth.
+    The curvature integrals run at CURVATURE_REL_TOL.
     """
     if len(family.cuts) != 1:
         raise ValueError("the metric slope formula applies to single-cut families")
@@ -237,7 +228,7 @@ def slope_excess_metric(family: MovingFamily, potential, c,
     P = family.base
     phi = family.cuts[0]
     vol = float(P.volume())
-    s_int = curvature_integral(potential, P, rel_tol)
+    s_int = curvature_integral(potential, P)
     av_s = s_int / vol
 
     cf = float(c)
@@ -247,7 +238,7 @@ def slope_excess_metric(family: MovingFamily, potential, c,
         return (s - av_s) * (cf - phi.value_float(pts))
 
     below = _intersect(P, [AffineFunctional([-v for v in phi.normal], -phi.offset - c)])
-    term1 = 0.0 if below is None else integrate(below[0], weighted, rel_tol=rel_tol)[0]
+    term1 = 0.0 if below is None else integrate(below[0], weighted, CURVATURE_REL_TOL)[0]
     term2 = 0.5 * facet_integral(family, potential, c, 1.0, "conorm")
     A0, _ = hilbert_polynomials(family)
     denom = 2.0 * float(_poly_eval(_poly_antiderivative(A0), c))
@@ -274,24 +265,21 @@ def slope_report(family: MovingFamily, potential, c) -> SlopeReport:
 # Donaldson-Futaki invariants
 # ---------------------------------------------------------------------------
 
-def futaki_combinatorial(config: TestConfigPolytope, k_samples=None) -> Fraction:
+def futaki_combinatorial(config: TestConfigPolytope) -> Fraction:
     """F1: the k^{-1} coefficient of w_k/(k d_k), exact.
 
-    w_k and d_k are interpolated as exact polynomials of degrees n+1 and n;
+    w_k and d_k are interpolated as exact polynomials of degrees n+1 and n
+    from lattice counts at k = N, 2N, ..., (n+3)N, N the least common
+    integrality divisor of Gamma and P;
     F1 = (w_n d_n - w_{n+1} d_{n-1}) / d_n^2 after clearing denominators.
     """
     P = config.family.base
     n = P.dim
     N_div = config.gamma.integrality_divisor()
     N_div = N_div * P.integrality_divisor() // gcd(N_div, P.integrality_divisor())
-    if k_samples is None:
-        k_samples = [N_div * j for j in range(1, n + 4)]
-    if len(k_samples) < n + 3:
-        raise ValueError(f"need at least {n + 3} admissible k samples")
+    k_samples = [N_div * j for j in range(1, n + 4)]
     w_counts, d_counts = [], []
     for k in k_samples:
-        if k % N_div != 0:
-            raise ValueError(f"k={k} inadmissible: requires divisibility by {N_div}")
         Nk_gamma = config.gamma.count_lattice_points(k)
         Nk_p = P.count_lattice_points(k)
         w_counts.append(Nk_gamma - Nk_p)
@@ -307,10 +295,9 @@ def futaki_combinatorial(config: TestConfigPolytope, k_samples=None) -> Fraction
     return (w_sub * d_top - w_top * d_sub) / d_top**2
 
 
-def roof_skeleton_integral(config: TestConfigPolytope, potential,
-                           rel_tol=1e-10) -> float:
-    """int over the roof skeleton of dp~ = |dPhi_a - dPhi_b|^2_g dtau~_ab.
-    Memoised per potential, family and rel_tol."""
+def roof_skeleton_integral(config: TestConfigPolytope, potential) -> float:
+    """int over the roof skeleton of dp~ = |dPhi_a - dPhi_b|^2_g dtau~_ab, at
+    FACET_REL_TOL.  Memoised per potential and family."""
     def compute():
         lifted = config.roof_functionals()
         total = 0.0
@@ -324,11 +311,11 @@ def roof_skeleton_integral(config: TestConfigPolytope, potential,
             val, _ = integrate_simplices(
                 *QuadratureScheme.for_polytope(config.gamma, ridge.vertex_ids,
                                                lifted[ridge.cut_a], lifted[ridge.cut_b]),
-                fn, rel_tol=rel_tol)
+                fn, rel_tol=FACET_REL_TOL)
             total += val
         return total
 
-    return _memoised(potential, ("skeleton", _family_key(config.family), rel_tol), compute)
+    return _memoised(potential, ("skeleton", _family_key(config.family)), compute)
 
 
 def delta_gamma(config: TestConfigPolytope, potential,
@@ -357,14 +344,14 @@ def _roof_projection_pieces(config: TestConfigPolytope):
     return pieces
 
 
-def _gamma_integrals(config: TestConfigPolytope, potential, rel_tol=1e-9) -> tuple:
+def _gamma_integrals(config: TestConfigPolytope, potential) -> tuple:
     """(int_Gamma pr1*(s), int_Gamma pr1*(s - Av_P s)), each reduced to a sum
     over the roof projection pieces of int_{R_a} (.) Phi_a dx; both come from
-    one integrate_orders pass per piece.  Memoised per potential, family and
-    rel_tol."""
+    one integrate_orders pass per piece, at CURVATURE_REL_TOL.  Memoised per
+    potential and family."""
     def compute():
         P = config.family.base
-        av_s = curvature_integral(potential, P, rel_tol) / float(P.volume())
+        av_s = curvature_integral(potential, P) / float(P.volume())
         total = np.zeros(2)
         for _, phi_a, region in _roof_projection_pieces(config):
             def fn(pts, live, phi=phi_a):
@@ -373,17 +360,16 @@ def _gamma_integrals(config: TestConfigPolytope, potential, rel_tol=1e-9) -> tup
                 return np.stack([s * phi_x, (s - av_s) * phi_x])[live]
 
             vals, _ = density.integrate_orders(*QuadratureScheme.for_polytope(region), fn, 2,
-                                               rel_tol=rel_tol)
+                                               rel_tol=CURVATURE_REL_TOL)
             total += vals
         return float(total[0]), float(total[1])
 
-    return _memoised(potential, ("gamma_s", _family_key(config.family), rel_tol), compute)
+    return _memoised(potential, ("gamma_s", _family_key(config.family)), compute)
 
 
-def gamma_scalar_integral(config: TestConfigPolytope, potential,
-                          rel_tol=1e-9) -> float:
+def gamma_scalar_integral(config: TestConfigPolytope, potential) -> float:
     """int_Gamma pr1*(s) reduced to sum_a int_{R_a} s(x) Phi_a(x) dx."""
-    return _gamma_integrals(config, potential, rel_tol)[0]
+    return _gamma_integrals(config, potential)[0]
 
 
 def futaki_metric(config: TestConfigPolytope, potential,

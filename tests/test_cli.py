@@ -1,6 +1,8 @@
 """Scenario files, serialization round-trips, CLI exit codes, determinism."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -184,6 +186,25 @@ class TestCliRuns:
             capture_output=True, text=True)
         assert proc.returncode == cli.EXIT_PRECONDITION
         assert proc.stderr == "toricdensity.cli: slope requires a single-cut family\n"
+
+    def test_lattice_budget_exit_code(self, tmp_path):
+        # k=3000 on the triangle is 4,504,501 lattice points: refused before
+        # any is built, so a 1 GiB address space suffices
+        geometry = json.loads((FIXTURES / "polytopes" / "cp2_vertex.json").read_text())
+        sc = tmp_path / "s.json"
+        sc.write_text(json.dumps({"schema": 1, "task": "density-profile",
+                                  "polytope": geometry, "params": {"t": "1/5", "k": 3000}}))
+        cap = 1 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(td.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricdensity.cli", "density-profile", "--scenario",
+             str(sc), "--out", str(tmp_path / "out")], capture_output=True, text=True,
+            env=env, timeout=30,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == cli.EXIT_PRECONDITION, proc.stderr
+        assert proc.stderr == ("toricdensity.polytope: k*P has 4504501 lattice points at "
+                               "k=3000, past the budget of 1048576\n")
 
     def test_node_budget_exit_code(self, tmp_path, monkeypatch):
         # a budget below the second Gauss order stops the section norms

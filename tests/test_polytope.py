@@ -330,6 +330,15 @@ class TestFibrewiseCounting:
         with pytest.raises(ValueError, match="positive"):
             square.lattice_points(0)
 
+    def test_lattice_budget(self, monkeypatch):
+        from toricdensity import polytope
+        tri = td.standard_simplex(2)
+        monkeypatch.setattr(polytope, "LATTICE_BUDGET", 66)  # 66 points at k=10
+        assert len(tri.lattice_points(10)) == 66
+        with pytest.raises(ValueError, match="78 lattice points at k=11, past the budget of 66"):
+            tri.lattice_points(11)
+        assert tri.count_lattice_points(11) == 78  # counting builds no point
+
     def test_simplex3_k1000_fast_and_small(self):
         s3 = td.standard_simplex(3)
         tracemalloc.start()
@@ -953,9 +962,9 @@ class TestRegularityInterval:
     def test_stencil_above_top_critical_value(self, vertex_family):
         from toricdensity.asymptotics import _validate_stencil
         # a finite sentinel for the upper end would reject this stencil
-        _validate_stencil(vertex_family, 2 * 10**9, 1.5e9)
+        _validate_stencil(vertex_family, 2 * 10**9)
         with pytest.raises(ValueError, match="leaves the regularity interval"):
-            _validate_stencil(vertex_family, F(3, 2), 0.5)
+            _validate_stencil(vertex_family, F(2001, 2000))
 
 
 class TestMemoisation:

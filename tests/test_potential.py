@@ -153,7 +153,7 @@ class TestScalarCurvature:
     def test_fd_cross_check(self, u_simplex):
         for x in ([0.3, 0.3], [0.2, 0.5], [0.45, 0.15]):
             analytic = u_simplex.scalar_curvature(x)
-            fd = u_simplex.scalar_curvature_fd(x, h=1e-4)
+            fd = u_simplex.scalar_curvature_fd(x)
             assert abs(analytic - fd) < 1e-6
 
     def test_fd_cross_check_perturbed(self, square):

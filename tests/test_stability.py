@@ -100,11 +100,6 @@ class TestHilbertCoefficients:
             hc = td.hilbert_coeffs_combinatorial(fam, t)
             assert hc.A0 == fam.slice(t).polytope.volume()
 
-    def test_inadmissible_grid_rejected(self, square_family):
-        with pytest.raises(ValueError, match="divisib"):
-            td.hilbert_coeffs_combinatorial(square_family, F(1, 4),
-                                            k_samples=[3, 6, 9, 12])
-
     def test_polynomials_on_first_interval(self, vertex_family):
         A0, A1 = hilbert_polynomials(vertex_family)
         assert A0 == [F(1, 2), 0, F(-1, 2)]

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -414,55 +414,58 @@ def curvature_integral(potential, P: Polytope) -> float:
 class SectionBasis:
     """Lattice points of P at level k with cached section norms.
 
-    alphas are exact rational points alpha = beta/k, lattice the integer
-    points beta; norms are the integrals int_P exp(-k phi(alpha, z)) dz.
+    lattice holds the integer points beta, the one stored form of alpha =
+    beta/k (the float copy equals float(Fraction(beta, k)) for |beta| < 2**53);
+    norms are the integrals int_P exp(-k phi(alpha, z)) dz.
     """
 
     potential: object
     k: int
-    alphas: list
+    lattice: np.ndarray
     norms: np.ndarray
     rel_tol: float
-    lattice: np.ndarray
     _alpha_float: np.ndarray = field(init=False)
     _masks: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        self._alpha_float = np.array([[float(c) for c in a] for a in self.alphas])
+        self._alpha_float = self.lattice.astype(float) / self.k
         if np.any(self.norms <= 0.0):
             raise ValueError("section norms must be strictly positive")
+
+    @cached_property
+    def alphas(self) -> list:
+        """The exact points alpha = beta/k as Fraction tuples, built on first read."""
+        return [tuple(Fraction(m, self.k) for m in p) for p in self.lattice.tolist()]
 
     @classmethod
     def build(cls, potential, k: int, rel_tol=DEFAULT_REL_TOL) -> "SectionBasis":
         """All norms of level k by one order-raising pass on shared nodes."""
         P = potential.polytope
         pts = P.lattice_points(k)
-        alphas = [tuple(Fraction(m, k) for m in p) for p in pts.tolist()]
         alpha_float = pts.astype(float) / k
-
-        def fn(nodes, live):
-            return np.exp(-k * potential.phi_matrix(alpha_float[live], nodes))
-
-        norms, _ = integrate_orders(*QuadratureScheme.for_polytope(P), fn,
-                                    len(alphas), rel_tol=rel_tol)
-        return cls(potential=potential, k=k, alphas=alphas, norms=norms,
-                   rel_tol=rel_tol, lattice=pts)
+        norms, _ = integrate_orders(
+            *QuadratureScheme.for_polytope(P),
+            lambda nodes, live: np.exp(-k * potential.phi_matrix(alpha_float[live], nodes)),
+            len(pts), rel_tol=rel_tol)
+        return cls(potential=potential, k=k, lattice=pts, norms=norms, rel_tol=rel_tol)
 
     def index_of(self, alpha) -> int:
-        key = _point(alpha)
-        try:
-            return self.alphas.index(key)
-        except ValueError:
-            raise ValueError(f"{alpha} is not a lattice point of the basis") from None
+        """Row of the lattice point k*alpha; ValueError when there is none."""
+        beta = [c * self.k for c in _point(alpha)]
+        if len(beta) == self.lattice.shape[1] and all(b.denominator == 1 for b in beta):
+            hit = np.flatnonzero((self.lattice == [b.numerator for b in beta]).all(axis=1))
+            if len(hit):
+                return int(hit[0])
+        raise ValueError(f"{alpha} is not a lattice point of the basis")
 
     def density(self, points, mask=None) -> np.ndarray:
         """Pushed-down density sum_alpha exp(-k phi(alpha, y))/norm_alpha.
 
-        mask selects a subset of alphas (a partial basis).  Kernel values
+        mask selects a subset of the lattice points (a partial basis).  Kernel values
         are formed BLOCK (alpha x point) entries at a time.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.arange(len(self.alphas)) if mask is None else np.where(mask)[0]
+        idx = np.arange(len(self.lattice)) if mask is None else np.where(mask)[0]
         out = np.zeros(pts.shape[0])
         per_block = BLOCK // 256
         for p0 in range(0, pts.shape[0], per_block):

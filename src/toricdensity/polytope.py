@@ -34,8 +34,8 @@ Point = tuple[Fraction, ...]
 # Lattice counts switch from int64 to Python-int (object) arrays once a
 # bound on the values they compute reaches this size.
 _INT64_SAFE = 2**62
-# lattice_points refuses more points than this before it builds any array
-# of them; at this size a section basis holds 0.4-0.5 GB before its first norm
+# lattice_points and interior_float_grid refuse more points than this before they
+# build them; a section basis at this size holds about 60 MB before its first norm
 LATTICE_BUDGET = 1 << 20
 
 
@@ -460,94 +460,101 @@ class Polytope:
     # -- lattice points ------------------------------------------------------
 
     def _fibres(self, k: int):
-        """Integer points of k*P as fibres along the last coordinate.
+        """Integer points of k*P as fibres along the last coordinate, in
+        blocks of at most LATTICE_BUDGET fibres in lexicographic order: the
+        whole box when it fits, else slabs of the first axis whose later axes
+        fit, each earlier axis walked one value at a time.
 
-        Returns (prefix, lower, length): prefix holds the integer points of
-        the first n-1 coordinates in the exact bounding box of k*P, in
-        lexicographic order, and the fibre over prefix[j] is x_n = lower[j],
-        ..., lower[j] + length[j] - 1.  Each fibre's range comes from the
-        cleared facets <nu, x> >= k*lam by floor division: nu_n > 0 gives a
-        lower bound, nu_n < 0 an upper bound, and nu_n = 0 keeps or drops
-        the whole fibre.  The arrays are int64, or object arrays of Python
-        ints once a bound on |k*lam - <nu', x'>|, a coordinate or the count
-        reaches 2**62.  None when P is empty.
+        A block (prefix, lower, length) holds integer points of the first n-1
+        coordinates in the exact bounding box of k*P, and the fibre over
+        prefix[j] is x_n = lower[j], ..., lower[j] + length[j] - 1.  Each
+        fibre's range comes from the cleared facets <nu, x> >= k*lam by floor
+        division: nu_n > 0 gives a lower bound, nu_n < 0 an upper bound, and
+        nu_n = 0 keeps or drops the whole fibre.  The arrays are int64, or
+        object arrays of Python ints once a bound on |k*lam - <nu', x'>|, a
+        coordinate or the count reaches 2**62.  No block when P is empty.
         """
         if k < 1:
             raise ValueError("scaling factor k must be a positive integer")
         if self.is_empty:
-            return None
+            return
         lo, hi = self.bounding_box()
         lo = [ceil(c * k) for c in lo]
         hi = [floor(c * k) for c in hi]
         cleared = [f.cleared() for f in self.facets]
         reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
-        nfib = prod(max(b - a + 1, 0) for a, b in zip(lo[:-1], hi[:-1]))
-        bound = max([max(reach), nfib * (hi[-1] - lo[-1] + 1)]
+        sizes = [max(b - a + 1, 0) for a, b in zip(lo[:-1], hi[:-1])]
+        bound = max([max(reach), prod(sizes) * (hi[-1] - lo[-1] + 1)]
                     + [abs(k * lam) + sum(abs(v) * r for v, r in zip(nu, reach[:-1]))
                        for nu, lam in cleared])
         dtype = object if bound >= _INT64_SAFE else np.int64
         axes = [np.arange(a, b + 1, dtype=dtype) for a, b in zip(lo[:-1], hi[:-1])]
+        prefixes = [np.zeros((1, 0), dtype=dtype)]
         if axes:
-            prefix = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
-                              axis=1)
-        else:
-            prefix = np.zeros((1, 0), dtype=dtype)
-        lower = np.full(nfib, lo[-1], dtype=dtype)
-        upper = np.full(nfib, hi[-1], dtype=dtype)
-        keep = np.ones(nfib, dtype=bool)
-        for nu, lam in cleared:
-            # nu_n * x_n >= rest = k*lam - <nu', x'>
-            rest = np.full(nfib, k * lam, dtype=dtype)
-            for i, v in enumerate(nu[:-1]):
-                if v:
-                    rest -= v * prefix[:, i]
-            if nu[-1] > 0:
-                lower = np.maximum(lower, -(-rest // nu[-1]))
-            elif nu[-1] < 0:
-                upper = np.minimum(upper, rest // nu[-1])
-            else:
-                keep &= rest <= 0
-        length = np.maximum(upper - lower + 1, 0)
-        length[~keep] = 0
-        return prefix, lower, length
+            j = min(i for i in range(len(axes)) if prod(sizes[i + 1:]) <= LATTICE_BUDGET)
+            slab = LATTICE_BUDGET // max(prod(sizes[j + 1:]), 1)
+            prefixes = (np.stack([g.ravel() for g in np.meshgrid(
+                *(ax[i:i + 1] for ax, i in zip(axes, head)), axes[j][s:s + slab],
+                *axes[j + 1:], indexing="ij")], axis=1)
+                for *head, s in itertools.product(*map(range, sizes[:j]), range(0, sizes[j], slab)))
+        for prefix in prefixes:
+            nfib = len(prefix)
+            lower = np.full(nfib, lo[-1], dtype=dtype)
+            upper = np.full(nfib, hi[-1], dtype=dtype)
+            keep = np.ones(nfib, dtype=bool)
+            for nu, lam in cleared:
+                # nu_n * x_n >= rest = k*lam - <nu', x'>
+                rest = np.full(nfib, k * lam, dtype=dtype)
+                for i, v in enumerate(nu[:-1]):
+                    if v:
+                        rest -= v * prefix[:, i]
+                if nu[-1] > 0:
+                    lower = np.maximum(lower, -(-rest // nu[-1]))
+                elif nu[-1] < 0:
+                    upper = np.minimum(upper, rest // nu[-1])
+                else:
+                    keep &= rest <= 0
+            length = np.maximum(upper - lower + 1, 0)
+            length[~keep] = 0
+            yield prefix, lower, length
 
     def lattice_points(self, k: int) -> np.ndarray:
         """Integer points of k*P as an (N, n) array in lexicographic order.
 
         Built fibre by fibre from exact integer bounds (see ``_fibres``);
         the dtype is int64, or object (Python ints) when coordinates or
-        intermediate bounds could pass 2**62.  Raises ValueError, before any
-        (N, n) array exists, when N passes LATTICE_BUDGET.
+        intermediate bounds could pass 2**62.  Raises ValueError, naming N,
+        before more than LATTICE_BUDGET points exist, when N passes it.
         """
-        fibres = self._fibres(k)
-        if fibres is None:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        prefix, lower, length = fibres
-        count = int(length.sum())
+        parts, count = [], 0
+        for prefix, lower, length in self._fibres(k):
+            count += int(length.sum())
+            if count > LATTICE_BUDGET:
+                continue
+            reps = length.astype(np.int64)
+            start = np.cumsum(reps) - reps
+            step = np.arange(reps.sum(), dtype=np.int64) - np.repeat(start, reps)
+            last = np.repeat(lower, reps) + step.astype(lower.dtype)
+            parts.append(np.column_stack([np.repeat(prefix, reps, axis=0), last]))
         if count > LATTICE_BUDGET:
             raise ValueError(f"k*P has {count} lattice points at k={k}, past the "
                              f"budget of {LATTICE_BUDGET}")
-        reps = length.astype(np.int64)
-        start = np.cumsum(reps) - reps
-        step = np.arange(count, dtype=np.int64) - np.repeat(start, reps)
-        last = np.repeat(lower, reps) + step.astype(lower.dtype)
-        return np.column_stack([np.repeat(prefix, reps, axis=0), last])
+        return np.concatenate(parts) if parts else np.zeros((0, self.dim), dtype=np.int64)
 
     def count_lattice_points(self, k: int) -> int:
-        """|Z^n cap kP|, exact, summed over fibres without building a point.
-
-        Memory and time are O(k^(n-1)): one entry per integer point of the
-        first n-1 coordinates of the bounding box of k*P.
-        """
-        fibres = self._fibres(k)
-        return 0 if fibres is None else int(fibres[2].sum())
+        """|Z^n cap kP|, exact, summed over fibres without building a point:
+        O(k^(n-1)) time, and the memory of one block of ``_fibres``."""
+        return sum(int(length.sum()) for _, _, length in self._fibres(k))
 
     def integrality_divisor(self) -> int:
         """Smallest N with N*P an integral polytope (lcm of vertex denominators)."""
         return lcm(*(c.denominator for v in self.vertices for c in v))
 
     def interior_float_grid(self, per_axis: int) -> np.ndarray:
-        """Strictly interior float sample points on a bounding-box grid."""
+        """Strictly interior points of a per_axis^n bounding-box grid, within LATTICE_BUDGET."""
+        if per_axis ** self.dim > LATTICE_BUDGET:
+            raise ValueError(f"a grid of {per_axis}^{self.dim} = {per_axis ** self.dim} "
+                             f"points is past the budget of {LATTICE_BUDGET}")
         lo, hi = self.bounding_box()
         axes = [np.linspace(float(l), float(h), per_axis + 2)[1:-1]
                 for l, h in zip(lo, hi)]

@@ -8,7 +8,12 @@ MAX_ORDER, ...) and expects a memoised call to integrate again must build
 its own potential.
 """
 
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +100,22 @@ def cp1_bases(u_interval):
     """Section bases on [0,1] for the standard k grid, shared across tests."""
     return {k: td.SectionBasis.build(u_interval, k, rel_tol=1e-10)
             for k in (10, 20, 40, 60, 80)}
+
+
+@pytest.fixture(scope="session")
+def run_capped():
+    """run(args, cap, timeout=30): ``python *args`` in a child process whose
+    address space is capped at cap bytes (RLIMIT_AS), with BLAS pinned to one
+    thread and this package importable; returns the CompletedProcess."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(td.__file__).resolve().parent.parent))
+
+    def run(args, cap, timeout=30):
+        return subprocess.run(
+            [sys.executable, *map(str, args)], capture_output=True, text=True, env=env,
+            timeout=timeout,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    return run
 
 
 def F(*args):

@@ -1,16 +1,14 @@
 """Scenario files, serialization round-trips, CLI exit codes, determinism."""
 
 import json
-import os
-import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import toricdensity as td
 from toricdensity import cli
 from toricdensity.fileio import (dump_csv, dump_json, geometry_to_dict,
                                  load_geometry, load_scenario,
@@ -187,24 +185,31 @@ class TestCliRuns:
         assert proc.returncode == cli.EXIT_PRECONDITION
         assert proc.stderr == "toricdensity.cli: slope requires a single-cut family\n"
 
-    def test_lattice_budget_exit_code(self, tmp_path):
-        # k=3000 on the triangle is 4,504,501 lattice points: refused before
-        # any is built, so a 1 GiB address space suffices
+    @staticmethod
+    def _capped_profile(tmp_path, run_capped, params):
         geometry = json.loads((FIXTURES / "polytopes" / "cp2_vertex.json").read_text())
         sc = tmp_path / "s.json"
         sc.write_text(json.dumps({"schema": 1, "task": "density-profile",
-                                  "polytope": geometry, "params": {"t": "1/5", "k": 3000}}))
-        cap = 1 << 30
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(td.__file__).resolve().parent.parent))
-        proc = subprocess.run(
-            [sys.executable, "-m", "toricdensity.cli", "density-profile", "--scenario",
-             str(sc), "--out", str(tmp_path / "out")], capture_output=True, text=True,
-            env=env, timeout=30,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+                                  "polytope": geometry, "params": params}))
+        return run_capped(["-m", "toricdensity.cli", "density-profile", "--scenario", sc,
+                           "--out", tmp_path / "out"], cap=1 << 30)
+
+    def test_lattice_budget_exit_code(self, tmp_path, run_capped):
+        # k=3000 on the triangle is 4,504,501 lattice points: refused before
+        # any is built, so a 1 GiB address space suffices
+        proc = self._capped_profile(tmp_path, run_capped, {"t": "1/5", "k": 3000})
         assert proc.returncode == cli.EXIT_PRECONDITION, proc.stderr
         assert proc.stderr == ("toricdensity.polytope: k*P has 4504501 lattice points at "
                                "k=3000, past the budget of 1048576\n")
+
+    def test_profile_grid_budget_exit_code(self, tmp_path, run_capped):
+        # 1100^2 sample points are refused before any is built
+        start = time.perf_counter()
+        proc = self._capped_profile(tmp_path, run_capped, {"t": "1/5", "k": 10, "grid": 1100})
+        assert proc.returncode == cli.EXIT_PRECONDITION, proc.stderr
+        assert proc.stderr == ("toricdensity.polytope: a grid of 1100^2 = 1210000 points is "
+                               "past the budget of 1048576\n")
+        assert time.perf_counter() - start < 10
 
     def test_node_budget_exit_code(self, tmp_path, monkeypatch):
         # a budget below the second Gauss order stops the section norms

@@ -362,8 +362,18 @@ class TestSectionBasis:
         assert -1.55 <= s_edge <= -1.0
 
     def test_unknown_alpha_raises(self, cp1_bases):
-        with pytest.raises(ValueError, match="lattice point"):
-            td.section_norm(cp1_bases[10], [F(1, 3)])
+        basis = cp1_bases[10]
+        # k*alpha not integral, the wrong length, outside kP
+        for alpha in ([F(1, 3)], [], [F(1, 2), F(1, 2)], [F(11, 10)], [F(-1, 10)]):
+            with pytest.raises(ValueError, match="lattice point"):
+                td.section_norm(basis, alpha)
+        assert basis.index_of([0.5]) == basis.index_of([F(1, 2)]) == 5
+
+    def test_section_norm_of_every_point(self, u_simplex):
+        basis = td.SectionBasis.build(u_simplex, 40)
+        assert len(basis.alphas) == 861
+        for i, alpha in enumerate(basis.alphas):
+            assert td.section_norm(basis, alpha) == basis.norms[i]
 
 
 def _xlogx(x: float) -> float:
@@ -611,8 +621,8 @@ def masked_bases(draw):
     family = td.MovingFamily(P, list(cuts.values()))
     lattice = P.lattice_points(k)
     alphas = [tuple(F(m, k) for m in p) for p in lattice.tolist()]
-    basis = td.SectionBasis(potential=None, k=k, alphas=alphas, norms=np.ones(len(alphas)),
-                            rel_tol=1e-8, lattice=lattice)
+    basis = td.SectionBasis(potential=None, k=k, lattice=lattice, norms=np.ones(len(alphas)),
+                            rel_tol=1e-8)
     if draw(st.booleans()):
         return family, basis, draw(st.builds(F, st.integers(0, 9), dens)), None
     alpha = draw(st.sampled_from(alphas))

@@ -339,6 +339,35 @@ class TestFibrewiseCounting:
             tri.lattice_points(11)
         assert tri.count_lattice_points(11) == 78  # counting builds no point
 
+    @pytest.mark.parametrize("budget", [1, 7, 40, 150])
+    def test_blocks_join_to_one_walk(self, monkeypatch, budget):
+        # the 6^3 fibre box of the 4-simplex at k=5 (126 points) cut in
+        # blocks of every shape: single fibres, slabs of axis 2, 1 and 0
+        from toricdensity import polytope
+        P = td.standard_simplex(4)
+        whole = [np.concatenate(parts) for parts in zip(*P._fibres(5))]
+        points = P.lattice_points(5)
+        monkeypatch.setattr(polytope, "LATTICE_BUDGET", budget)
+        blocks = list(P._fibres(5))
+        assert len(blocks) > 1 and all(len(prefix) <= budget for prefix, _, _ in blocks)
+        for parts, want in zip(zip(*blocks), whole):
+            assert np.array_equal(np.concatenate(parts), want)
+        assert P.count_lattice_points(5) == math.comb(9, 4) == 126
+        if budget >= 126:
+            assert np.array_equal(P.lattice_points(5), points)
+        else:
+            with pytest.raises(ValueError, match=f"has 126 lattice points at k=5, past the "
+                                                 f"budget of {budget}$"):
+                P.lattice_points(5)
+
+    def test_count_in_bounded_memory(self, run_capped):
+        # the 51^4 fibre box of the 5-simplex at k=50 is walked in blocks
+        proc = run_capped(["-c", "import toricdensity as td; "
+                           "print(td.standard_simplex(5).count_lattice_points(50))"],
+                          cap=512 << 20)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == math.comb(55, 5) == 3478761
+
     def test_simplex3_k1000_fast_and_small(self):
         s3 = td.standard_simplex(3)
         tracemalloc.start()

@@ -37,6 +37,9 @@ _INT64_SAFE = 2**62
 # lattice_points and interior_float_grid refuse more points than this before they
 # build them; a section basis at this size holds about 60 MB before its first norm
 LATTICE_BUDGET = 1 << 20
+# _fibres refuses a box of more fibres than this before it walks: the 4-cube
+# at k=400 is 401^3 fibres, walked in about 3 s
+FIBRE_BUDGET = 1 << 26
 
 
 def _fr(x) -> Fraction:
@@ -207,7 +210,7 @@ class Polytope:
     (empty or lower-dimensional, which arises for slices P(t) of moving
     families) is permitted when ``require_full_dim=False``: then normals
     that do not span give no vertices, and an unbounded region gives its
-    vertices.
+    vertices but refuses faces, measures, its bounding box and lattice counts.
     """
 
     def __init__(self, dim: int, facets: Iterable[AffineFunctional],
@@ -229,6 +232,7 @@ class Polytope:
         self._ray: tuple[int, ...] | None = None
         self._hull: int | None = None  # _hull_dim(), filled with the vertices
         self._box: tuple[Point, Point] | None = None
+        self._ehrhart_memo: dict[int, list[Fraction]] = {}
         self._faces: dict[int, list[Face]] = {}
         self._subface_memo: dict[frozenset, list[tuple[frozenset, int]]] = {}
         self._measures: dict[frozenset, Fraction] = {}
@@ -314,7 +318,9 @@ class Polytope:
         return all(f.value(pt) >= 0 for f in self.facets)
 
     def bounding_box(self) -> tuple[Point, Point]:
+        """Exact box of the vertices; raises on an unbounded region (``_level``)."""
         if self._box is None:
+            self._level(self.dim)
             self._box = tuple(tuple(extreme(v[i] for v in self.vertices) for i in range(self.dim))
                               for extreme in (min, max))
         return self._box
@@ -472,7 +478,9 @@ class Polytope:
         division: nu_n > 0 gives a lower bound, nu_n < 0 an upper bound, and
         nu_n = 0 keeps or drops the whole fibre.  The arrays are int64, or
         object arrays of Python ints once a bound on |k*lam - <nu', x'>|, a
-        coordinate or the count reaches 2**62.  No block when P is empty.
+        coordinate or the count reaches 2**62.  No block when P is empty;
+        raises before the first block when the box holds more than
+        FIBRE_BUDGET fibres.
         """
         if k < 1:
             raise ValueError("scaling factor k must be a positive integer")
@@ -481,9 +489,12 @@ class Polytope:
         lo, hi = self.bounding_box()
         lo = [ceil(c * k) for c in lo]
         hi = [floor(c * k) for c in hi]
+        sizes = [max(b - a + 1, 0) for a, b in zip(lo[:-1], hi[:-1])]
+        if prod(sizes) > FIBRE_BUDGET:
+            raise ValueError(f"k*P has {prod(sizes)} fibres at k={k}, past the "
+                             f"budget of {FIBRE_BUDGET}")
         cleared = [f.cleared() for f in self.facets]
         reach = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
-        sizes = [max(b - a + 1, 0) for a, b in zip(lo[:-1], hi[:-1])]
         bound = max([max(reach), prod(sizes) * (hi[-1] - lo[-1] + 1)]
                     + [abs(k * lam) + sum(abs(v) * r for v, r in zip(nu, reach[:-1]))
                        for nu, lam in cleared])
@@ -542,9 +553,26 @@ class Polytope:
         return np.concatenate(parts) if parts else np.zeros((0, self.dim), dtype=np.int64)
 
     def count_lattice_points(self, k: int) -> int:
-        """|Z^n cap kP|, exact, summed over fibres without building a point:
-        O(k^(n-1)) time, and the memory of one block of ``_fibres``."""
-        return sum(int(length.sum()) for _, _, length in self._fibres(k))
+        """|Z^n cap kP|, exact.  Summed over the fibres of ``_fibres``, without
+        building a point, while k <= (n+2)D, D the integrality divisor; past
+        that, the value at k of the Ehrhart polynomial of its class mod D."""
+        D = self.integrality_divisor()
+        if k <= (self.dim + 2) * D:
+            return sum(int(length.sum()) for _, _, length in self._fibres(k))
+        return int(_poly_eval(self._ehrhart(k % D), Fraction(k)))
+
+    def _ehrhart(self, r: int) -> list[Fraction]:
+        """Monomial coefficients of |Z^n cap kP| on the class k = r (mod D),
+        where it is one polynomial of degree <= n (Ehrhart 1962; Beck & Robins,
+        Computing the Continuous Discretely, ch. 3).  Fitted to the counts at
+        k = r, r + D, ..., r + nD (k = 0 counts 1, or 0 when P is empty) and
+        checked at r + (n+1)D, all below (n+2)D; memoised per class."""
+        if r not in self._ehrhart_memo:
+            ks = [r + j * self.integrality_divisor() for j in range(self.dim + 2)]
+            counts = [self.count_lattice_points(k) if k else int(not self.is_empty)
+                      for k in ks]
+            self._ehrhart_memo[r] = _fit(ks, counts, self.dim, "lattice count")
+        return self._ehrhart_memo[r]
 
     def integrality_divisor(self) -> int:
         """Smallest N with N*P an integral polytope (lcm of vertex denominators)."""
@@ -571,6 +599,40 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, facets={len(self.facets)}, vertices={len(self.vertices)})"
+
+
+def _fit(xs, ys, degree: int, what: str) -> list[Fraction]:
+    """Exact monomial coefficients, low degree first and trailing zeros
+    dropped, of the Lagrange polynomial through the first degree+1 samples;
+    raises ValueError when a later sample does not lie on it."""
+    coeffs = [Fraction(0)] * (degree + 1)
+    for i in range(degree + 1):
+        # prod_{j != i} (x - x_j), in integers when the xs are
+        num, den = [1], 1
+        for j in range(degree + 1):
+            if j != i:
+                num.append(0)
+                for d in range(len(num) - 1, 0, -1):
+                    num[d] = num[d - 1] - xs[j] * num[d]
+                num[0] *= -xs[j]
+                den *= xs[i] - xs[j]
+        scale = Fraction(ys[i], den)
+        for d, c in enumerate(num):
+            coeffs[d] += scale * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    for x, y in zip(xs[degree + 1:], ys[degree + 1:]):
+        if _poly_eval(coeffs, x) != y:
+            raise ValueError(f"{what}: the sample at {x} does not fit a "
+                             f"degree-{degree} polynomial")
+    return coeffs
+
+
+def _poly_eval(coeffs, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
@@ -770,7 +832,7 @@ def check_delzant(P: Polytope) -> DelzantReport:
 
 
 def count_lattice_points(P: Polytope, k: int) -> int:
-    """|Z^n cap kP|, exact."""
+    """|Z^n cap kP|, exact (``Polytope.count_lattice_points``)."""
     return P.count_lattice_points(k)
 
 

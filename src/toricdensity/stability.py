@@ -3,8 +3,11 @@
 The combinatorial pipeline is exact: Hilbert polynomials A0(t), A1(t) come
 from exact volumes and Leray boundary volumes of the slices (lattice counts
 are their oracle), slopes mu_c from exact polynomial integration, and
-Donaldson-Futaki invariants F1 from the k^{-1} coefficient of w_k/(k d_k)
-fitted to counts, w_k = N(k Gamma) - N(kP), d_k = N(kP).
+Donaldson-Futaki invariants F1 from the k^{-1} coefficient of w_k/(k d_k),
+w_k = N(k Gamma) - N(kP), d_k = N(kP).  Every lattice count enters through
+the one Ehrhart polynomial per polytope and residue class that
+``Polytope._ehrhart`` fits to fibre walks; A0, A1 of the counts and F1 read
+its class-0 coefficients.
 
 The metric pipeline evaluates the same invariants from a choice of
 symplectic potential: scalar curvature integrals, the cut-locus integral of
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -25,48 +27,12 @@ from .asymptotics import _dp_coefficient, facet_integral
 from .density import (CURVATURE_REL_TOL, FACET_REL_TOL, QuadratureScheme, _family_key,
                       _memoised, curvature_integral, integrate, integrate_simplices)
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
-                       TestConfigPolytope, _fr, _intersect)
+                       TestConfigPolytope, _fit, _fr, _intersect, _poly_eval)
 
 
 # ---------------------------------------------------------------------------
 # exact polynomial helpers (coefficient lists, low degree first)
 # ---------------------------------------------------------------------------
-
-def _interpolate(xs, ys) -> list[Fraction]:
-    """Exact Lagrange interpolation; returns monomial coefficients."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (x - x_j)
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = _poly_mul(num, [-xs[j], Fraction(1)])
-            den *= xs[i] - xs[j]
-        scale = ys[i] / den
-        for d, c in enumerate(num):
-            coeffs[d] += scale * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
 
 def _poly_antiderivative(coeffs):
     return [Fraction(0)] + [c / (d + 1) for d, c in enumerate(coeffs)]
@@ -74,20 +40,6 @@ def _poly_antiderivative(coeffs):
 
 def _poly_coeff(coeffs, d: int) -> Fraction:
     return coeffs[d] if d < len(coeffs) else Fraction(0)
-
-
-def _fit_counts(ks, counts, degree: int, what: str):
-    """Interpolate on degree+1 points and verify the rest exactly (callers
-    pass degree+2)."""
-    xs = [Fraction(k) for k in ks[:degree + 1]]
-    ys = [Fraction(c) for c in counts[:degree + 1]]
-    coeffs = _interpolate(xs, ys)
-    for k, c in zip(ks[degree + 1:], counts[degree + 1:]):
-        if _poly_eval(coeffs, Fraction(k)) != c:
-            raise ValueError(
-                f"{what}: count at k={k} does not fit a degree-{degree} "
-                "polynomial; the k grid is inadmissible")
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +55,15 @@ class HilbertCoefficients:
 
 
 def hilbert_coeffs_combinatorial(family: MovingFamily, t) -> HilbertCoefficients:
-    """Exact A0(t), A1(t) from lattice counts of P(t) at k = N, 2N, ..., (n+2)N,
-    N the integrality divisor of P(t)."""
+    """Exact A0(t), A1(t): the top two coefficients of the Ehrhart polynomial
+    of kP(t) on the multiples k of the integrality divisor of P(t)."""
     t = _fr(t)
     n = family.base.dim
     sl = family.slice(t)
     if sl.is_empty:
         return HilbertCoefficients(t=t, A0=Fraction(0), A1=Fraction(0),
                                    source="combinatorial")
-    N_div = sl.polytope.integrality_divisor()
-    k_samples = [N_div * j for j in range(1, n + 3)]
-    counts = [sl.polytope.count_lattice_points(k) for k in k_samples]
-    coeffs = _fit_counts(k_samples, counts, n, "Hilbert polynomial")
+    coeffs = sl.polytope._ehrhart(0)
     return HilbertCoefficients(t=t, A0=_poly_coeff(coeffs, n),
                                A1=_poly_coeff(coeffs, n - 1), source="combinatorial")
 
@@ -157,17 +106,8 @@ def _hilbert_polynomials(family: MovingFamily):
     c1 = pos[0]
     samples = [c1 * Fraction(j, n + 3) for j in range(1, n + 3)]
     slices = [family.slice(t).polytope for t in samples]
-    a0_vals = [Q.volume() for Q in slices]
-    a1_vals = [Q.boundary_leray_volume() / 2 for Q in slices]
-    A0 = _interpolate(samples[:n + 1], a0_vals[:n + 1])
-    A1 = _interpolate(samples[:n], a1_vals[:n])
-    for t, v in zip(samples, a0_vals):
-        if _poly_eval(A0, t) != v:
-            raise ValueError("A0(t) samples do not fit a degree-n polynomial")
-    for t, v in zip(samples, a1_vals):
-        if _poly_eval(A1, t) != v:
-            raise ValueError("A1(t) samples do not fit a degree-(n-1) polynomial")
-    return A0, A1
+    return (_fit(samples, [Q.volume() for Q in slices], n, "A0(t)"),
+            _fit(samples, [Q.boundary_leray_volume() / 2 for Q in slices], n - 1, "A1(t)"))
 
 
 # ---------------------------------------------------------------------------
@@ -268,28 +208,16 @@ def slope_report(family: MovingFamily, potential, c) -> SlopeReport:
 def futaki_combinatorial(config: TestConfigPolytope) -> Fraction:
     """F1: the k^{-1} coefficient of w_k/(k d_k), exact.
 
-    w_k and d_k are interpolated as exact polynomials of degrees n+1 and n
-    from lattice counts at k = N, 2N, ..., (n+3)N, N the least common
-    integrality divisor of Gamma and P;
-    F1 = (w_n d_n - w_{n+1} d_{n-1}) / d_n^2 after clearing denominators.
+    d_k = N(kP) and w_k = N(k Gamma) - d_k on the multiples k of both
+    integrality divisors: the Ehrhart polynomials of P and Gamma on k = 0
+    mod their divisors, the first of degree n, their difference of degree
+    n+1; F1 = (w_n d_n - w_{n+1} d_{n-1}) / d_n^2 after clearing denominators.
     """
     P = config.family.base
     n = P.dim
-    N_div = config.gamma.integrality_divisor()
-    N_div = N_div * P.integrality_divisor() // gcd(N_div, P.integrality_divisor())
-    k_samples = [N_div * j for j in range(1, n + 4)]
-    w_counts, d_counts = [], []
-    for k in k_samples:
-        Nk_gamma = config.gamma.count_lattice_points(k)
-        Nk_p = P.count_lattice_points(k)
-        w_counts.append(Nk_gamma - Nk_p)
-        d_counts.append(Nk_p)
-    W = _fit_counts(k_samples, w_counts, n + 1, "w_k")
-    D = _fit_counts(k_samples, d_counts, n, "d_k")
-    w_top = _poly_coeff(W, n + 1)
-    w_sub = _poly_coeff(W, n)
-    d_top = _poly_coeff(D, n)
-    d_sub = _poly_coeff(D, n - 1)
+    base, gamma = P._ehrhart(0), config.gamma._ehrhart(0)
+    d_top, d_sub = _poly_coeff(base, n), _poly_coeff(base, n - 1)
+    w_top, w_sub = _poly_coeff(gamma, n + 1), _poly_coeff(gamma, n) - d_top
     if d_top == 0:
         raise ValueError("degenerate base polytope: leading Hilbert coefficient is zero")
     return (w_sub * d_top - w_top * d_sub) / d_top**2

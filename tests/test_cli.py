@@ -211,6 +211,37 @@ class TestCliRuns:
                                "past the budget of 1048576\n")
         assert time.perf_counter() - start < 10
 
+    @staticmethod
+    def _capped_count(tmp_path, run_capped, params):
+        # the 3-simplex, cut at its vertex by x + y + z >= t
+        sc = tmp_path / "s.json"
+        sc.write_text(json.dumps({"schema": 1, "task": "lattice-count", "polytope": {
+            "dim": 3, "facets": [{"normal": nu, "offset": "0"} for nu in
+                                 (["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"])]
+            + [{"normal": ["-1", "-1", "-1"], "offset": "-1"}],
+            "cuts": [{"normal": ["1", "1", "1"], "offset": "0"}]}, "params": params}))
+        start = time.perf_counter()
+        proc = run_capped(["-m", "toricdensity.cli", "lattice-count", "--scenario", sc,
+                           "--out", tmp_path / "out"], cap=1 << 30)
+        return proc, time.perf_counter() - start
+
+    def test_count_at_a_million_is_evaluated(self, tmp_path, run_capped):
+        proc, elapsed = self._capped_count(tmp_path, run_capped, {"k_grid": [1000000]})
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert elapsed < 1
+        lines = (tmp_path / "out" / "lattice_count.csv").read_text().splitlines()
+        assert lines[1:] == [f"1000000,0,{(10**6 + 3) * (10**6 + 2) * (10**6 + 1) // 6}"]
+
+    def test_fibre_budget_exit_code(self, tmp_path, run_capped):
+        # P(t) has integrality divisor 1000003, so k = 10^6 is walked: a box
+        # of (10^6 + 1)^2 fibres, refused before the walk
+        proc, elapsed = self._capped_count(tmp_path, run_capped,
+                                           {"t": "1/1000003", "k_grid": [1000000]})
+        assert proc.returncode == cli.EXIT_PRECONDITION, proc.stderr
+        assert proc.stderr == ("toricdensity.polytope: k*P has 1000002000001 fibres at "
+                               "k=1000000, past the budget of 67108864\n")
+        assert elapsed < 5
+
     def test_node_budget_exit_code(self, tmp_path, monkeypatch):
         # a budget below the second Gauss order stops the section norms
         from toricdensity import density

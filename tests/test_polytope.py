@@ -238,6 +238,8 @@ class TestLatticeCounting:
     def test_empty_counts_zero(self, tent_family):
         sl = tent_family.slice(F(3, 4))
         assert sl.is_empty
+        hc = td.hilbert_coeffs_combinatorial(tent_family, F(3, 4))
+        assert hc.A0 == hc.A1 == 0
 
     def test_brute_force_agreement(self, simplex2, square):
         for P, k in [(simplex2, 7), (square, 5)]:
@@ -250,6 +252,11 @@ class TestLatticeCounting:
                 if P.contains(x):
                     count += 1
             assert P.count_lattice_points(k) == count
+
+
+def _walk(P, k):
+    """|Z^n cap kP| summed over the fibres, the oracle of every count."""
+    return sum(int(length.sum()) for _, _, length in P._fibres(k))
 
 
 def brute_force_points(P, lo, hi, k):
@@ -322,6 +329,7 @@ class TestFibrewiseCounting:
                      require_full_dim=False)
         assert P.is_empty
         assert P.count_lattice_points(3) == 0
+        assert P.count_lattice_points(10**6) == 0
         assert P.lattice_points(3).shape == (0, 2)
 
     def test_k_must_be_positive(self, square):
@@ -362,8 +370,8 @@ class TestFibrewiseCounting:
 
     def test_count_in_bounded_memory(self, run_capped):
         # the 51^4 fibre box of the 5-simplex at k=50 is walked in blocks
-        proc = run_capped(["-c", "import toricdensity as td; "
-                           "print(td.standard_simplex(5).count_lattice_points(50))"],
+        proc = run_capped(["-c", "import toricdensity as td; print(sum(int(length.sum()) "
+                           "for _, _, length in td.standard_simplex(5)._fibres(50)))"],
                           cap=512 << 20)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) == math.comb(55, 5) == 3478761
@@ -373,7 +381,7 @@ class TestFibrewiseCounting:
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            count = s3.count_lattice_points(1000)
+            count = _walk(s3, 1000)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -381,6 +389,35 @@ class TestFibrewiseCounting:
         assert count == math.comb(1003, 3)
         assert elapsed < 1.0
         assert peak < 200 * 2**20
+
+    def test_count_past_the_walk_is_evaluated(self):
+        k = 10**6
+        assert td.box([1] * 4).count_lattice_points(k) == (k + 1) ** 4
+
+    def test_fibre_budget(self, monkeypatch):
+        from toricdensity import polytope
+        s3 = td.standard_simplex(3)
+        monkeypatch.setattr(polytope, "FIBRE_BUDGET", 100)  # the 10^2 fibres at k=9
+        assert len(s3.lattice_points(9)) == _walk(s3, 9) == math.comb(12, 3)
+        for refuse in (lambda: _walk(s3, 10), lambda: s3.lattice_points(10)):
+            with pytest.raises(ValueError, match="121 fibres at k=10, past the budget of 100$"):
+                refuse()
+        # evaluation walks no further than k = 4
+        assert s3.count_lattice_points(10**6) == math.comb(10**6 + 3, 3)
+
+    @given(boxed_polytopes(), st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_the_walk(self, data, k):
+        P = data[0]
+        assert P.count_lattice_points(k) == _walk(P, k)
+
+    def test_counts_of_a_4d_slice_match_the_walk(self):
+        # P(1/7) of the 4-simplex cut at its vertex: D = 7, so k > 42 evaluates
+        P = td.MovingFamily(td.standard_simplex(4), [AffineFunctional([1] * 4, 0)]) \
+            .slice(F(1, 7)).polytope
+        assert P.integrality_divisor() == 7
+        assert [P.count_lattice_points(k) for k in range(1, 61)] == \
+            [_walk(P, k) for k in range(1, 61)]
 
     def test_huge_box_count_is_exact(self):
         k = 10**4
@@ -469,12 +506,22 @@ def _is_unbounded(P):
 
 def _assert_unbounded_faces_raise(P):
     """The faces of an unbounded region are not its vertex sets, so faces
-    and essential_facets refuse it."""
+    and essential_facets refuse it; a nonempty one holds infinitely many
+    lattice points, so counts and lattice_points refuse it too."""
     with pytest.raises(ValueError, match="unbounded region"):
         P.essential_facets()
     for codim in range(1, P.dim + 1):
         with pytest.raises(ValueError, match="unbounded region"):
             P.faces(codim)
+    if P.is_empty:  # no point at all, bounded or not
+        assert [P.count_lattice_points(k) for k in (1, 5, 10**6)] == [0, 0, 0]
+        return
+    for k in (1, 5, 10**6):
+        for refuse in (P.count_lattice_points, P.lattice_points):
+            with pytest.raises(ValueError, match="unbounded region"):
+                refuse(k)
+    with pytest.raises(ValueError, match="unbounded region"):
+        P.interior_float_grid(5)
 
 
 def _facets(rows):
@@ -505,6 +552,9 @@ NON_GENERIC = {
     "unbounded_strip": lambda: Polytope(
         2, _facets([([1, 0], 0), ([-1, 0], -1), ([0, 1], 0), ([1, 1], F(1, 2))]),
         require_full_dim=False),
+    # the box around its two vertices holds 6 points of 5P, the region infinitely many
+    "unbounded_wedge": lambda: Polytope(
+        2, _facets([([1, 0], 0), ([0, 1], 0), ([1, -1], -1)]), require_full_dim=False),
     "unbounded_corner_3d": lambda: Polytope(
         3, _facets([([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), ([1, 1, 1], 1)]),
         require_full_dim=False),

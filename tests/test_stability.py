@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricdensity as td
-from toricdensity.stability import (_interpolate, _poly_coeff, _poly_eval,
-                                    hilbert_polynomials)
+from toricdensity.polytope import _fit
+from toricdensity.stability import _poly_coeff, _poly_eval, hilbert_polynomials
 
 F = Fraction
 
@@ -45,8 +45,8 @@ def _count_fitted(family, samples):
     interval; the samples past each degree verify the fit."""
     n = family.base.dim
     hcs = [td.hilbert_coeffs_combinatorial(family, t) for t in samples]
-    A0 = _interpolate(samples[:n + 1], [hc.A0 for hc in hcs[:n + 1]])
-    A1 = _interpolate(samples[:n], [hc.A1 for hc in hcs[:n]])
+    A0 = _fit(samples[:n + 1], [hc.A0 for hc in hcs[:n + 1]], n, "A0")
+    A1 = _fit(samples[:n], [hc.A1 for hc in hcs[:n]], n - 1, "A1")
     assert [(_poly_eval(A0, t), _poly_eval(A1, t)) for t in samples] == \
         [(hc.A0, hc.A1) for hc in hcs]
     return A0, A1
@@ -411,7 +411,7 @@ def test_exact_interpolation_roundtrip():
     xs = [F(1), F(2), F(3), F(5)]
     coeffs = [F(2), F(-1, 3), F(0), F(7, 2)]
     ys = [_poly_eval(coeffs, x) for x in xs]
-    assert _interpolate(xs, ys) == coeffs
+    assert _fit(xs, ys, 3, "roundtrip") == coeffs
 
 
 @pytest.fixture(scope="module")

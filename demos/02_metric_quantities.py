@@ -23,7 +23,7 @@ print("H G = I check:", np.abs(m.H @ m.G - np.eye(2)).max())
 print("scalar curvature s(x) =", m.s, " (constant 6 on this fixture)")
 
 print("\ncurvature over an interior grid (constancy of the canonical metric):")
-pts = simplex.interior_float_grid(8)
+pts = np.divide(*simplex.interior_grid(8))
 s = u.scalar_curvature_many(pts)
 print(f"  min {s.min():.12f}  max {s.max():.12f}")
 

@@ -31,13 +31,14 @@ exact = family.slice(t).polytope.count_lattice_points(k)
 print(f"\nmass conservation: quadrature {mass:.9f} vs exact count {exact}")
 
 print(f"\npartial density profile at t={t} (C = forbidden, D = bulk):")
-ys = np.linspace(0.05, 0.95, 10)
-rho = basis.density(ys[:, None])
-rho_hat = td.partial_density(family, u, t, k, ys[:, None], basis=basis)
+ys = [F(1, 20) + F(i, 10) for i in range(10)]
+yf = np.array([[float(y)] for y in ys])
+rho = basis.density(yf)
+rho_hat = td.partial_density(family, u, t, k, yf, basis=basis)
 for y, r, rh in zip(ys, rho, rho_hat):
-    region = td.region_classify(family, t, (F(y).limit_denominator(100),))
+    region = td.region_classify(family, t, (y,))
     bar = "#" * int(30 * rh / rho.max())
-    print(f"  y={y:.2f} [{region}]  rho={r:7.2f}  rho_hat={rh:7.3f}  {bar}")
+    print(f"  y={float(y):.2f} [{region}]  rho={r:7.2f}  rho_hat={rh:7.3f}  {bar}")
 
 print("\ndecay in the forbidden region (fitted slopes of log rho_hat):")
 ks = (10, 20, 40, 80)

@@ -70,7 +70,7 @@ def euler_maclaurin(P: Polytope, f, k: int) -> EulerMaclaurinResult:
         raise ValueError(f"kP is not integral: k={k} must be divisible by {N_div}")
     n = P.dim
     if isinstance(f, (int, Fraction)) or (isinstance(f, float) and float(f).is_integer()):
-        c = _fr(f)
+        c = Fraction(f)
         count = P.count_lattice_points(k)
         lattice_sum = c * count
         approx = c * (Fraction(k) ** n * P.volume()

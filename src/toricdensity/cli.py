@@ -25,7 +25,7 @@ from .density import (QuadratureError, SectionBasis, density_profile,
 from .fields import coordinate_field, constant_field
 from .fileio import (Scenario, dump_csv, dump_json, load_scenario,
                      rational_to_str)
-from .polytope import build_test_config, check_delzant
+from .polytope import _fr, build_test_config, check_delzant
 from .stability import (futaki_report, hilbert_coeffs_combinatorial,
                         hilbert_coeffs_geometric, slope_mu, slope_report)
 
@@ -39,14 +39,9 @@ EXIT_NONCONVERGENCE = 4
 
 
 def _fraction_param(params, key, default=None) -> Fraction:
-    if key not in params:
-        if default is None:
-            raise ValueError(f"scenario params missing {key!r}")
-        return Fraction(default)
-    v = params[key]
-    if isinstance(v, float):
-        raise ValueError(f"param {key!r} must be exact (int or 'p/q'), got float")
-    return Fraction(v)
+    if key not in params and default is None:
+        raise ValueError(f"scenario params missing {key!r}")
+    return _fr(params.get(key, default))
 
 
 def _run_check_delzant(scenario, outdir, opts):
@@ -110,19 +105,14 @@ def _run_density_profile(scenario, outdir, opts):
     k = int(scenario.params.get("k", 10))
     per_axis = int(scenario.params.get("grid", 9))
     pot = scenario.potential
-    pts = scenario.polytope.interior_float_grid(per_axis)
+    grid = scenario.polytope.interior_grid(per_axis)
     basis = SectionBasis.build(pot, k, rel_tol=opts.tolerance)
-    rows = density_profile(family, pot, t, k, [tuple(p) for p in pts],
-                           basis=basis)
-    out = []
-    for r in rows:
-        rec = {f"y{i + 1}": float(c) for i, c in enumerate(r["point"])}
-        rec.update(rho_k=r["rho_k"], rho_hat_tk=r["rho_hat_tk"],
-                   region=r["region"])
-        out.append(rec)
+    pts, rho, rho_hat, region = density_profile(family, pot, t, k, grid, basis=basis)
     cols = [f"y{i + 1}" for i in range(scenario.polytope.dim)] + \
         ["rho_k", "rho_hat_tk", "region"]
-    dump_csv(out, cols, outdir / "density_profile.csv")
+    values = zip(pts.tolist(), rho.tolist(), rho_hat.tolist(), region.tolist())
+    dump_csv((dict(zip(cols, (*y, *rest))) for y, *rest in values), cols,
+             outdir / "density_profile.csv")
 
     pairing, delta = pair_partial_density(family, pot, t, k, 1.0, basis=basis)
     sl = family.slice(t)

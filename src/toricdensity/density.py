@@ -52,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Polynomial, ScalarField, as_field
-from .polytope import _INT64_SAFE, MovingFamily, Polytope, _fr, _point, leray_simplex_measure
+from .polytope import (MovingFamily, Polytope, _fr, _integer_points, _min_sign, _point,
+                       leray_simplex_measure)
 
 DEFAULT_REL_TOL = 1e-8
 # the one relative tolerance of each kind of integral: those weighted by the
@@ -501,7 +502,7 @@ def pair_alpha(potential, alpha, k: int, f, rel_tol=DEFAULT_REL_TOL):
     pairing itself however small the norm.  On non-convergence the
     QuadratureError carries the best pairing and its first-order error.
     """
-    af = np.array([float(_fr(c)) for c in alpha])
+    af = np.array([float(c) for c in _point(alpha)])
     fld = as_field(f, potential.polytope.dim)
     S, mu = QuadratureScheme.for_polytope(potential.polytope)
 
@@ -621,21 +622,19 @@ def required_divisor(family: MovingFamily, t) -> int:
     return sl.polytope.integrality_divisor()
 
 
+def _cut_signs(family: MovingFamily, t, num: np.ndarray, den: int) -> np.ndarray:
+    """Sign of min_a Phi_a - t at each point num/den (``polytope._min_sign``
+    on the cleared cuts of Phi_a - t): -1 on C(t), 0 on N(t), 1 on D(t)."""
+    t = _fr(t)
+    return _min_sign([phi.shifted(t).cleared() for phi in family.cuts], num, den)
+
+
 def partial_mask(family: MovingFamily, basis: SectionBasis, t) -> np.ndarray:
     """Exact membership of each basis alpha = m/k in P(t), read-only, once
-    per basis, family and t: <nu, m> >= k lam for the cleared integers of
-    every cut Phi - t, in int64 or, from 2**62, in Python ints."""
-    t = _fr(t)
-    key = (_family_key(family), t)
+    per basis, family and t: no cut Phi - t is negative at m/k."""
+    key = (_family_key(family), _fr(t))
     if key not in basis._masks:
-        pts, k = basis.lattice, basis.k
-        reach = int(np.abs(pts).max(initial=0))
-        mask = np.ones(len(pts), dtype=bool)
-        for phi in family.cuts:
-            nu, lam = phi.shifted(t).cleared()
-            big = reach * sum(map(abs, nu)) + abs(k * lam) >= _INT64_SAFE
-            dtype = object if big else np.int64
-            mask &= pts.astype(dtype) @ np.array(nu, dtype=dtype) >= k * lam
+        mask = _cut_signs(family, t, basis.lattice, basis.k) >= 0
         mask.flags.writeable = False
         basis._masks[key] = mask
     return basis._masks[key]
@@ -680,15 +679,9 @@ def pair_partial_density(family: MovingFamily, potential, t, k: int, f,
 
 
 def region_classify(family: MovingFamily, t, y) -> str:
-    """Exact sign test: C (forbidden), N (interface) or D (bulk)."""
-    t = _fr(t)
-    yq = _point(y)
-    m = min(phi.value(yq) for phi in family.cuts)
-    if m < t:
-        return "C"
-    if m == t:
-        return "N"
-    return "D"
+    """Exact sign test at the point y, a float coordinate taken at its exact
+    binary value: C (forbidden), N (interface) or D (bulk)."""
+    return "CND"[_cut_signs(family, t, *_integer_points([_point(y)]))[0] + 1]
 
 
 @dataclass
@@ -711,17 +704,17 @@ def decay_report(family: MovingFamily, potential, t, points, ks,
     sum (no catastrophic cancellation).  Points on N(t) are rejected: the
     expansion makes no pointwise claim there.
     """
-    pts = [(p if isinstance(p, tuple) else tuple(p)) for p in points]
-    for p in pts:
-        if region_classify(family, t, p) == "N":
+    pts = [tuple(p) for p in points]
+    regions = [region_classify(family, t, p) for p in pts]
+    for p, region in zip(pts, regions):
+        if region == "N":
             raise ValueError(f"point {p} lies on the interface N(t): no pointwise claim")
     bases = bases if bases is not None else {}
     for k in ks:
         bases[k], _ = _partial_basis(family, potential, t, k, bases.get(k))
     rows = []
-    for p in pts:
-        region = region_classify(family, t, p)
-        pf = np.array([[float(_fr(c)) for c in p]])
+    for p, region in zip(pts, regions):
+        pf = np.array([[float(c) for c in _point(p)]])
         if region == "C":
             vals = []
             for k in ks:
@@ -750,20 +743,15 @@ def decay_report(family: MovingFamily, potential, t, points, ks,
     return rows
 
 
-def density_profile(family: MovingFamily, potential, t, k: int, points,
+def density_profile(family: MovingFamily, potential, t, k: int, grid,
                     basis: SectionBasis | None = None):
-    """Rows (y..., rho_k, rho_hat_tk, region) for CSV export."""
+    """rho_k, rho_hat_tk and the region of each point num/den of
+    grid = (num, den) (``Polytope.interior_grid``), as four arrays (points,
+    rho_k, rho_hat_tk, region): the points as floats, num / den, at which
+    both densities are evaluated, and region 'C', 'N' or 'D' from the exact
+    points."""
     basis, mask = _partial_basis(family, potential, t, k, basis)
-    pts = np.atleast_2d(np.asarray(
-        [[float(_fr(c)) for c in p] for p in points], dtype=float))
-    rho = basis.density(pts)
-    rho_hat = basis.density(pts, mask=mask)
-    rows = []
-    for i, p in enumerate(points):
-        rows.append({
-            "point": tuple(p),
-            "rho_k": float(rho[i]),
-            "rho_hat_tk": float(rho_hat[i]),
-            "region": region_classify(family, t, tuple(p)),
-        })
-    return rows
+    num, den = grid
+    pts = (num / den).astype(float)
+    region = np.array(list("CND"))[_cut_signs(family, t, num, den) + 1]
+    return pts, basis.density(pts), basis.density(pts, mask=mask), region

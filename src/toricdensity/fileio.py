@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .fields import Polynomial
-from .polytope import AffineFunctional, MovingFamily, Polytope
+from .polytope import AffineFunctional, MovingFamily, Polytope, _fr
 from .potential import SymplecticPotential
 
 TASKS = ("check-delzant", "lattice-count", "density-profile", "em-check",
@@ -25,17 +25,8 @@ def rational_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def str_to_rational(s) -> Fraction:
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    if isinstance(s, float):
-        raise ValueError(f"rationals must be exact ('p/q' strings or ints), got float {s}")
-    return Fraction(s)
-
-
 def functional_from_dict(d: dict) -> AffineFunctional:
-    return AffineFunctional([str_to_rational(v) for v in d["normal"]],
-                            str_to_rational(d["offset"]))
+    return AffineFunctional([_fr(v) for v in d["normal"]], _fr(d["offset"]))
 
 
 def functional_to_dict(f: AffineFunctional) -> dict:
@@ -136,8 +127,8 @@ def dump_json(obj, path):
         fh.write(text + "\n")
 
 
-def dump_csv(rows: list[dict], columns: list[str], path):
-    """Deterministic CSV with repr-formatted floats."""
+def dump_csv(rows, columns: list[str], path):
+    """Deterministic CSV with repr-formatted floats; rows is an iterable of dicts."""
     def fmt(v):
         if isinstance(v, float):
             return repr(v)

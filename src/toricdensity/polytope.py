@@ -34,7 +34,7 @@ Point = tuple[Fraction, ...]
 # Lattice counts switch from int64 to Python-int (object) arrays once a
 # bound on the values they compute reaches this size.
 _INT64_SAFE = 2**62
-# lattice_points and interior_float_grid refuse more points than this before they
+# lattice_points and interior_grid refuse more points than this before they
 # build them; a section basis at this size holds about 60 MB before its first norm
 LATTICE_BUDGET = 1 << 20
 # _fibres refuses a box of more fibres than this before it walks: the 4-cube
@@ -43,16 +43,40 @@ FIBRE_BUDGET = 1 << 26
 
 
 def _fr(x) -> Fraction:
-    """Coerce ints, strings like '3/4' and Fractions to Fraction (exact)."""
-    if isinstance(x, Fraction):
-        return x
+    """A parameter (t, c, an offset, a width, a scale) as an exact Fraction
+    from an int, a Fraction or a string like '3/4'.  A float raises
+    ValueError: its binary value is seldom the rational that was meant."""
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    return Fraction(x)
+        raise ValueError(f"rationals must be exact (an int, a Fraction or 'p/q'), got float {x}")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _point(coords) -> Point:
-    return tuple(_fr(c) for c in coords)
+    """Coordinates as exact Fractions; a float counts at its exact binary value."""
+    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+
+
+def _integer_points(points) -> tuple[np.ndarray, int]:
+    """Rational points as (num, den): one row of integer numerators per point
+    over one positive denominator, in the integer dtype numpy picks."""
+    den = lcm(*(c.denominator for p in points for c in p))
+    return np.array([[c.numerator * (den // c.denominator) for c in p] for p in points]), den
+
+
+def _min_sign(cleared, num: np.ndarray, den: int) -> np.ndarray:
+    """The sign (int8 -1, 0 or 1) of the smallest of the functionals at each
+    point num/den, from their cleared integers (nu, lam): the sign of
+    <nu, num> - lam*den, exact in int64 or, once a bound on its terms reaches
+    2**62, in Python ints; 1 when there is no functional."""
+    # at least 1, so that |nu| alone still bounds when every point is the origin
+    reach = max(1, int(np.abs(num).max(initial=0)))
+    sign = np.ones(len(num), dtype=np.int8)
+    for nu, lam in cleared:
+        big = reach * sum(map(abs, nu)) + abs(den * lam) >= _INT64_SAFE
+        dtype = object if big else np.int64
+        v = num.astype(dtype) @ np.array(nu, dtype=dtype) - den * lam
+        sign = np.minimum(sign, (v > 0).astype(np.int8) - (v < 0))
+    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +160,7 @@ class AffineFunctional:
         self._cleared = None
 
     def value(self, x) -> Fraction:
-        return sum(_fr(xi) * ni for xi, ni in zip(x, self.normal)) - self.offset
+        return sum(xi * ni for xi, ni in zip(_point(x), self.normal)) - self.offset
 
     def value_float(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -578,24 +602,29 @@ class Polytope:
         """Smallest N with N*P an integral polytope (lcm of vertex denominators)."""
         return lcm(*(c.denominator for v in self.vertices for c in v))
 
-    def interior_float_grid(self, per_axis: int) -> np.ndarray:
-        """Strictly interior points of a per_axis^n bounding-box grid, within LATTICE_BUDGET."""
+    def interior_grid(self, per_axis: int) -> tuple[np.ndarray, int]:
+        """The grid points lo + (hi - lo)(i + 1)/(per_axis + 1), i < per_axis on
+        each axis of the exact bounding box, that lie strictly inside P, as
+        (num, den): integer numerators in lexicographic order over one
+        denominator, int64 or, from 2**62, Python ints.  Strictness is tested
+        exactly on the cleared facets; when no grid point passes, the one
+        point is the vertex centroid.  Raises ValueError before building more
+        than LATTICE_BUDGET points."""
         if per_axis ** self.dim > LATTICE_BUDGET:
             raise ValueError(f"a grid of {per_axis}^{self.dim} = {per_axis ** self.dim} "
                              f"points is past the budget of {LATTICE_BUDGET}")
         lo, hi = self.bounding_box()
-        axes = [np.linspace(float(l), float(h), per_axis + 2)[1:-1]
-                for l, h in zip(lo, hi)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        margin = 1e-9
-        mask = np.ones(len(pts), dtype=bool)
-        for f in self.facets:
-            mask &= f.value_float(pts) > margin
-        pts = pts[mask]
-        if len(pts) == 0:
-            pts = np.array([[float(c) for c in self.centroid_of_vertices()]])
-        return pts
+        steps = [(h - l) / (per_axis + 1) for l, h in zip(lo, hi)]
+        den = lcm(*(q.denominator for q in (*lo, *steps)))
+        # the 1 keeps den itself below 2**62 on int64: callers divide by it
+        big = max(abs(c) for c in (*lo, *hi, 1)) * den >= _INT64_SAFE
+        ticks = np.arange(1, per_axis + 1, dtype=object if big else np.int64)
+        axes = [int(l * den) + int(s * den) * ticks for l, s in zip(lo, steps)]
+        num = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        num = num[_min_sign([f.cleared() for f in self.facets], num, den) > 0]
+        if len(num) == 0:
+            return _integer_points([self.centroid_of_vertices()])
+        return num, den
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, facets={len(self.facets)}, vertices={len(self.vertices)})"

@@ -151,7 +151,7 @@ class SymplecticPotential:
         return self.polytope.dim
 
     def _check_convexity(self):
-        pts = self.polytope.interior_float_grid(CONVEXITY_GRID)
+        pts = np.divide(*self.polytope.interior_grid(CONVEXITY_GRID))
         H = self._hessian_jets(pts)[0]
         try:
             np.linalg.cholesky(H)

@@ -50,7 +50,7 @@ def test_criterion_1_scalar_curvature_constancy(u_interval, u_simplex, u_square)
     for name, u, expected in [("interval", u_interval, 2.0),
                               ("simplex", u_simplex, 6.0),
                               ("square", u_square, 4.0)]:
-        pts = u.polytope.interior_float_grid(10)
+        pts = np.divide(*u.polytope.interior_grid(10))
         s = u.scalar_curvature_many(pts)
         worst[name] = float(np.max(np.abs(s - expected)))
     # a1 = s/2 normalization pinned by exact counts: N(k simplex) = (k+1)(k+2)/2

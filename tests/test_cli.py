@@ -11,8 +11,8 @@ import pytest
 
 from toricdensity import cli
 from toricdensity.fileio import (dump_csv, dump_json, geometry_to_dict,
-                                 load_geometry, load_scenario,
-                                 rational_to_str, str_to_rational)
+                                 load_geometry, load_scenario, rational_to_str)
+from toricdensity.polytope import _fr
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -25,11 +25,11 @@ def run_cli(args):
 class TestSerialization:
     def test_rational_roundtrip(self):
         for q in (F(3, 4), F(-7, 2), F(5), F(0)):
-            assert str_to_rational(rational_to_str(q)) == q
+            assert _fr(rational_to_str(q)) == q
 
     def test_float_rejected(self):
         with pytest.raises(ValueError, match="exact"):
-            str_to_rational(0.25)
+            _fr(0.25)
 
     def test_geometry_roundtrip(self, square_family):
         d = geometry_to_dict(square_family.base, square_family.cuts)
@@ -210,6 +210,27 @@ class TestCliRuns:
         assert proc.stderr == ("toricdensity.polytope: a grid of 1100^2 = 1210000 points is "
                                "past the budget of 1048576\n")
         assert time.perf_counter() - start < 10
+
+    def test_profile_at_lattice_budget_grid(self, tmp_path, run_capped):
+        # 1024^2 is the largest grid within the budget; 523,776 points of it
+        # lie strictly inside the triangle
+        start = time.perf_counter()
+        proc = self._capped_profile(tmp_path, run_capped, {"t": "1/5", "k": 5, "grid": 1024})
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert time.perf_counter() - start < 15
+        with open(tmp_path / "out" / "density_profile.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 523_776
+
+    def test_profile_grid_point_is_exact(self, tmp_path):
+        # the cp1 grid point 3/10 is exactly 3/10: on N(3/10), written 0.3
+        P = load_scenario(FIXTURES / "scenarios" / "cp1_density.json").polytope
+        num, den = P.interior_grid(9)
+        assert F(int(num[2, 0]), den) == F(3, 10)
+        rc = run_cli(["density-profile", "--scenario",
+                      FIXTURES / "scenarios" / "cp1_density.json", "--out", tmp_path])
+        assert rc == cli.EXIT_OK
+        row = (tmp_path / "density_profile.csv").read_text().splitlines()[3].split(",")
+        assert (row[0], row[-1]) == ("0.3", "N")
 
     @staticmethod
     def _capped_count(tmp_path, run_capped, params):

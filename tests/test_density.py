@@ -1,6 +1,7 @@
 """Quadrature, section norms, mass densities and partial density functions."""
 
 import contextlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricdensity as td
-from toricdensity.density import QuadratureScheme, loglog_slope, partial_mask, tree_sum
+from toricdensity.asymptotics import _slice_at_regular
+from toricdensity.density import (QuadratureScheme, _cut_signs, loglog_slope, partial_mask,
+                                  tree_sum)
 
 F = Fraction
 
@@ -569,7 +572,7 @@ class TestPartialDensity:
     def test_monotone_below_full_density(self, corner_family, u_interval,
                                          cp1_bases):
         basis = cp1_bases[40]
-        pts = u_interval.polytope.interior_float_grid(17)
+        pts = np.divide(*u_interval.polytope.interior_grid(17))
         rho_hat = td.partial_density(corner_family, u_interval, F(3, 10), 40,
                                      pts, basis=basis)
         rho = basis.density(pts)
@@ -642,6 +645,62 @@ class TestPartialMask:
             assert td.region_classify(family, t, alpha) == "N"
         assert partial_mask(family, basis, t) is mask and not mask.flags.writeable
 
+    def test_origin_only_lattice_with_huge_cut(self):
+        # k[0, 1/2] holds the origin alone at k=1, so the reach of the lattice
+        # is 0 and only |nu| = 2**70 can send the cut test to Python ints
+        P = td.standard_simplex(1, F(1, 2))
+        family = td.MovingFamily(P, [td.AffineFunctional([2**70], 0)])
+        basis = td.SectionBasis(potential=None, k=1, lattice=P.lattice_points(1),
+                                norms=np.ones(1), rel_tol=1e-8)
+        assert basis.lattice.tolist() == [[0]]
+        assert partial_mask(family, basis, 0).tolist() == [True]
+        assert partial_mask(family, basis, 1).tolist() == [False]
+        assert td.region_classify(family, 1, (0,)) == "C"
+
+    @given(masked_bases(), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_grid_and_regions_match_fraction_values(self, case, per_axis):
+        # the exact grid of a random slice P(t) (or of the base when P(t) is
+        # empty), and the vectorised regions of its points, against Fractions
+        family, _, t, _ = case
+        sl = family.slice(t)
+        P = family.base if sl.is_empty else sl.polytope
+        num, den = P.interior_grid(per_axis)
+        pts = [tuple(F(m, den) for m in row) for row in num.tolist()]
+        lo, hi = P.bounding_box()
+        ticks = [[a + (b - a) * (i + 1) / (per_axis + 1) for i in range(per_axis)]
+                 for a, b in zip(lo, hi)]
+        inside = [p for p in itertools.product(*ticks) if P.contains(p, strict=True)]
+        assert pts == (inside or [P.centroid_of_vertices()])
+        for p, sign in zip(pts, _cut_signs(family, t, num, den).tolist()):
+            m = min(phi.value(p) for phi in family.cuts)
+            assert sign == (m > t) - (m < t)
+            assert td.region_classify(family, t, p) == "CND"[sign + 1]
+
+
+class TestExactInput:
+    """Parameters refuse floats; a float coordinate is its exact binary value."""
+
+    @pytest.mark.parametrize("call", [
+        lambda family, basis: partial_mask(family, basis, 0.3),
+        lambda family, basis: family.slice(0.3),
+        lambda family, basis: td.slope_mu_c(family, 0.5),
+        lambda family, basis: _slice_at_regular(family, 0.3),
+    ], ids=["partial_mask", "slice", "slope_mu_c", "slice_at_regular"])
+    def test_float_parameter_rejected(self, corner_family, cp1_bases, call):
+        with pytest.raises(ValueError, match="got float"):
+            call(corner_family, cp1_bases[20])
+
+    def test_float_coordinate_is_exact(self, corner_family, u_interval):
+        y = 0.1 + 0.2  # 0.30000000000000004, just above 3/10
+        for t, region in ((F(3, 10), "D"), (F(y), "N")):
+            assert td.region_classify(corner_family, t, (y,)) == region
+            assert td.region_classify(corner_family, t, (F(y),)) == region
+        P = td.box([F(3, 10)])
+        assert not P.contains((y,)) and P.contains((0.3,), strict=True)
+        assert td.pair_alpha(u_interval, [y], 20, td.coordinate_field(1, 0)) == \
+            td.pair_alpha(u_interval, [F(y)], 20, td.coordinate_field(1, 0))
+
 
 class TestRegionClassify:
     @pytest.mark.parametrize("y,expected", [
@@ -676,7 +735,10 @@ class TestDecayReport:
 
 
 def test_density_profile_rows(corner_family, u_interval, cp1_bases):
-    rows = td.density_profile(corner_family, u_interval, F(3, 10), 20,
-                              [(F(1, 10),), (F(1, 2),)], basis=cp1_bases[20])
-    assert [r["region"] for r in rows] == ["C", "D"]
-    assert rows[0]["rho_hat_tk"] < rows[0]["rho_k"]
+    # the grid points 1/10, 3/10 and 1/2, as numerators over 20
+    pts, rho, rho_hat, region = td.density_profile(
+        corner_family, u_interval, F(3, 10), 20, (np.array([[2], [6], [10]]), 20),
+        basis=cp1_bases[20])
+    assert pts.tolist() == [[0.1], [0.3], [0.5]]
+    assert region.tolist() == ["C", "N", "D"]
+    assert rho_hat[0] < rho[0]

@@ -521,7 +521,7 @@ def _assert_unbounded_faces_raise(P):
             with pytest.raises(ValueError, match="unbounded region"):
                 refuse(k)
     with pytest.raises(ValueError, match="unbounded region"):
-        P.interior_float_grid(5)
+        P.interior_grid(5)
 
 
 def _facets(rows):

@@ -103,7 +103,7 @@ class TestInverseMetric:
         assert m.H @ m.G == pytest.approx(np.eye(2), abs=1e-12)
 
     def test_g_symmetric_positive(self, u_simplex):
-        for p in u_simplex.polytope.interior_float_grid(5):
+        for p in np.divide(*u_simplex.polytope.interior_grid(5)):
             G = u_simplex.metric(p)
             assert np.abs(G - G.T).max() < 1e-12
             assert np.linalg.eigvalsh(G).min() > 0
@@ -135,7 +135,7 @@ class TestScalarCurvature:
         ("u_interval", 2.0), ("u_simplex", 6.0), ("u_square", 4.0)])
     def test_constant_curvature(self, fixture, expected, request):
         u = request.getfixturevalue(fixture)
-        pts = u.polytope.interior_float_grid(10)
+        pts = np.divide(*u.polytope.interior_grid(10))
         s = u.scalar_curvature_many(pts)
         assert np.max(np.abs(s - expected)) < 1e-9
 
@@ -167,7 +167,7 @@ class TestScalarCurvature:
             Polynomial(3, {(3, 0, 0): 0.02, (1, 1, 1): 0.03, (0, 2, 2): 0.01}))
         close = dict(rtol=1e-13, atol=1e-12)
         for u in (u_simplex, u_simplex_perturbed, u_simplex3):
-            pts = u.polytope.interior_float_grid(6)
+            pts = np.divide(*u.polytope.interior_grid(6))
             batched = u.scalar_curvature_many(pts)
             single = np.array([u.scalar_curvature(p) for p in pts])
             assert batched == pytest.approx(single, abs=1e-12)
@@ -488,7 +488,7 @@ class TestPhi:
         assert u.phi([x], [y]) >= 1.0 * (x - y) ** 2 - 1e-12
 
     def test_positivity_simplex_grid(self, u_simplex):
-        pts = u_simplex.polytope.interior_float_grid(5)
+        pts = np.divide(*u_simplex.polytope.interior_grid(5))
         for x in pts[::3]:
             for y in pts[1::4]:
                 v = u_simplex.phi(x, y)

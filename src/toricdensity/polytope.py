@@ -58,9 +58,12 @@ def _point(coords) -> Point:
 
 def _integer_points(points) -> tuple[np.ndarray, int]:
     """Rational points as (num, den): one row of integer numerators per point
-    over one positive denominator, in the integer dtype numpy picks."""
+    over one positive denominator, int64 or, from 2**62, Python ints (numpy
+    alone would turn a row mixing ints past 2**63 with small ones to float)."""
     den = lcm(*(c.denominator for p in points for c in p))
-    return np.array([[c.numerator * (den // c.denominator) for c in p] for p in points]), den
+    rows = [[c.numerator * (den // c.denominator) for c in p] for p in points]
+    big = max((abs(m) for row in rows for m in row), default=0) >= _INT64_SAFE or den >= _INT64_SAFE
+    return np.array(rows, dtype=object if big else np.int64), den
 
 
 def _min_sign(cleared, num: np.ndarray, den: int) -> np.ndarray:

@@ -711,6 +711,14 @@ class TestRegionClassify:
     def test_square_family(self, square_family, y, expected):
         assert td.region_classify(square_family, F(1, 4), y) == expected
 
+    def test_numerators_past_int64(self):
+        # y1 - 3/4 = 1/(16 * 10**18) > 0, and over that one denominator y has
+        # numerators 12 * 10**18 + 1 and 8 * 10**18: numpy would store the row
+        # as floats, round the first to 1.2e19 and put y on N(3/4)
+        family = td.MovingFamily(td.box([1, 1]), [td.AffineFunctional([1, 0], 0)])
+        y = (F(12 * 10**18 + 1, 16 * 10**18), F(1, 2))
+        assert td.region_classify(family, F(3, 4), y) == "D"
+
 
 class TestDecayReport:
     def test_forbidden_point_slopes(self, corner_family, u_interval, cp1_bases):

@@ -25,7 +25,7 @@ from .density import (QuadratureError, SectionBasis, density_profile,
 from .fields import coordinate_field, constant_field
 from .fileio import (Scenario, dump_csv, dump_json, load_scenario,
                      rational_to_str)
-from .polytope import _fr, build_test_config, check_delzant
+from .polytope import _fr, _int, build_test_config, check_delzant
 from .stability import (futaki_report, hilbert_coeffs_combinatorial,
                         hilbert_coeffs_geometric, slope_mu, slope_report)
 
@@ -42,6 +42,13 @@ def _fraction_param(params, key, default=None) -> Fraction:
     if key not in params and default is None:
         raise ValueError(f"scenario params missing {key!r}")
     return _fr(params.get(key, default))
+
+
+def _k_grid(params, default) -> list[int]:
+    ks = params.get("k_grid", default)
+    if not isinstance(ks, list):
+        raise ValueError(f"k_grid must be a list, got {ks!r}")
+    return [_int(k) for k in ks]
 
 
 def _run_check_delzant(scenario, outdir, opts):
@@ -65,26 +72,20 @@ def _run_check_delzant(scenario, outdir, opts):
 
 
 def _run_lattice_count(scenario, outdir, opts):
-    ks = scenario.params.get("k_grid", [1, 2, 4, 8, 16])
-    t = scenario.params.get("t")
-    rows = []
-    if t is None or not scenario.cuts:
-        poly = scenario.polytope
-        for k in ks:
-            rows.append({"k": k, "t": "0", "count": poly.count_lattice_points(k)})
-    else:
-        family = scenario.family
-        tq = _fraction_param(scenario.params, "t")
-        sl = family.slice(tq)
-        for k in ks:
-            count = 0 if sl.is_empty else sl.polytope.count_lattice_points(k)
-            rows.append({"k": k, "t": rational_to_str(tq), "count": count})
+    ks = _k_grid(scenario.params, [1, 2, 4, 8, 16])
+    poly, t = scenario.polytope, Fraction(0)
+    if scenario.params.get("t") is not None and scenario.cuts:
+        t = _fraction_param(scenario.params, "t")
+        sl = scenario.family.slice(t)
+        poly = None if sl.is_empty else sl.polytope
+    rows = [{"k": k, "t": rational_to_str(t),
+             "count": 0 if poly is None else poly.count_lattice_points(k)} for k in ks]
     dump_csv(rows, ["k", "t", "count"], outdir / "lattice_count.csv")
     return EXIT_OK
 
 
 def _run_em_check(scenario, outdir, opts):
-    ks = scenario.params.get("k_grid", [4, 8, 16, 32, 64])
+    ks = _k_grid(scenario.params, [4, 8, 16, 32, 64])
     rows = []
     for k in ks:
         res = euler_maclaurin(scenario.polytope, 1, k)
@@ -102,8 +103,8 @@ def _run_density_profile(scenario, outdir, opts):
     if family is None:
         raise ValueError("density-profile requires cuts in the scenario")
     t = _fraction_param(scenario.params, "t")
-    k = int(scenario.params.get("k", 10))
-    per_axis = int(scenario.params.get("grid", 9))
+    k = _int(scenario.params.get("k", 10))
+    per_axis = _int(scenario.params.get("grid", 9))
     pot = scenario.potential
     grid = scenario.polytope.interior_grid(per_axis)
     basis = SectionBasis.build(pot, k, rel_tol=opts.tolerance)
@@ -127,7 +128,7 @@ def _run_density_profile(scenario, outdir, opts):
 
 def _run_expansion_check(scenario, outdir, opts):
     pot = scenario.potential
-    ks = scenario.params.get("k_grid", [10, 20, 40, 80])
+    ks = _k_grid(scenario.params, [10, 20, 40, 80])
     alpha = scenario.params.get("alpha")
     if alpha is None:
         alpha = [rational_to_str(c) for c in
@@ -227,7 +228,7 @@ def _run_report(scenario, outdir, opts):
             rc = _run_density_profile(scenario, outdir, opts)
             summary["checks"]["density"] = rc
             status = max(status, rc)
-            tq = Fraction(t)
+            tq = _fraction_param(params, "t")
             res = boundary_volume_identity(family, pot, tq,
                                            dp_convention=opts.dp_convention)
             summary["checks"]["boundary_volume_residual"] = res

@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Polynomial, ScalarField, as_field
-from .polytope import (MovingFamily, Polytope, _fr, _integer_points, _min_sign, _point,
-                       leray_simplex_measure)
+from .polytope import (MovingFamily, Polytope, _fr, _int, _integer_points, _min_sign,
+                       _point, leray_simplex_measure)
 
 DEFAULT_REL_TOL = 1e-8
 # the one relative tolerance of each kind of integral: those weighted by the
@@ -442,6 +442,7 @@ class SectionBasis:
     def build(cls, potential, k: int, rel_tol=DEFAULT_REL_TOL) -> "SectionBasis":
         """All norms of level k by one order-raising pass on shared nodes."""
         P = potential.polytope
+        k = _int(k)
         pts = P.lattice_points(k)
         alpha_float = pts.astype(float) / k
         norms, _ = integrate_orders(
@@ -539,23 +540,15 @@ def pair_section(basis: SectionBasis, alpha, f):
 # ---------------------------------------------------------------------------
 
 def section_expansion_bracket(potential, alpha, k: int, f: ScalarField) -> float:
-    """f(a) + (1/2k)(s(a) f(a) + 1/2 sum_ij d_i d_j (G^ij f)(a))."""
+    """f(a) + (1/2k)(<div G, grad f> + 1/2 tr(G Hess f))(a): the 1/k term
+    s f + 1/2 sum_ij d_i d_j (G^ij f), in which Abreu's s = -1/2 sum_ij
+    d_i d_j G^ij cancels every second derivative of G."""
     a = np.asarray(alpha, dtype=float).reshape(-1)
     fld = as_field(f, potential.polytope.dim)
     fa = float(fld.value(a[None, :])[0])
-    grad = fld.gradient(a)
-    hess = fld.hessian(a)
-    G, dG, d2G = potential.inverse_metric(a)
-    n = potential.polytope.dim
-    total = 0.0
-    trace = 0.0  # sum_ij d_i d_j G^ij = -2 s(a)
-    for i in range(n):
-        for j in range(n):
-            total += (d2G[i, j][i, j] * fa + dG[i][i, j] * grad[j]
-                      + dG[j][i, j] * grad[i] + G[i, j] * hess[i, j])
-            trace += d2G[i, j][i, j]
-    s = -0.5 * trace
-    return fa + (s * fa + 0.5 * total) / (2.0 * k)
+    G = potential.metric_many(a)[0]
+    div = potential.metric_divergence_many(a)[0]
+    return fa + float(div @ fld.gradient(a) + 0.5 * np.sum(G * fld.hessian(a))) / (2.0 * k)
 
 
 def section_expansion_residual(potential, alpha, k: int, f) -> float:
@@ -572,7 +565,7 @@ def section_expansion_residual(potential, alpha, k: int, f) -> float:
         raise ValueError(
             f"alpha {alpha} is within {EXPANSION_MARGIN} of the boundary; "
             "the interior expansion does not apply")
-    k = int(k)
+    k = _int(k)
     pairing = pair_alpha(potential, a, k, f, rel_tol=FACET_REL_TOL)
     return pairing - section_expansion_bracket(potential, a, k, f)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .fields import Polynomial
-from .polytope import AffineFunctional, MovingFamily, Polytope, _fr
+from .polytope import AffineFunctional, MovingFamily, Polytope, _fr, _int
 from .potential import SymplecticPotential
 
 TASKS = ("check-delzant", "lattice-count", "density-profile", "em-check",
@@ -37,7 +37,7 @@ def functional_to_dict(f: AffineFunctional) -> dict:
 def load_geometry(d: dict) -> tuple[Polytope, list[AffineFunctional]]:
     """Parse {dim, facets: [...], cuts: [...]} into a polytope and cut list."""
     try:
-        dim = int(d["dim"])
+        dim = _int(d["dim"])
         facets = [functional_from_dict(fd) for fd in d["facets"]]
         cuts = [functional_from_dict(cd) for cd in d.get("cuts", [])]
     except (KeyError, TypeError, ValueError) as exc:
@@ -93,6 +93,11 @@ def load_scenario(path, task_override: str | None = None) -> Scenario:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot parse scenario {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"scenario {path} must be a JSON object, got {type(raw).__name__}")
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"scenario params must be a JSON object, got {type(params).__name__}")
     if raw.get("schema", 1) != 1:
         raise ValueError(f"unsupported scenario schema {raw.get('schema')}")
     if "polytope_file" in raw:
@@ -110,9 +115,12 @@ def load_scenario(path, task_override: str | None = None) -> Scenario:
     task = task_override or raw.get("task")
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}: expected one of {TASKS}")
-    pert = perturbation_from_dict(raw.get("potential"), P.dim)
+    try:
+        pert = perturbation_from_dict(raw.get("potential"), P.dim)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed potential: {exc!r}") from exc
     return Scenario(name=raw.get("name", path.stem), polytope=P, cuts=cuts,
-                    perturbation=pert, task=task, params=raw.get("params", {}))
+                    perturbation=pert, task=task, params=params)
 
 
 def dump_json(obj, path):

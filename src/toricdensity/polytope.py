@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +49,14 @@ def _fr(x) -> Fraction:
     if isinstance(x, float):
         raise ValueError(f"rationals must be exact (an int, a Fraction or 'p/q'), got float {x}")
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _int(x) -> int:
+    """An integer parameter (k, a grid size) from anything ``operator.index``
+    takes but a bool, numpy integers too; anything else raises ValueError."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return index(x)
 
 
 def _point(coords) -> Point:
@@ -564,6 +572,7 @@ class Polytope:
         intermediate bounds could pass 2**62.  Raises ValueError, naming N,
         before more than LATTICE_BUDGET points exist, when N passes it.
         """
+        k = _int(k)
         parts, count = [], 0
         for prefix, lower, length in self._fibres(k):
             count += int(length.sum())
@@ -583,6 +592,7 @@ class Polytope:
         """|Z^n cap kP|, exact.  Summed over the fibres of ``_fibres``, without
         building a point, while k <= (n+2)D, D the integrality divisor; past
         that, the value at k of the Ehrhart polynomial of its class mod D."""
+        k = _int(k)
         D = self.integrality_divisor()
         if k <= (self.dim + 2) * D:
             return sum(int(length.sum()) for _, _, length in self._fibres(k))
@@ -613,6 +623,7 @@ class Polytope:
         exactly on the cleared facets; when no grid point passes, the one
         point is the vertex centroid.  Raises ValueError before building more
         than LATTICE_BUDGET points."""
+        per_axis = _int(per_axis)
         if per_axis ** self.dim > LATTICE_BUDGET:
             raise ValueError(f"a grid of {per_axis}^{self.dim} = {per_axis ** self.dim} "
                              f"points is past the budget of {LATTICE_BUDGET}")

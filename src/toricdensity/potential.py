@@ -47,14 +47,16 @@ points.  ``metric_many`` and ``conorm_sq_many`` keep ``np.linalg.inv``: the
 Richardson d/dt stencil of ``asymptotics`` amplifies the last bits of the
 conorm facet integrals.
 
-The derivatives dH and d2H come from ``_hessian_jets`` and are not used by
-the curvature.  They stay behind the public pointwise
-``hessian_derivatives`` and ``inverse_metric`` (G, dG and d2G by matrix
-calculus), which ``density.section_expansion_bracket`` and the tests'
-matrix-calculus oracle use.  The batched ``*_many`` methods take an (m, n)
-array of points; the pointwise methods are views of their result at one
-point.  A finite-difference mode exists purely as a cross-check oracle for
-the curvature.
+The divergence (div G)_j = sum_i d_i G^ij is -G tau, since
+d_i G = -G (d_i H) G; with tau = tau_c + tau_w it is
+
+    div G = 1/2 sum_a q_aa G nu_a / ell_a^2 - G tau_w,
+
+from G and w_3 alone, which is all ``density.section_expansion_bracket``
+needs.  The batched ``*_many`` methods take an (m, n) array of points; the
+pointwise methods are views of their result at one point.  A
+finite-difference mode exists purely as a cross-check oracle for the
+curvature.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ class SymplecticPotential:
 
     def _check_convexity(self):
         pts = np.divide(*self.polytope.interior_grid(CONVEXITY_GRID))
-        H = self._hessian_jets(pts)[0]
+        H = self.hessian_many(pts)
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
@@ -214,33 +216,29 @@ class SymplecticPotential:
                 out[perm] = value
         return out
 
-    def _hessian_jets(self, points, order: int = 0) -> list:
-        """[H, dH, d2H][:order + 1] at strictly interior points, exact formulas.
-
-        H = 1/2 sum_a nu_a nu_a^T / ell_a + Hess w, shape (m, n, n);
-        dH[:, k] = d_k H and d2H[:, k, l] = d_k d_l H.
-        """
-        pts = _as_points(points)
-        L = self._interior_ell(pts)
-        N = self.normals
-        jets = [0.5 * np.einsum("ma,ai,aj->mij", 1.0 / L, N, N)]
-        if order >= 1:
-            jets.append(-0.5 * np.einsum("ma,ak,ai,aj->mkij", 1.0 / L**2, N, N, N))
-        if order >= 2:
-            jets.append(np.einsum("ma,ak,al,ai,aj->mklij", 1.0 / L**3, N, N, N, N))
-        for r, jet in enumerate(jets):
-            dw = self._w_tensor(pts, r + 2)  # H takes the 2nd derivatives of w
-            if dw is not None:
-                jet += np.moveaxis(dw, -1, 0)
-        return jets
-
     def hessian_many(self, points) -> np.ndarray:
         """Batched Hessians, shape (m, n, n); all points strictly interior."""
-        return self._hessian_jets(points)[0]
+        pts = _as_points(points)
+        N = self.normals
+        H = 0.5 * np.einsum("ma,ai,aj->mij", 1.0 / self._interior_ell(pts), N, N)
+        W2 = self._w_tensor(pts, 2)
+        return H if W2 is None else H + np.moveaxis(W2, -1, 0)
 
     def metric_many(self, points) -> np.ndarray:
         """Batched inverse metrics G = H^{-1}, shape (m, n, n)."""
         return _inv(self.hessian_many(points))
+
+    def metric_divergence_many(self, points) -> np.ndarray:
+        """Batched div G, shape (m, n), from G and w_3 (module docstring)."""
+        pts = _as_points(points)
+        G = self.metric_many(pts)
+        F = G @ self.normals.T                          # F[:, :, a] = G nu_a
+        q = np.einsum("ai,mia->ma", self.normals, F)    # q_aa = nu_a^T G nu_a
+        out = 0.5 * np.einsum("mia,ma->mi", F, q / self.ell(pts) ** 2)
+        w3 = self._w_tensor(pts, 3)
+        if w3 is not None:
+            out -= np.einsum("mij,mj->mi", G, np.einsum("mij,ijsm->ms", G, w3))
+        return out
 
     def scalar_curvature_many(self, points) -> np.ndarray:
         """Batched scalar curvature by Abreu's formula in Gram form (see the
@@ -314,21 +312,6 @@ class SymplecticPotential:
     def hessian(self, x) -> np.ndarray:
         """H(x) = 1/2 sum_a nu_a nu_a^T / ell_a(x) + Hess w(x), exact formula."""
         return self.hessian_many(x)[0]
-
-    def hessian_derivatives(self, x):
-        """(H, dH, d2H) with dH[k] = d_k H and d2H[k][l] = d_k d_l H."""
-        return tuple(jet[0] for jet in self._hessian_jets(x, 2))
-
-    def inverse_metric(self, x):
-        """(G, dG, d2G) by matrix calculus on the closed-form Hessian.
-
-        dG = -G dH G and d2G = -G d2H G + G dH G dH G + (k<->l term).
-        """
-        H, dH, d2H = self.hessian_derivatives(x)
-        G = _inv(H)
-        A = G @ dH @ G                        # A[k] = G dH_k G = -dG[k]
-        B = A[:, None] @ dH[None, :] @ G      # B[k, l] = G dH_k G dH_l G
-        return G, -A, -G @ d2H @ G + B + B.transpose(1, 0, 2, 3)
 
     def metric(self, x) -> np.ndarray:
         """G(x) = H(x)^{-1} only."""

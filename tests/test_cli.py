@@ -7,9 +7,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from toricdensity import cli
+from toricdensity import SectionBasis, cli, count_lattice_points
+from toricdensity.density import section_expansion_residual
 from toricdensity.fileio import (dump_csv, dump_json, geometry_to_dict,
                                  load_geometry, load_scenario, rational_to_str)
 from toricdensity.polytope import _fr
@@ -270,6 +272,74 @@ class TestCliRuns:
         rc = run_cli(["density-profile", "--scenario",
                       FIXTURES / "scenarios" / "cp1_density.json", "--out", tmp_path])
         assert rc == cli.EXIT_NONCONVERGENCE
+
+    @staticmethod
+    def _scenario(tmp_path, task, geometry, params):
+        sc = tmp_path / "s.json"
+        sc.write_text(json.dumps({"schema": 1, "task": task, "params": params,
+                                  "polytope_file": str(FIXTURES / "polytopes" / geometry)}))
+        return sc
+
+    @pytest.mark.parametrize("k_grid,value", [
+        ([2.5], "2.5"), ([100.0], "100.0"), (["4"], "'4'"), ([True], "True")])
+    def test_k_grid_entry_must_be_an_integer(self, tmp_path, capsys, k_grid, value):
+        # 2.5 counted 9 points for "k = 2.5", 100.0 and "4" raised TypeError,
+        # True wrote the row True,0,4
+        sc = self._scenario(tmp_path, "lattice-count", "square_corner.json",
+                            {"k_grid": k_grid})
+        assert run_cli(["lattice-count", "--scenario", sc, "--out", tmp_path]) \
+            == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == \
+            f"toricdensity.polytope: expected an integer, got {value}\n"
+        assert not (tmp_path / "lattice_count.csv").exists()
+
+    def test_k_grid_must_be_a_list(self, tmp_path, capsys):
+        sc = self._scenario(tmp_path, "lattice-count", "square_corner.json", {"k_grid": 4})
+        assert run_cli(["lattice-count", "--scenario", sc, "--out", tmp_path]) \
+            == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == "toricdensity.cli: k_grid must be a list, got 4\n"
+
+    @pytest.mark.parametrize("params", [{"t": "3/10", "k": 20.5},
+                                        {"t": "3/10", "k": 20, "grid": 9.0}])
+    def test_profile_k_and_grid_must_be_integers(self, tmp_path, params):
+        # k = 20.5 ran at k = 20 through int()
+        sc = self._scenario(tmp_path, "density-profile", "cp1.json", params)
+        assert run_cli(["density-profile", "--scenario", sc, "--out", tmp_path]) \
+            == cli.EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("bad", [2.5, 10.0, "4", True])
+    def test_dilation_entry_points_take_integers_only(self, u_interval, bad):
+        P = u_interval.polytope
+        calls = [lambda k: count_lattice_points(P, k), P.lattice_points, P.interior_grid,
+                 lambda k: SectionBasis.build(u_interval, k),
+                 lambda k: section_expansion_residual(u_interval, [F(1, 2)], k, 1.0)]
+        for call in calls:
+            with pytest.raises(ValueError, match="expected an integer"):
+                call(bad)
+        assert count_lattice_points(P, np.int64(10)) == 11
+        assert P.lattice_points(np.int32(2)).tolist() == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("raw,message", [
+        ([1, 2], "must be a JSON object, got list"),
+        ({"params": [1]}, "scenario params must be a JSON object, got list"),
+        ({"potential": [1]}, "malformed potential"),
+        ({"polytope": {**json.loads((FIXTURES / "polytopes" / "square_corner.json")
+                                    .read_text()), "dim": 2.5}},
+         "expected an integer, got 2.5")],
+        ids=["list", "params_list", "potential_list", "float_dim"])
+    def test_scenario_shape_parse_error(self, tmp_path, capsys, raw, message):
+        # the lists exited 1 with an AttributeError traceback; dim 2.5 was
+        # truncated to 2
+        if isinstance(raw, dict):
+            raw = {"schema": 1, "task": "em-check",
+                   "polytope_file": str(FIXTURES / "polytopes" / "square_corner.json"), **raw}
+            if "polytope" in raw:
+                del raw["polytope_file"]
+        sc = tmp_path / "s.json"
+        sc.write_text(json.dumps(raw))
+        assert run_cli(["em-check", "--scenario", sc, "--out", tmp_path]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("toricdensity.fileio: ") and message in err
 
     def test_scenario_family_built_once(self):
         sc = load_scenario(FIXTURES / "scenarios" / "cp1_report.json")

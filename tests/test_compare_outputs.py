@@ -60,3 +60,23 @@ def test_unparsed_file_has_no_fields(path):
     diffs = compare_outputs.differences("s/report", run({path: "{1"}), run({path: "{2"}))
     assert [d.text for d in diffs] == [f"s/report: {path} content differs"]
     assert compare_outputs.field_summary(diffs) == []
+
+
+def test_jobs_run_the_demos_of_the_given_tree(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "demos").mkdir()
+    demo = tmp_path / "demos" / "only_here.py"
+    demo.write_text("print(1)\n")
+    todo = compare_outputs.jobs(tmp_path / "src")
+    assert [job for job in todo if job[0].startswith("demos/")] == [
+        ("demos/only_here.py", [str(demo)])]
+    # the scenarios stay this checkout's
+    assert todo[0][1][:3] == ["-m", "toricdensity.cli", "check-delzant"]
+    assert Path(todo[0][1][4]).parent == compare_outputs.ROOT / "fixtures" / "scenarios"
+
+
+def test_demo_of_one_tree_reads_missing_in_the_other():
+    diffs = compare_outputs.differences("demos/06.py", run({}, stdout="x"),
+                                        compare_outputs.MISSING)
+    assert [d.text for d in diffs] == ["demos/06.py: exit code 0 -> missing",
+                                       "demos/06.py: stdout differs"]

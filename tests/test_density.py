@@ -493,10 +493,22 @@ class TestPairSection:
 
 
 class TestSectionExpansion:
-    def test_bracket_reduces_to_one_for_f1(self, u_interval):
+    def test_bracket_reduces_to_one_for_f1(self, u_interval, u_simplex_perturbed):
+        # the curvature cancels, so f = 1 has no 1/k term at all
         from toricdensity.density import section_expansion_bracket
-        val = section_expansion_bracket(u_interval, [0.5], 10, td.constant_field(1))
-        assert val == pytest.approx(1.0, abs=1e-12)
+        assert section_expansion_bracket(u_interval, [0.5], 10, td.constant_field(1)) == 1.0
+        assert section_expansion_bracket(u_simplex_perturbed, [0.2, 0.3], 7,
+                                         td.constant_field(2)) == 1.0
+
+    def test_bracket_on_the_interval(self, u_interval):
+        # G = 2a(1 - a), div G = 2 - 4a: f(a) + ((2 - 4a) f'(a) + a(1 - a) f''(a))/2k
+        from toricdensity.density import section_expansion_bracket
+        f = td.polynomial_field(1, {(0,): 0.7, (1,): 1.3, (3,): -2.0})
+        for a, k in ((0.3, 10), (0.5, 40), (0.85, 7)):
+            fa, d1, d2 = 0.7 + 1.3 * a - 2 * a**3, 1.3 - 6 * a**2, -12 * a
+            want = fa + ((2 - 4 * a) * d1 + a * (1 - a) * d2) / (2 * k)
+            assert section_expansion_bracket(u_interval, [a], k, f) == \
+                pytest.approx(want, rel=1e-14)
 
     def test_quadratic_field_slope(self, u_interval):
         res = td.section_expansion_check(

@@ -36,6 +36,14 @@ def mp_phi_cp1(x, y):
         return float(val)
 
 
+@lru_cache(maxsize=None)
+def perturbed_simplex3():
+    """The 3-simplex with a cubic perturbation: w_3 and w_4 do not vanish."""
+    return td.SymplecticPotential(
+        td.standard_simplex(3),
+        Polynomial(3, {(3, 0, 0): 0.02, (1, 1, 1): 0.03, (0, 2, 2): 0.01}))
+
+
 class TestHessian:
     def test_cp1_midpoint(self, u_interval):
         assert u_interval.hessian([0.5]) == pytest.approx(np.array([[2.0]]))
@@ -62,29 +70,11 @@ class TestHessian:
         with pytest.raises(ValueError, match=r"\[0\.5, 0\.5\] is not interior: ell_2"):
             u_simplex.conorm_sq_many(np.array([1.0, 0.0]), pts)
 
-    def test_derivatives_match_finite_differences(self, u_simplex):
-        x = np.array([0.3, 0.25])
-        H, dH, d2H = u_simplex.hessian_derivatives(x)
-        h = 1e-6
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            fd = (u_simplex.hessian(x + e) - u_simplex.hessian(x - e)) / (2 * h)
-            assert dH[k] == pytest.approx(fd, abs=1e-6)
-        h = 1e-4
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            fd = (u_simplex.hessian_derivatives(x + e)[1]
-                  - u_simplex.hessian_derivatives(x - e)[1]) / (2 * h)
-            assert d2H[k] == pytest.approx(fd, rel=1e-5, abs=1e-5)
-
 
 class TestInverseMetric:
     def test_cp1_closed_form(self, u_interval):
         for x in (0.2, 0.5, 0.9):
-            G, _, _ = u_interval.inverse_metric([x])
-            assert G[0, 0] == pytest.approx(2 * x * (1 - x))
+            assert u_interval.metric([x])[0, 0] == pytest.approx(2 * x * (1 - x))
 
     def test_cp2_closed_form(self, u_simplex):
         x = np.array([0.25, 0.25])
@@ -108,15 +98,33 @@ class TestInverseMetric:
             assert np.abs(G - G.T).max() < 1e-12
             assert np.linalg.eigvalsh(G).min() > 0
 
-    def test_dg_matches_finite_differences(self, u_simplex):
-        x = np.array([0.3, 0.2])
-        _, dG, d2G = u_simplex.inverse_metric(x)
+    def test_div_g_matches_finite_differences(self, u_simplex):
+        # (div G)_j = sum_i d_i G^ij by central differences of the metric
         h = 1e-6
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            fd = (u_simplex.metric(x + e) - u_simplex.metric(x - e)) / (2 * h)
-            assert dG[k] == pytest.approx(fd, abs=1e-8)
+        for u, x in ((u_simplex, [0.3, 0.2]), (perturbed_simplex3(), [0.2, 0.3, 0.25])):
+            x = np.array(x)
+            e = h * np.eye(u.dim)
+            fd = sum((u.metric(x + e[i]) - u.metric(x - e[i]))[i] for i in range(u.dim)) / (2 * h)
+            assert u.metric_divergence_many(x)[0] == pytest.approx(fd, abs=1e-8)
+
+    def test_div_g_on_the_interval(self, u_interval):
+        # G = 2x(1 - x) on [0, 1]
+        x = np.array([0.1, 0.3, 0.5, 0.85])
+        div = u_interval.metric_divergence_many(x[:, None])
+        assert div[:, 0] == pytest.approx(2 - 4 * x, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("name,perturbed,x", [
+        ("simplex3", True, [F(1, 8), F(1, 4), F(3, 8)]),
+        ("simplex3", False, [F(1, 16), F(5, 8), F(1, 4)]),
+        ("square", True, [F(1, 4), F(7, 8)]),
+        ("non_delzant", True, [F(1, 2), F(1, 4)])])
+    def test_div_g_matches_exact(self, name, perturbed, x):
+        # dyadic points and coefficients: the float input is the exact one
+        u = oracle_potential(name, perturbed)
+        G, tau, _, _ = exact_metric(u.polytope, u.w.terms, x)
+        exact = [-sum(G[i][j] * tau[j] for j in range(u.dim)) for i in range(u.dim)]
+        got = u.metric_divergence_many([float(c) for c in x])[0]
+        assert got == pytest.approx([float(v) for v in exact], rel=1e-14, abs=1e-14)
 
     def test_gnu_vanishes_at_facet_rate(self, u_square):
         # |G nu| <= C * ell along an approach to the facet x1 = 0
@@ -162,31 +170,19 @@ class TestScalarCurvature:
             assert abs(up.scalar_curvature(x) - up.scalar_curvature_fd(x)) < 1e-6
 
     def test_batched_matches_pointwise(self, u_simplex, u_simplex_perturbed):
-        u_simplex3 = td.SymplecticPotential(
-            td.standard_simplex(3),
-            Polynomial(3, {(3, 0, 0): 0.02, (1, 1, 1): 0.03, (0, 2, 2): 0.01}))
         close = dict(rtol=1e-13, atol=1e-12)
-        for u in (u_simplex, u_simplex_perturbed, u_simplex3):
+        for u in (u_simplex, u_simplex_perturbed, perturbed_simplex3()):
             pts = np.divide(*u.polytope.interior_grid(6))
             batched = u.scalar_curvature_many(pts)
             single = np.array([u.scalar_curvature(p) for p in pts])
             assert batched == pytest.approx(single, abs=1e-12)
 
-            H, dH, d2H = u._hessian_jets(pts, 2)
             hess = u.hessian_many(pts)
             G = u.metric_many(pts)
-            dG = -np.einsum("mij,mkjl,mlp->mkip", G, dH, G)
             v = np.arange(1.0, u.dim + 1.0)
             conorm = u.conorm_sq_many(v, pts)
             for m, p in enumerate(pts):
                 np.testing.assert_allclose(u.hessian(p), hess[m], **close)
-                for got, want in zip(u.hessian_derivatives(p), (H[m], dH[m], d2H[m])):
-                    np.testing.assert_allclose(got, want, **close)
-                G_p, dG_p, d2G_p = u.inverse_metric(p)
-                np.testing.assert_allclose(G_p, G[m], **close)
-                np.testing.assert_allclose(dG_p, dG[m], **close)
-                trace = sum(d2G_p[i, j][i, j] for i in range(u.dim) for j in range(u.dim))
-                assert -0.5 * trace == pytest.approx(batched[m], rel=1e-12)
                 np.testing.assert_allclose(u.metric(p), G[m], **close)
                 assert u.conorm_sq(v, p) == pytest.approx(conorm[m], rel=1e-13)
 
@@ -205,11 +201,12 @@ def exact_inverse(H):
     return [row[n:] for row in A]
 
 
-def exact_curvature(P, w_terms, x):
-    """(s, min_a ell_a) at a rational point, exactly, from the identity
-    s = -1/2 (-<u_4, G (x) G> + tau^T G tau + |u_3|^2_G), tau_s = sum_ij G_ij u_ijs,
-    for u = 1/2 sum_a ell_a log ell_a + w with w = sum of c * x^e over
-    w_terms {e: c}; G = H^{-1} is an exact Fraction inverse."""
+def exact_metric(P, w_terms, x):
+    """(G, tau, d_u, ells) at a rational point, exactly, for
+    u = 1/2 sum_a ell_a log ell_a + w with w = sum of c * x^e over w_terms
+    {e: c}: G = H^{-1} is an exact Fraction inverse, tau_s = sum_ij G_ij u_ijs
+    (so div G = -G tau), d_u(idx) the partial of u along idx (order >= 2)
+    and ells the facet values."""
     n = P.dim
     x = [F(v) for v in x]
     ells = [f.value(x) for f in P.facets]
@@ -235,10 +232,19 @@ def exact_curvature(P, w_terms, x):
 
     R = range(n)
     G = exact_inverse([[d_u((i, j)) for j in R] for i in R])
+    tau = [sum(G[i][j] * d_u((i, j, s)) for i in R for j in R) for s in R]
+    return G, tau, d_u, ells
+
+
+def exact_curvature(P, w_terms, x):
+    """(s, min_a ell_a) at a rational point, exactly, from the identity
+    s = -1/2 (-<u_4, G (x) G> + tau^T G tau + |u_3|^2_G), with G, tau and
+    the partials of u from ``exact_metric``."""
+    R = range(P.dim)
+    G, tau, d_u, ells = exact_metric(P, w_terms, x)
     u3 = {idx: d_u(idx) for idx in itertools.product(R, repeat=3)}
     u4 = sum(d_u((i, j, k, l)) * G[i][j] * G[k][l]
              for i, j, k, l in itertools.product(R, repeat=4))
-    tau = [sum(G[i][j] * u3[i, j, s] for i in R for j in R) for s in R]
     tau_sq = sum(tau[i] * G[i][j] * tau[j] for i in R for j in R)
     raised = u3
     for axis in range(3):

@@ -3,16 +3,17 @@
     python tools/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
-CLI task runs on every scenario in ``fixtures/scenarios`` and every script
-in ``demos`` runs, once with each tree first on PYTHONPATH; the scenarios
-and demos are this checkout's, so only the package differs.  Each run gets
-a fresh working directory; two runs go at a time.  The exit code, stdout
-and the bytes of every file the run writes are compared; stderr is not.
-Each difference is printed, a ``.json`` or ``.csv`` file field by field or
-cell by cell with both values.  Then each JSON field (dotted key) or CSV
-column that differs gets one summary line: the number of files where it
-differs and its largest absolute change.  The exit status is 1 if there is
-any difference, 0 otherwise.
+CLI task runs on every scenario in this checkout's ``fixtures/scenarios``,
+once with each tree first on PYTHONPATH, and each tree runs the scripts of
+its own ``demos`` (``SRC/../demos``), so a demo may call the API of its own
+tree; a demo that only one tree has reads as exit code ``missing`` in the
+other.  Each run gets a fresh working directory; two runs go at a time.
+The exit code, stdout and the bytes of every file the run writes are
+compared; stderr is not.  Each difference is printed, a ``.json`` or
+``.csv`` file field by field or cell by cell with both values.  Then each
+JSON field (dotted key) or CSV column that differs gets one summary line:
+the number of files where it differs and its largest absolute change.  The
+exit status is 1 if there is any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -34,17 +35,22 @@ TASKS = ("check-delzant", "lattice-count", "density-profile", "em-check",
          "expansion-check", "slope", "futaki", "report")
 
 
-def jobs():
-    """(name, argv) of every run: each task on each scenario, then each demo."""
+def jobs(src: Path):
+    """(name, argv) of every run on the tree at src: each task on each
+    scenario, then each demo of the tree."""
     out = []
     for scenario in sorted((ROOT / "fixtures" / "scenarios").glob("*.json")):
         for task in TASKS:
             out.append((f"{scenario.stem}/{task}",
                         ["-m", "toricdensity.cli", task, "--scenario", str(scenario),
                          "--out", "out"]))
-    for demo in sorted((ROOT / "demos").glob("*.py")):
+    for demo in sorted((src.parent / "demos").glob("*.py")):
         out.append((f"demos/{demo.name}", [str(demo)]))
     return out
+
+
+# the result of a demo that the tree does not have
+MISSING = {"exit": "missing", "stdout": "", "files": {}}
 
 
 def run(src: Path, workdir: Path, argv) -> dict:
@@ -160,20 +166,22 @@ def main(argv=None) -> int:
         if not package_file(src).is_relative_to(src):
             print(f"{label}: toricdensity is not imported from {src}", file=sys.stderr)
             return 2
-    todo = jobs()
+    todo = {label: dict(jobs(src)) for label, src in trees.items()}
+    names = list(todo["old"]) + [name for name in todo["new"] if name not in todo["old"]]
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
-        results = {
+        futures = {
             (label, name): pool.submit(run, src, Path(tmp) / label / name, argv_)
-            for label, src in trees.items() for name, argv_ in todo}
-        diffs = [d for name, _ in todo
-                 for d in differences(name, results["old", name].result(),
-                                      results["new", name].result())]
+            for label, src in trees.items() for name, argv_ in todo[label].items()}
+        results = {key: future.result() for key, future in futures.items()}
+    diffs = [d for name in names
+             for d in differences(name, results.get(("old", name), MISSING),
+                                  results.get(("new", name), MISSING))]
     for d in diffs:
         print(d.text)
     for line in field_summary(diffs):
         print(line)
-    cli_runs = sum(name.split("/")[0] != "demos" for name, _ in todo)
-    print(f"{cli_runs} CLI runs and {len(todo) - cli_runs} demos per tree: "
+    cli_runs = sum(name.split("/")[0] != "demos" for name in names)
+    print(f"{cli_runs} CLI runs and {len(names) - cli_runs} demos: "
           f"{len(diffs)} difference(s)")
     return 1 if diffs else 0
 

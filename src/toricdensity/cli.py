@@ -74,7 +74,9 @@ def _run_check_delzant(scenario, outdir, opts):
 def _run_lattice_count(scenario, outdir, opts):
     ks = _k_grid(scenario.params, [1, 2, 4, 8, 16])
     poly, t = scenario.polytope, Fraction(0)
-    if scenario.params.get("t") is not None and scenario.cuts:
+    if scenario.params.get("t") is not None:
+        if not scenario.cuts:
+            raise ValueError("lattice-count at t requires cuts in the scenario")
         t = _fraction_param(scenario.params, "t")
         sl = scenario.family.slice(t)
         poly = None if sl.is_empty else sl.polytope

@@ -383,11 +383,12 @@ def _field_key(f):
 
 
 def _region_key(P: Polytope) -> tuple:
-    return tuple(ell.key() for ell in P.facets)
+    """The facets of P: functionals compare by value and keep their hash."""
+    return tuple(P.facets)
 
 
 def _family_key(family: MovingFamily) -> tuple:
-    return _region_key(family.base), tuple(phi.key() for phi in family.cuts)
+    return _region_key(family.base), tuple(family.cuts)
 
 
 def _memoised(potential, key: tuple, compute):

@@ -15,6 +15,20 @@ face lattice and the pyramid recursion over it that gives volumes and Leray
 volumes; the triangulation (a centroid fan over pulled facets) serves
 quadrature only.  Slices P(t), the test configuration Gamma and the regions
 where one cut is smallest are pruned by one routine, ``_intersect``.
+
+The core computes on Python ints and makes a Fraction only for a value it
+returns.  Ints: the cleared facets (nu, lam), the double-description rays,
+the slack table, vertex sets as bitmasks (vertex i is bit V-1-i, so the
+lowest id is the top bit), determinants of normals, each face's Leray
+measure as a reduced (num, den) pair, fibre-walk counts, and the Lagrange
+fits of ``_fit`` and ``_poly_eval`` over common denominators.  Fractions:
+the data of ``AffineFunctional``, the vertices (one per distinct
+coordinate), the bounding box, and the values ``volume``,
+``facet_leray_volume``, ``boundary_leray_volume``, ``_fit`` and
+``_poly_eval`` return.  Arrays hold int64 while a bound on the values they
+compute stays below 2**62 and Python ints (``dtype=object``) from there:
+the slack table's one matrix product, the fibre walk of ``_fibres``, and the
+grids of ``interior_grid`` and ``_integer_points``.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, factorial, floor, gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -94,20 +108,19 @@ def _min_sign(cleared, num: np.ndarray, den: int) -> np.ndarray:
 # small exact linear algebra on integers
 # ---------------------------------------------------------------------------
 
-def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int,
+def _row_reduce(rows: Sequence[Sequence[int]], ncols: int,
                 full_rank: bool = False):
     """Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on the
-    first ``ncols`` columns, over Python ints: every division is exact.
+    first ``ncols`` columns of integer rows: every division is exact.
 
-    Each row, of ints or Fractions, is first cleared by the lcm of its
-    denominators.  Returns (reduced rows, pivot columns, det): the rows are
-    D times the reduced row echelon form, D the last pivot, and det is the
-    input's minor on the pivot rows and columns, signed as in the input when
-    every row pivots (so a square matrix of full rank has det A).  With
+    Returns (reduced rows, pivot columns, det): the rows are D times the
+    reduced row echelon form, D the last pivot, and det is the input's minor
+    on the pivot rows and columns, an int, signed as in the input when every
+    row pivots (so a square matrix of full rank has det A).  With
     ``full_rank`` the elimination stops at the first column without a pivot.
+    Rational rows go through ``_cleared_rows`` first.
     """
-    scale = [lcm(*(v.denominator for v in r)) for r in rows]
-    a = [[v.numerator * (den // v.denominator) for v in r] for r, den in zip(rows, scale)]
+    a = list(rows)
     pivots, prev, sign = [], 1, 1
     for col in range(ncols):
         rank = len(pivots)
@@ -120,21 +133,39 @@ def _row_reduce(rows: Sequence[Sequence[Fraction]], ncols: int,
             continue
         if piv != rank:
             a[rank], a[piv] = a[piv], a[rank]
-            scale[rank], scale[piv] = scale[piv], scale[rank]
             sign = -sign
         top = a[rank]
         p = top[col]
         for r in range(len(a)):
             if r != rank:
                 f = a[r][col]
-                a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
+                if f:
+                    a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
+                elif p != prev:
+                    a[r] = [p * v // prev for v in a[r]]
         pivots.append(col)
         prev = p
-    return a, pivots, Fraction(sign * prev, prod(scale[:len(pivots)]))
+    return a, pivots, sign * prev
+
+
+def _add(num: int, den: int, p: int, q: int) -> tuple[int, int]:
+    """num/den + p/q for positive den and q, unreduced; over den when q == den."""
+    return (num + p, den) if q == den else (num * q + p * den, den * q)
+
+
+def _cleared_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Rational rows (ints or Fractions) as integer rows, each scaled by the
+    lcm of its denominators, and the product of those scales."""
+    out, scale = [], 1
+    for r in rows:
+        den = lcm(*(v.denominator for v in r))
+        out.append([v.numerator * (den // v.denominator) for v in r])
+        scale *= den
+    return out, scale
 
 
 def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
+    return len(_row_reduce(_cleared_rows(rows)[0], len(rows[0]) if rows else 0)[1])
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -142,8 +173,7 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
     The positive scaling factor is unique, so orientation is preserved.
     """
-    den = lcm(*(v.denominator for v in vec))
-    ints = [int(v * den) for v in vec]
+    (ints,), _ = _cleared_rows([vec])
     g = gcd(*ints)
     if g == 0:
         raise ValueError("cannot primitivize the zero vector")
@@ -160,15 +190,19 @@ class AffineFunctional:
     Facet functionals of a polytope are normalized to primitive integer
     normals; cut functionals of a moving family keep their user scale
     (the Leray measures downstream depend on it).  A zero normal is only
-    legal for constant cuts (trivial prisms), never for facets.
+    legal for constant cuts (trivial prisms), never for facets.  The data
+    do not change after construction, so the hash, the cleared integers and
+    the normalized functional are each computed once, when first asked for.
     """
 
-    __slots__ = ("normal", "offset", "_cleared")
+    __slots__ = ("normal", "offset", "_hash", "_cleared", "_normalized")
 
     def __init__(self, normal, offset):
         self.normal: Point = _point(normal)
         self.offset: Fraction = _fr(offset)
+        self._hash = None
         self._cleared = None
+        self._normalized = None
 
     def value(self, x) -> Fraction:
         return sum(xi * ni for xi, ni in zip(_point(x), self.normal)) - self.offset
@@ -193,19 +227,22 @@ class AffineFunctional:
         return self._cleared
 
     def is_constant(self) -> bool:
-        return all(v == 0 for v in self.normal)
+        return not any(self.normal)
 
     def normalized(self) -> "AffineFunctional":
         """Positive rescaling with primitive integer normal (self if it has one)."""
-        if self.is_constant():
-            raise ValueError("cannot normalize a functional with zero normal")
-        if all(v.denominator == 1 for v in self.normal) and \
-                gcd(*(v.numerator for v in self.normal)) == 1:
-            return self
-        prim = _primitive(self.normal)
-        idx = next(i for i, v in enumerate(self.normal) if v != 0)
-        scale = Fraction(prim[idx]) / self.normal[idx]
-        return AffineFunctional(prim, self.offset * scale)
+        if self._normalized is None:
+            if self.is_constant():
+                raise ValueError("cannot normalize a functional with zero normal")
+            if all(v.denominator == 1 for v in self.normal) and \
+                    gcd(*(v.numerator for v in self.normal)) == 1:
+                self._normalized = self
+            else:
+                prim = _primitive(self.normal)
+                idx = next(i for i, v in enumerate(self.normal) if v != 0)
+                scale = Fraction(prim[idx]) / self.normal[idx]
+                self._normalized = AffineFunctional(prim, self.offset * scale)
+        return self._normalized
 
     def shifted(self, t) -> "AffineFunctional":
         """The functional x -> self(x) - t, i.e. the cut at level t."""
@@ -218,7 +255,9 @@ class AffineFunctional:
         return isinstance(other, AffineFunctional) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         terms = " + ".join(f"{n}*x{i}" for i, n in enumerate(self.normal) if n != 0)
@@ -254,25 +293,31 @@ class Polytope:
         if self.dim < 1:
             raise ValueError("polytope dimension must be >= 1")
         facets = [f.normalized() for f in facets]
-        seen = {}
+        seen: set[AffineFunctional] = set()
         for f in facets:
-            if f.key() in seen:
+            if f in seen:
                 raise ValueError(f"duplicate facet inequality {f!r}")
-            seen[f.key()] = f
+            seen.add(f)
         self.facets: list[AffineFunctional] = facets
         self._normals = [tuple(v.numerator for v in f.normal) for f in facets]
         self._vertices: list[Point] | None = None
         self._slacks: list[list[int]] | None = None
+        # vertex bitmask of each facet: vertex i is bit V-1-i of V vertices
+        self._on: list[int] | None = None
         self._incidence: list[frozenset] | None = None
         self._ray: tuple[int, ...] | None = None
         self._hull: int | None = None  # _hull_dim(), filled with the vertices
+        self._essential: frozenset | None = None
         self._box: tuple[Point, Point] | None = None
+        self._divisor: int | None = None
+        self._counts: dict[int, int] = {}  # fibre-walk counts by k
         self._ehrhart_memo: dict[int, list[Fraction]] = {}
         self._faces: dict[int, list[Face]] = {}
-        self._subface_memo: dict[frozenset, list[tuple[frozenset, int]]] = {}
-        self._measures: dict[frozenset, Fraction] = {}
+        self._subface_memo: dict[int, list[tuple[int, int]]] = {}
+        # dx_{-J} of each face by vertex bitmask, as a reduced (num, den)
+        self._measures: dict[int, tuple[int, int]] = {}
         # |det N_J| by set of normals, shared with the regions _intersect cuts
-        self._dets: dict[frozenset, Fraction] = {}
+        self._dets: dict[frozenset, int] = {}
         self._triangulation: list[tuple[Point, ...]] | None = None
         if require_full_dim:
             self._validate_full_dim()
@@ -283,10 +328,8 @@ class Polytope:
     def vertices(self) -> list[Point]:
         """All vertices, exact and lexicographically sorted."""
         if self._vertices is None:
-            self._vertices, self._slacks, self._ray = _candidate_vertices(
+            self._vertices, self._slacks, self._on, self._ray = _candidate_vertices(
                 self.facets, self.dim)
-            self._incidence = [frozenset(i for i, s in enumerate(row) if not s)
-                               for row in self._slacks[:-1]]
             self._hull = self._hull_dim()
         return self._vertices
 
@@ -294,23 +337,30 @@ class Polytope:
     def incidence(self) -> list[frozenset]:
         """For each facet, the ids (into ``vertices``) of the vertices on it:
         the zero pattern of the slack table."""
-        self.vertices
+        if self._incidence is None:
+            self.vertices
+            self._incidence = [frozenset(self._ids(on)) for on in self._on]
         return self._incidence
+
+    def _ids(self, mask: int) -> tuple[int, ...]:
+        """The vertex ids of a vertex bitmask, ascending."""
+        return tuple(i for i, c in enumerate(format(mask, f"0{len(self.vertices)}b"))
+                     if c == "1")
 
     def _validate_full_dim(self):
         if len(self.facets) < self.dim + 1:
             raise ValueError(
                 f"unbounded polytope: only {len(self.facets)} facets in dimension {self.dim}")
-        normals = [f.normal for f in self.facets]
-        if _rank(normals) < self.dim:
+        if _rank(self._normals) < self.dim:
             raise ValueError("unbounded polytope: facet normals do not span")
         vertices = self.vertices
         if self._ray is not None:
             raise ValueError(f"unbounded polytope: recession ray {self._ray}")
         if not vertices:
             raise ValueError("empty polytope: no vertex satisfies all inequalities")
-        for f, ids in zip(self.facets, self.incidence):
-            if len(ids) == len(vertices):
+        full = (1 << len(vertices)) - 1
+        for f, on in zip(self.facets, self._on):
+            if on == full:
                 raise ValueError(
                     f"polytope is not full-dimensional: contained in {f!r} = 0")
 
@@ -339,10 +389,11 @@ class Polytope:
         if self._ray is not None:
             # the faces of an unbounded region are not its vertex sets
             return _rank([[a - b for a, b in zip(v, vs[0])] for v in vs[1:]])
-        if all(len(ids) < len(vs) for ids in self.incidence):
+        ids = (1 << len(vs)) - 1
+        if ids not in self._on:
             return self.dim
-        ids, dim = frozenset(range(len(vs))), 0
-        while len(ids) > 1:
+        dim = 0
+        while ids.bit_count() > 1:
             ids, dim = self._subfaces(ids)[0][0], dim + 1
         return dim
 
@@ -356,7 +407,11 @@ class Polytope:
         """Exact box of the vertices; raises on an unbounded region (``_level``)."""
         if self._box is None:
             self._level(self.dim)
-            self._box = tuple(tuple(extreme(v[i] for v in self.vertices) for i in range(self.dim))
+            # compared as integers over the integrality divisor
+            D = self.integrality_divisor()
+            axes = [[v[i].numerator * (D // v[i].denominator) for v in self.vertices]
+                    for i in range(self.dim)]
+            self._box = tuple(tuple(Fraction(extreme(ax), D) for ax in axes)
                               for extreme in (min, max))
         return self._box
 
@@ -374,16 +429,16 @@ class Polytope:
         if not 1 <= codim <= self.dim:
             raise ValueError(f"codim must be in 1..{self.dim}")
         self._faces[codim] = sorted(
-            (Face(frozenset(a for a, on in enumerate(self.incidence) if ids <= on), codim,
-                  tuple(sorted(ids))) for ids in self._level(self.dim - codim)),
+            (Face(frozenset(a for a, on in enumerate(self._on) if ids & on == ids), codim,
+                  self._ids(ids)) for ids in self._level(self.dim - codim)),
             key=lambda f: f.vertex_ids)
         return self._faces[codim]
 
-    def _level(self, d: int) -> list[frozenset]:
-        """Vertex sets of the d-dimensional faces: the facets of the faces of
-        dimension d + 1, down from the hull of all vertices.  Raises on an
+    def _level(self, d: int) -> list[int]:
+        """Vertex bitmasks of the d-dimensional faces: the facets of the faces
+        of dimension d + 1, down from the hull of all vertices.  Raises on an
         unbounded region, whose faces are not its vertex sets."""
-        level = [frozenset(range(len(self.vertices)))]
+        level = [(1 << len(self.vertices)) - 1]
         if self._ray is not None:
             raise ValueError(f"unbounded region: recession ray {self._ray}")
         if d > self._hull:
@@ -392,29 +447,42 @@ class Polytope:
             level = list(dict.fromkeys(g for ids in level for g, _ in self._subfaces(ids)))
         return level
 
-    def _subfaces(self, ids: frozenset) -> list[tuple[frozenset, int]]:
-        """The facets of the face with vertex ids, sorted, each with the lowest
-        b that cuts it out: the maximal proper nonempty sets among ids &
-        incidence[b] (Kaibel & Pfetsch, Comput. Geom. 23, 2002)."""
+    def _subfaces(self, ids: int) -> list[tuple[int, int]]:
+        """The facets of the face with vertex bitmask ids, each with the
+        lowest b that cuts it out: the maximal proper nonempty sets among
+        ids & on[b] (Kaibel & Pfetsch, Comput. Geom. 23, 2002).  They are
+        sorted by their sorted vertex ids, which for sets none of which holds
+        another is the descending order of their masks (vertex 0 is the top
+        bit)."""
         if ids not in self._subface_memo:
-            cut: dict[frozenset, int] = {}
-            for b, on in enumerate(self.incidence):
+            cut: dict[int, int] = {}
+            for b, on in enumerate(self._on):
                 common = ids & on
                 if common and common != ids:
                     cut.setdefault(common, b)
-            self._subface_memo[ids] = sorted(
-                ((g, b) for g, b in cut.items() if not any(g < h for h in cut)),
-                key=lambda gb: sorted(gb[0]))
+            # a set is maximal when no larger one holds it
+            maximal: list[int] = []
+            for g in sorted(cut, key=int.bit_count, reverse=True):
+                if g not in [g & h for h in maximal]:
+                    maximal.append(g)
+            maximal.sort(reverse=True)
+            self._subface_memo[ids] = [(g, cut[g]) for g in maximal]
         return self._subface_memo[ids]
 
     def facet_vertex_ids(self, a: int) -> tuple:
-        return tuple(sorted(self.incidence[a]))
+        self.vertices
+        return self._ids(self._on[a])
 
     def essential_facets(self) -> list[int]:
         """Indices of facets that actually carry an (n-1)-dimensional face;
         raises on an unbounded region (``_level``)."""
-        facets = set(self._level(self.dim - 1))
-        return [a for a, ids in enumerate(self.incidence) if ids in facets]
+        return sorted(self._essential_set())
+
+    def _essential_set(self) -> frozenset:
+        if self._essential is None:
+            facets = set(self._level(self.dim - 1))
+            self._essential = frozenset(a for a, on in enumerate(self._on) if on in facets)
+        return self._essential
 
     # -- triangulation and exact measures -----------------------------------
 
@@ -426,77 +494,95 @@ class Polytope:
         """
         if self._triangulation is None:
             self._triangulation = self._triangulate_face(
-                tuple(range(len(self.vertices))), self.dim) if self.is_full_dim else []
+                (1 << len(self.vertices)) - 1, self.dim) if self.is_full_dim else []
         return self._triangulation
 
-    def _triangulate_face(self, vertex_ids: tuple, m: int,
+    def _triangulate_face(self, ids: int, m: int,
                           pulled: bool = False) -> list[tuple[Point, ...]]:
-        """Simplices exactly covering the m-dimensional face with vertex_ids,
-        each ending with its apex.  The face is coned from its vertex
-        centroid over all of its facets; a face below it (``pulled``) is
-        pulled from its lowest vertex x0 over the facets that miss x0, as in
-        ``_leray``.  The n-cube gets 2n (n-1)! simplices; the centroid stays
-        the last vertex, which the Duffy rule's nodes crowd, so they crowd
-        the interior."""
-        verts = [self.vertices[i] for i in vertex_ids]
+        """Simplices exactly covering the m-dimensional face with vertex
+        bitmask ids, each ending with its apex.  The face is coned from its
+        vertex centroid over all of its facets; a face below it (``pulled``)
+        is pulled from its lowest vertex x0 over the facets that miss x0, as
+        in ``_leray``.  The n-cube gets 2n (n-1)! simplices; the centroid
+        stays the last vertex, which the Duffy rule's nodes crowd, so they
+        crowd the interior."""
+        verts = [self.vertices[i] for i in self._ids(ids)]
         if len(verts) == m + 1:
             return [tuple(verts)]
-        subs = [g for g, _ in self._subfaces(frozenset(vertex_ids))]
+        subs = [g for g, _ in self._subfaces(ids)]
         if pulled:
-            x0 = min(vertex_ids)
-            apex, subs = self.vertices[x0], [g for g in subs if x0 not in g]
+            x0 = 1 << (ids.bit_length() - 1)
+            apex, subs = verts[0], [g for g in subs if not g & x0]
         else:
             apex = tuple(sum(v[i] for v in verts) / len(verts) for i in range(self.dim))
         return [s + (apex,) for g in subs
-                for s in self._triangulate_face(tuple(sorted(g)), m - 1, pulled=True)]
+                for s in self._triangulate_face(g, m - 1, pulled=True)]
 
     def volume(self) -> Fraction:
         """Exact Lebesgue volume; 0 when P is empty or lower-dimensional."""
         if not self.is_full_dim:
             return Fraction(0)
-        return self._leray(frozenset(range(len(self.vertices))), ())
+        return Fraction(*self._leray((1 << len(self.vertices)) - 1, ()))
 
-    def _leray(self, ids: frozenset, cut: tuple) -> Fraction:
-        """Leray measure tau of the face F of dimension d with vertex ids:
-        d(tau) d(ell_a for a in cut) = dx, the facets in cut holding F with n - d
-        independent normals N.  Pyramid recursion from the vertex x0 of F with
-        the lowest id: tau(F) = (1/d) sum_G ell_b(x0) tau(G) over the facets
-        G = F cap {ell_b = 0} of F that miss x0, b appended to cut; a vertex
-        has 1/|det N|.  The memo keeps per face dx_{-J} = tau |det N_J|, J the
-        pivot columns of N, which depend only on the span of N, and |det N_J|
-        once per set of normals.  ell_b(x0) is the slack over x0's denominator
-        (the last row) and b's clearing factor, its offset's denominator."""
+    def _leray(self, ids: int, cut: tuple) -> tuple[int, int]:
+        """Leray measure tau of the face F of dimension d with vertex bitmask
+        ids, as integers (num, den), den > 0: d(tau) d(ell_a for a in cut) =
+        dx, the facets in cut holding F with n - d independent normals N.
+        Pyramid recursion from the vertex x0 of F with the lowest id: tau(F)
+        = (1/d) sum_G ell_b(x0) tau(G) over the facets G = F cap {ell_b = 0}
+        of F that miss x0, b appended to cut; a vertex has 1/|det N|.  The
+        memo keeps per face dx_{-J} = tau |det N_J|, J the pivot columns of
+        N, which depend only on the span of N, and |det N_J| once per set of
+        normals.  ell_b(x0) = slack/(den_b s), s the last row of the slack
+        table at x0 and den_b b's clearing factor, its offset's denominator;
+        each face's sum is reduced once."""
         if self._ray is not None:
             raise ValueError("an unbounded region has no finite measure")
         key = frozenset(self._normals[a] for a in cut)
-        if key not in self._dets:
-            self._dets[key] = abs(_row_reduce(key, self.dim)[2])
-        det = self._dets[key]
+        det = self._dets.get(key)
+        if det is None:
+            det = self._dets[key] = abs(_row_reduce(key, self.dim)[2])
         if ids not in self._measures:
             d = self.dim - len(cut)
-            x0 = min(ids)
-            self._measures[ids] = Fraction(1) if d == 0 else det * sum(
-                (Fraction(self._slacks[b][x0],
-                          self.facets[b].offset.denominator * self._slacks[-1][x0])
-                 * self._leray(g, cut + (b,))
-                 for g, b in self._subfaces(ids) if x0 not in g), Fraction(0)) / d
-        return self._measures[ids] / det
+            if d == 0:
+                self._measures[ids] = (1, 1)
+            else:
+                x0 = len(self._vertices) - ids.bit_length()
+                top = 1 << (ids.bit_length() - 1)
+                num, den = 0, 1
+                for g, b in self._subfaces(ids):
+                    if g & top:
+                        continue
+                    p, q = self._leray(g, cut + (b,))
+                    num, den = _add(num, den, p * self._slacks[b][x0],
+                                    q * self.facets[b].offset.denominator)
+                num *= det
+                den *= d * self._slacks[-1][x0]
+                g = gcd(num, den)
+                self._measures[ids] = (num // g, den // g)
+        num, den = self._measures[ids]
+        return num, den * det
 
     def face_triangulation(self, vertex_ids: tuple, codim: int) -> list[tuple[Point, ...]]:
         """Simplices exactly covering the codim face spanned by vertex_ids;
         one point for a vertex."""
-        return self._triangulate_face(vertex_ids, self.dim - codim)
+        top = len(self.vertices) - 1
+        return self._triangulate_face(sum(1 << (top - i) for i in vertex_ids), self.dim - codim)
 
     def facet_leray_volume(self, a: int) -> Fraction:
         """Exact Leray measure of facet a: d(sigma) d(ell_a) = dx."""
-        if a not in self.essential_facets():
+        if a not in self._essential_set():
             return Fraction(0)
-        return self._leray(self.incidence[a], (a,))
+        return Fraction(*self._leray(self._on[a], (a,)))
 
     def boundary_leray_volume(self, facets: Sequence[int] | None = None) -> Fraction:
-        """Exact Leray measure of the listed facets, all of them by default."""
-        ids = range(len(self.facets)) if facets is None else facets
-        return sum((self.facet_leray_volume(a) for a in ids), Fraction(0))
+        """Exact Leray measure of the listed facets, all of them by default;
+        summed on integers, one Fraction made."""
+        num, den = 0, 1
+        for a in range(len(self.facets)) if facets is None else facets:
+            if a in self._essential_set():
+                num, den = _add(num, den, *self._leray(self._on[a], (a,)))
+        return Fraction(num, den)
 
     # -- lattice points ------------------------------------------------------
 
@@ -522,8 +608,8 @@ class Polytope:
         if self.is_empty:
             return
         lo, hi = self.bounding_box()
-        lo = [ceil(c * k) for c in lo]
-        hi = [floor(c * k) for c in hi]
+        lo = [-(-c.numerator * k // c.denominator) for c in lo]
+        hi = [c.numerator * k // c.denominator for c in hi]
         sizes = [max(b - a + 1, 0) for a, b in zip(lo[:-1], hi[:-1])]
         if prod(sizes) > FIBRE_BUDGET:
             raise ValueError(f"k*P has {prod(sizes)} fibres at k={k}, past the "
@@ -534,15 +620,18 @@ class Polytope:
                     + [abs(k * lam) + sum(abs(v) * r for v, r in zip(nu, reach[:-1]))
                        for nu, lam in cleared])
         dtype = object if bound >= _INT64_SAFE else np.int64
-        axes = [np.arange(a, b + 1, dtype=dtype) for a, b in zip(lo[:-1], hi[:-1])]
         prefixes = [np.zeros((1, 0), dtype=dtype)]
-        if axes:
-            j = min(i for i in range(len(axes)) if prod(sizes[i + 1:]) <= LATTICE_BUDGET)
+        if sizes:
+            j = min(i for i in range(len(sizes)) if prod(sizes[i + 1:]) <= LATTICE_BUDGET)
             slab = LATTICE_BUDGET // max(prod(sizes[j + 1:]), 1)
-            prefixes = (np.stack([g.ravel() for g in np.meshgrid(
-                *(ax[i:i + 1] for ax, i in zip(axes, head)), axes[j][s:s + slab],
-                *axes[j + 1:], indexing="ij")], axis=1)
-                for *head, s in itertools.product(*map(range, sizes[:j]), range(0, sizes[j], slab)))
+            # each block: one value on each axis before j, a slab of axis j,
+            # all of the later axes
+            prefixes = (np.indices((*[1] * j, min(slab, sizes[j] - s), *sizes[j + 1:]),
+                                   dtype=dtype).reshape(len(sizes), -1).T
+                        + np.array([*(a + h for a, h in zip(lo, head)), lo[j] + s, *lo[j + 1:-1]],
+                                   dtype=dtype)
+                        for *head, s in itertools.product(*map(range, sizes[:j]),
+                                                          range(0, sizes[j], slab)))
         for prefix in prefixes:
             nfib = len(prefix)
             lower = np.full(nfib, lo[-1], dtype=dtype)
@@ -590,13 +679,16 @@ class Polytope:
 
     def count_lattice_points(self, k: int) -> int:
         """|Z^n cap kP|, exact.  Summed over the fibres of ``_fibres``, without
-        building a point, while k <= (n+2)D, D the integrality divisor; past
-        that, the value at k of the Ehrhart polynomial of its class mod D."""
+        building a point, while k <= (n+2)D, D the integrality divisor, and
+        kept per k; past that, the value at k of the Ehrhart polynomial of its
+        class mod D."""
         k = _int(k)
         D = self.integrality_divisor()
-        if k <= (self.dim + 2) * D:
-            return sum(int(length.sum()) for _, _, length in self._fibres(k))
-        return int(_poly_eval(self._ehrhart(k % D), Fraction(k)))
+        if k > (self.dim + 2) * D:
+            return int(_poly_eval(self._ehrhart(k % D), k))
+        if k not in self._counts:
+            self._counts[k] = sum(int(length.sum()) for _, _, length in self._fibres(k))
+        return self._counts[k]
 
     def _ehrhart(self, r: int) -> list[Fraction]:
         """Monomial coefficients of |Z^n cap kP| on the class k = r (mod D),
@@ -613,7 +705,9 @@ class Polytope:
 
     def integrality_divisor(self) -> int:
         """Smallest N with N*P an integral polytope (lcm of vertex denominators)."""
-        return lcm(*(c.denominator for v in self.vertices for c in v))
+        if self._divisor is None:
+            self._divisor = lcm(*(c.denominator for v in self.vertices for c in v))
+        return self._divisor
 
     def interior_grid(self, per_axis: int) -> tuple[np.ndarray, int]:
         """The grid points lo + (hi - lo)(i + 1)/(per_axis + 1), i < per_axis on
@@ -621,9 +715,11 @@ class Polytope:
         (num, den): integer numerators in lexicographic order over one
         denominator, int64 or, from 2**62, Python ints.  Strictness is tested
         exactly on the cleared facets; when no grid point passes, the one
-        point is the vertex centroid.  Raises ValueError before building more
-        than LATTICE_BUDGET points."""
+        point is the vertex centroid.  Raises ValueError when per_axis < 1,
+        and before building more than LATTICE_BUDGET points."""
         per_axis = _int(per_axis)
+        if per_axis < 1:
+            raise ValueError(f"a grid needs at least one point per axis, got {per_axis}")
         if per_axis ** self.dim > LATTICE_BUDGET:
             raise ValueError(f"a grid of {per_axis}^{self.dim} = {per_axis ** self.dim} "
                              f"points is past the budget of {LATTICE_BUDGET}")
@@ -647,35 +743,60 @@ class Polytope:
 def _fit(xs, ys, degree: int, what: str) -> list[Fraction]:
     """Exact monomial coefficients, low degree first and trailing zeros
     dropped, of the Lagrange polynomial through the first degree+1 samples;
-    raises ValueError when a later sample does not lie on it."""
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i in range(degree + 1):
-        # prod_{j != i} (x - x_j), in integers when the xs are
+    raises ValueError when a later sample does not lie on it.
+
+    On integers: with x = u/L and y = Y/M over common denominators, the
+    Lagrange basis in u is prod_{j != i} (u - u_j) / (u_i - u_j); over the
+    lcm Q of its denominators p(x) = sum_d S_d (Lx)^d / (MQ), so a sample
+    (u, y) fits when sum_d S_d u^d / (MQ) = y, and coefficient d is the one
+    Fraction S_d L^d / (MQ)."""
+    m = degree + 1
+    L = lcm(*(x.denominator for x in xs))
+    us = [x.numerator * (L // x.denominator) for x in xs]
+    M = lcm(*(y.denominator for y in ys[:m]))
+    basis = []
+    for i in range(m):
+        # prod_{j != i} (u - u_j) and its value at u_i
         num, den = [1], 1
-        for j in range(degree + 1):
+        for j in range(m):
             if j != i:
                 num.append(0)
                 for d in range(len(num) - 1, 0, -1):
-                    num[d] = num[d - 1] - xs[j] * num[d]
-                num[0] *= -xs[j]
-                den *= xs[i] - xs[j]
-        scale = Fraction(ys[i], den)
+                    num[d] = num[d - 1] - us[j] * num[d]
+                num[0] *= -us[j]
+                den *= us[i] - us[j]
+        basis.append((num, den))
+    Q = lcm(*(den for _, den in basis))
+    sums = [0] * m
+    for y, (num, den) in zip(ys, basis):
+        scale = y.numerator * (M // y.denominator) * (Q // den)
         for d, c in enumerate(num):
-            coeffs[d] += scale * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    for x, y in zip(xs[degree + 1:], ys[degree + 1:]):
-        if _poly_eval(coeffs, x) != y:
+            sums[d] += scale * c
+    while len(sums) > 1 and sums[-1] == 0:
+        sums.pop()
+    MQ = M * Q
+    for x, u, y in zip(xs[m:], us[m:], ys[m:]):
+        acc = 0
+        for c in reversed(sums):
+            acc = acc * u + c
+        if acc * y.denominator != y.numerator * MQ:
             raise ValueError(f"{what}: the sample at {x} does not fit a "
                              f"degree-{degree} polynomial")
-    return coeffs
+    return [Fraction(c * L ** d, MQ) for d, c in enumerate(sums)]
 
 
-def _poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(coeffs, x) -> Fraction:
+    """sum_d coeffs[d] x^d, exact: Horner's rule on integers, the
+    coefficients over one denominator and x = p/q; one Fraction made."""
+    if not coeffs:
+        return Fraction(0)
+    den = lcm(*(c.denominator for c in coeffs))
+    p, q = x.numerator, x.denominator
+    acc, qpow = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * p + c.numerator * (den // c.denominator) * qpow
+        qpow *= q
+    return Fraction(acc, den * qpow // q)
 
 
 def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
@@ -686,8 +807,9 @@ def _simplex_volume(simplex: Sequence[Point]) -> Fraction:
 
 
 def _det(rows) -> Fraction:
-    _, pivots, det = _row_reduce(rows, len(rows), full_rank=True)
-    return det if len(pivots) == len(rows) else Fraction(0)
+    ints, scale = _cleared_rows(rows)
+    _, pivots, det = _row_reduce(ints, len(rows), full_rank=True)
+    return Fraction(det, scale) if len(pivots) == len(rows) else Fraction(0)
 
 
 def leray_simplex_measure(simplex: Sequence[Point], *ells: AffineFunctional) -> Fraction:
@@ -702,81 +824,100 @@ def leray_simplex_measure(simplex: Sequence[Point], *ells: AffineFunctional) -> 
     """
     if not ells:
         return _simplex_volume(simplex)
-    _, cols, det = _row_reduce([ell.normal for ell in ells], len(simplex[0]))
+    normals, scale = _cleared_rows([ell.normal for ell in ells])
+    _, cols, det = _row_reduce(normals, len(simplex[0]))
     if len(cols) < len(ells):
         raise ValueError("Leray measure undefined: the normals are linearly dependent")
     proj = [tuple(c for i, c in enumerate(p) if i not in cols) for p in simplex]
-    return _simplex_volume(proj) / abs(det)
+    return _simplex_volume(proj) / abs(Fraction(det, scale))
 
 
 def _start_cone(rows: Sequence[Sequence[int]], d: int):
     """(basis, rays) of the double-description start cone {B y >= 0}, B the
-    first d independent integer rows (the pivot columns of rows^T), or None.
+    first d independent integer rows, or None.
 
-    Ray r_i is primitive with B r_i = c e_i, c > 0: a column of B^-1, read
-    from the adjugate, as eliminating [B^T | I] turns I into D B^-T.
+    One elimination of [rows^T | I] on the columns of rows^T finds B at its
+    pivot columns and turns I into D B^-T, D the last pivot: ray r_i is row
+    i of that block made primitive, a column of B^-1 with B r_i = c e_i,
+    c > 0.
     """
-    _, basis, _ = _row_reduce(list(zip(*rows)), len(rows))
+    m = len(rows)
+    reduced, basis, _ = _row_reduce(
+        [[*col, *(int(i == j) for j in range(d))] for i, col in enumerate(zip(*rows))], m)
     if len(basis) < d:
         return None
-    adj, _, _ = _row_reduce([[*col, *(int(i == j) for j in range(d))]
-                             for i, col in enumerate(zip(*(rows[a] for a in basis)))], d)
-    sign = 1 if adj[0][0] > 0 else -1
-    return basis, [_primitive([sign * v for v in r[d:]]) for r in adj]
+    sign = 1 if reduced[0][basis[0]] > 0 else -1
+    rays = []
+    for r in reduced:
+        g = gcd(*r[m:])
+        rays.append(tuple(sign * v // g for v in r[m:]))
+    return basis, rays
 
 
 def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
-    """(vertices, slacks, ray) of {x : facet(x) >= 0 for every facet}.
+    """(vertices, slacks, on, ray) of {x : facet(x) >= 0 for every facet}.
 
     The double-description method (Motzkin et al. 1953; Fukuda & Prodon
     1996) on the integer cone {(x, s) : <nu, x> - lam*s >= 0, s >= 0} of
     the cleared facets (nu, lam): its extreme rays (X, s) with s > 0 are the
     vertices X/s, those with s = 0 the extreme recession directions.
     ``vertices`` is sorted, ``slacks[a][i]`` = <nu_a, X_i> - lam_a s_i is 0
-    exactly on facet a, and its last row, of s >= 0, holds s_i.  ``ray`` is
-    a primitive integer recession direction, or None when the region is
+    exactly on facet a, and its last row, of s >= 0, holds s_i; ``on[a]`` is
+    the bitmask of the vertices on facet a, vertex i at bit V-1-i.  ``ray``
+    is a primitive integer recession direction, or None when the region is
     bounded.  When the normals do not span there is no vertex or ray.
 
     Rays are primitive integer tuples and each carries its zero set, the
     bitmask of processed rows it lies on.  Two rays of opposite sign on a
     new row are combined only when adjacent: no other ray's zero set
-    contains their common one.
+    contains their common one.  The slack table is one matrix product, in
+    int64 while a bound on its entries stays below 2**62, else on Python
+    ints.
     """
     d = dim + 1
     rows = [(*nu, -lam) for nu, lam in (f.cleared() for f in facets)]
     rows.append((0,) * dim + (1,))
     start = _start_cone(rows, d)
     if start is None:
-        return [], [[]] * len(rows), None
+        return [], [[] for _ in rows], [0] * len(facets), None
     basis, start_rays = start
     every = sum(1 << a for a in basis)
     rays = [(r, every & ~(1 << a)) for r, a in zip(start_rays, basis)]
     for i in sorted(set(range(len(rows))) - set(basis)):
         row, bit = rows[i], 1 << i
         slack = [sum(map(mul, row, r)) for r, _ in rays]
+        zeros = [z for _, z in rays]
         kept = [(r, z | bit if s == 0 else z) for (r, z), s in zip(rays, slack) if s >= 0]
         pos = [j for j, s in enumerate(slack) if s > 0]
         neg = [j for j, s in enumerate(slack) if s < 0]
-        for p in pos:
-            (rp, zp), sp = rays[p], slack[p]
-            for q in neg:
-                (rq, zq), sq = rays[q], slack[q]
-                common = zp & zq
-                if common.bit_count() < d - 2 or any(
-                        z & common == common for j, (_, z) in enumerate(rays)
-                        if j != p and j != q):
+        for q in neg:
+            (rq, zq), sq = rays[q], slack[q]
+            for p in [p for p in pos if (zeros[p] & zq).bit_count() >= d - 2]:
+                common = zeros[p] & zq
+                # rays p and q hold common; a third one makes them not adjacent
+                if [z & common for z in zeros].count(common) > 2:
                     continue
+                rp, sp = rays[p][0], slack[p]
                 new = [sp * b - sq * a for a, b in zip(rp, rq)]
                 g = gcd(*new)
                 kept.append((tuple(c // g for c in new), common | bit))
         rays = kept
+    ray = min((r[:-1] for r, _ in rays if not r[-1]), default=None)
     # sorted by X (L/s), L the lcm of the s: the order of the points X/s
     ends = [r for r, _ in rays if r[-1]]
     big = lcm(*(r[-1] for r in ends))
     ends.sort(key=lambda r: tuple(c * (big // r[-1]) for c in r[:-1]))
-    slacks = [[sum(map(mul, row, r)) for r in ends] for row in rows]
-    ray = min((r[:-1] for r, _ in rays if not r[-1]), default=None)
-    return [tuple(Fraction(c, r[-1]) for c in r[:-1]) for r in ends], slacks, ray
+    bound = d * max(map(abs, itertools.chain(*rows))) * \
+        max(map(abs, itertools.chain(*ends)), default=1)
+    dtype = object if bound >= _INT64_SAFE else np.int64
+    table = np.array(rows, dtype=dtype) @ np.array(ends, dtype=dtype).reshape(-1, d).T
+    packed = np.packbits(table[:-1] == 0, axis=1)
+    shift = 8 * packed.shape[1] - len(ends)
+    on = [int.from_bytes(row.tobytes(), "big") >> shift for row in packed]
+    # one Fraction per distinct coordinate
+    coords = {key: Fraction(*key) for key in {(c, r[-1]) for r in ends for c in r[:-1]}}
+    vertices = [tuple(coords[c, r[-1]] for c in r[:-1]) for r in ends]
+    return vertices, table.tolist(), on, ray
 
 
 def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
@@ -805,7 +946,8 @@ def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
     pruned._vertices, pruned._ray, pruned._dets = full.vertices, full._ray, P._dets
     pruned._hull = full._hull
     pruned._slacks = [full._slacks[i] for i in essential] + [full._slacks[-1]]
-    pruned._incidence = [full.incidence[i] for i in essential]
+    pruned._on = [full._on[i] for i in essential]
+    pruned._essential = frozenset(range(len(essential)))
     kept = list(index.values())
     return pruned, [kept[i] for i in essential]
 
@@ -1065,14 +1207,13 @@ def _build_test_config(family: MovingFamily) -> TestConfigPolytope:
     verts = gamma.vertices
     skeleton = []
     for a, b in itertools.combinations(sorted(roof), 2):
-        common = gamma.incidence[roof[a]] & gamma.incidence[roof[b]]
+        common = gamma._on[roof[a]] & gamma._on[roof[b]]
         # a ridge is a facet of the roof facet a
-        if all(common != g for g, _ in gamma._subfaces(gamma.incidence[roof[a]])):
+        if all(common != g for g, _ in gamma._subfaces(gamma._on[roof[a]])):
             continue
-        horiz = len({verts[i][-1] for i in common}) == 1
-        skeleton.append(RoofRidge(cut_a=a, cut_b=b,
-                                  vertex_ids=tuple(sorted(common)),
-                                  horizontal=horiz))
+        ids = gamma._ids(common)
+        horiz = len({verts[i][-1] for i in ids}) == 1
+        skeleton.append(RoofRidge(cut_a=a, cut_b=b, vertex_ids=ids, horizontal=horiz))
     return TestConfigPolytope(family=family, gamma=gamma, roof_facets=roof,
                               side_facets=[i for i, a in enumerate(kept) if a < m],
                               base_facet=kept.index(m), roof_skeleton=skeleton)

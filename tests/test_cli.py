@@ -299,6 +299,30 @@ class TestCliRuns:
             == cli.EXIT_PRECONDITION
         assert capsys.readouterr().err == "toricdensity.cli: k_grid must be a list, got 4\n"
 
+    def test_lattice_count_at_t_requires_cuts(self, tmp_path, capsys):
+        # t without cuts was ignored: the interval wrote 1,0,2 and 2,0,3
+        sc = tmp_path / "s.json"
+        sc.write_text(json.dumps({"schema": 1, "task": "lattice-count", "polytope": {
+            "dim": 1, "facets": [{"normal": ["1"], "offset": "0"},
+                                 {"normal": ["-1"], "offset": "-1"}]},
+            "params": {"t": "1/2", "k_grid": [1, 2]}}))
+        assert run_cli(["lattice-count", "--scenario", sc, "--out", tmp_path]) \
+            == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == \
+            "toricdensity.cli: lattice-count at t requires cuts in the scenario\n"
+        assert not (tmp_path / "lattice_count.csv").exists()
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_profile_grid_must_be_positive(self, tmp_path, capsys, grid):
+        # grid 0 and -3 wrote a one-point profile at the vertex centroid
+        sc = self._scenario(tmp_path, "density-profile", "cp1.json",
+                            {"t": "3/10", "k": 20, "grid": grid})
+        assert run_cli(["density-profile", "--scenario", sc, "--out", tmp_path]) \
+            == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == ("toricdensity.polytope: a grid needs at least "
+                                           f"one point per axis, got {grid}\n")
+        assert not (tmp_path / "density_profile.csv").exists()
+
     @pytest.mark.parametrize("params", [{"t": "3/10", "k": 20.5},
                                         {"t": "3/10", "k": 20, "grid": 9.0}])
     def test_profile_k_and_grid_must_be_integers(self, tmp_path, params):

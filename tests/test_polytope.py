@@ -128,6 +128,77 @@ class TestExactLinearAlgebra:
             assert image[i] > 0 and image[:i] + image[i + 1:] == [0] * (d - 1)
 
 
+def _lagrange_reference(xs, ys):
+    """Monomial coefficients, low degree first and trailing zeros dropped, of
+    the Lagrange polynomial through (xs, ys), on Fractions throughout."""
+    coeffs = [F(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, den = [F(1)], F(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                # times (x - xj)
+                basis = [a - xj * b for a, b in zip([F(0)] + basis, basis + [F(0)])]
+                den *= xi - xj
+        coeffs = [c + yi * b / den for c, b in zip(coeffs, basis)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+rationals = st.one_of(st.integers(-50, 50),
+                      st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4)))
+
+
+class TestExactPolynomials:
+    @given(st.integers(0, 5).flatmap(lambda degree: st.tuples(
+        st.just(degree), st.lists(rationals, min_size=degree + 2, max_size=degree + 2,
+                                  unique_by=F),
+        st.lists(rationals, min_size=degree + 1, max_size=degree + 1),
+        rationals.filter(bool))))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_fit_matches_fraction_lagrange(self, case):
+        from toricdensity.polytope import _fit, _poly_eval
+
+        degree, xs, ys, miss = case
+        want = _lagrange_reference(xs[:-1], ys)
+        assert _fit(xs[:-1], ys, degree, "fit") == want
+        assert all(type(c) is Fraction for c in _fit(xs[:-1], ys, degree, "fit"))
+        x = xs[-1]
+        y = sum((c * F(x) ** d for d, c in enumerate(want)), F(0))
+        assert _poly_eval(want, x) == y
+        # an extra sample on the polynomial is accepted, one off it refused
+        assert _fit(xs, ys + [y], degree, "fit") == want
+        with pytest.raises(ValueError, match=f"fit: the sample at {x} does not fit a "
+                                             f"degree-{degree} polynomial"):
+            _fit(xs, ys + [y + miss], degree, "fit")
+
+    def test_exact_core_makes_only_its_results(self, monkeypatch):
+        # _fit, _poly_eval and the Leray recursion run on ints; the only
+        # Fractions they make are the values they return
+        from toricdensity.polytope import _fit, _poly_eval
+
+        cubic = [F(1, 3), F(-2), F(0), F(5, 7)]
+        xs = [F(1, 3), F(1, 2), 2, F(7, 5), F(-3, 4)]
+        ys = [_poly_eval(cubic, x) for x in xs]
+        x, want = F(2, 9), F(1, 3) - F(4, 9) + F(5, 7) * F(2, 9) ** 3
+        P = td.box([F(1, 2), 3, F(5, 3)])
+        P.vertices
+        made = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+        results = [_fit(xs, ys, 3, "cubic"), _poly_eval(cubic, x),
+                   P.volume(), P.boundary_leray_volume()]
+        assert len(made) == 4 + 1 + 1 + 1
+        monkeypatch.undo()
+        assert results == [cubic, want, F(5, 2), 2 * (F(3, 2) + 5 + F(5, 6))]
+
+    def test_poly_eval_of_no_coefficients_is_zero(self):
+        from toricdensity.polytope import _poly_eval
+
+        assert _poly_eval([], F(3, 7)) == 0
+
+
 class TestVertexEnumeration:
     def test_unit_square(self, square):
         assert square.vertices == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -181,6 +252,16 @@ class TestVertexEnumeration:
                   AffineFunctional([0, 1], 0), AffineFunctional([-1, -1], -1)]
         with pytest.raises(ValueError, match="duplicate"):
             Polytope(2, facets)
+
+    def test_equal_functionals_hash_equal_and_are_duplicates(self):
+        forms = [AffineFunctional([1, -2], 3), AffineFunctional([F(1), F(-2)], F(3)),
+                 AffineFunctional(["1", "-2"], "3"), AffineFunctional(["2/2", "-4/2"], "6/2")]
+        assert len({hash(f) for f in forms}) == 1 and len(set(forms)) == 1
+        rest = [AffineFunctional([0, 1], 0), AffineFunctional([-1, 0], -5)]
+        assert Polytope(2, forms[:1] + rest).vertices == [(3, 0), (5, 0), (5, 1)]
+        for f in forms[1:]:
+            with pytest.raises(ValueError, match="duplicate facet inequality"):
+                Polytope(2, [forms[0], f] + rest)
 
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=2),
            st.integers(min_value=1, max_value=4))
@@ -332,11 +413,24 @@ class TestFibrewiseCounting:
         assert P.count_lattice_points(10**6) == 0
         assert P.lattice_points(3).shape == (0, 2)
 
+    def test_empty_polytope_past_int64(self):
+        # the facets pass int64 and there is no vertex to bound the slack table
+        P = Polytope(2, [AffineFunctional([1, 0], 2 * 10**19), AffineFunctional([-1, 0], 0),
+                         AffineFunctional([0, 1], 0), AffineFunctional([0, -1], -1)],
+                     require_full_dim=False)
+        assert P.is_empty and P.count_lattice_points(3) == 0
+
     def test_k_must_be_positive(self, square):
         with pytest.raises(ValueError, match="positive"):
             square.count_lattice_points(0)
         with pytest.raises(ValueError, match="positive"):
             square.lattice_points(0)
+
+    @pytest.mark.parametrize("per_axis", [0, -3])
+    def test_grid_needs_a_point_per_axis(self, square, per_axis):
+        # it returned the vertex centroid as a one-point grid
+        with pytest.raises(ValueError, match=f"at least one point per axis, got {per_axis}$"):
+            square.interior_grid(per_axis)
 
     def test_lattice_budget(self, monkeypatch):
         from toricdensity import polytope
@@ -389,6 +483,23 @@ class TestFibrewiseCounting:
         assert count == math.comb(1003, 3)
         assert elapsed < 1.0
         assert peak < 200 * 2**20
+
+    def test_counts_walk_once_per_k(self, monkeypatch):
+        walks = []
+        fibres = Polytope._fibres
+
+        def counted(P, k):
+            walks.append(k)
+            return fibres(P, k)
+
+        monkeypatch.setattr(Polytope, "_fibres", counted)
+        s3 = td.standard_simplex(3)
+        assert [s3.count_lattice_points(2) for _ in range(2)] == [10, 10]
+        assert walks == [2]
+        # the Ehrhart fit walks k = 1, ..., 4 and finds k = 2 counted
+        assert s3.count_lattice_points(100) == math.comb(103, 3)
+        assert s3.count_lattice_points(4) == math.comb(7, 3)
+        assert walks == [2, 1, 3, 4]
 
     def test_count_past_the_walk_is_evaluated(self):
         k = 10**6
@@ -917,6 +1028,14 @@ class TestFaceRecursion:
     @pytest.mark.parametrize("name", BOUNDED_NON_GENERIC)
     def test_non_generic_measures(self, name):
         _assert_measures_match_centroid_fan(NON_GENERIC[name]())
+
+    def test_measures_past_int64(self):
+        # the slack table passes 2**62, so it is a product on Python ints
+        huge = 10**19
+        P = Polytope(3, td.box([huge] * 3).facets + [AffineFunctional([2, 1, 1], F(huge, 3))])
+        assert max(abs(s) for row in P._slacks for s in row) >= 2**62
+        _assert_measures_match_centroid_fan(P)
+        assert P.volume() == huge**3 - F(huge, 6) * F(huge, 3) * F(huge, 3) / 6
 
     @pytest.mark.parametrize("kind,n,volume,boundary", [
         ("box_corner", 4, F(1, 5), 3), ("box_corner", 5, F(1, 6), 3),

@@ -3,16 +3,16 @@
 The two-term lattice expansion has an exactly integer residual on integral
 polytopes.  On a moving family the subleading coefficient of the exact
 count N(kP(t)) pins down the boundary distribution a_hat_t, including the
-coefficient 1/2 of its corner (codimension-2) term: the printed value 1
-fails the oracle by exactly half the corner mass.
+coefficient 1/2 of its corner (codimension-2) term: the paper's printed
+value 1, rebuilt here from dp_integral, fails the oracle by exactly half the
+corner mass.
 """
 
 from fractions import Fraction
 
 import toricdensity as td
-from toricdensity.asymptotics import (a_hat_components, a_hat_pair,
-                                      boundary_volume_identity,
-                                      euler_maclaurin, expansion_residual)
+from toricdensity.asymptotics import (a_hat_components, boundary_volume_identity,
+                                      dp_integral, euler_maclaurin, expansion_residual)
 from toricdensity.density import QuadratureScheme
 from toricdensity.stability import hilbert_coeffs_combinatorial
 
@@ -47,7 +47,7 @@ print(f"\nexact k^1 coefficient of N(kP(t)) = ((1-t)k+1)^2:  A1 = {A1}")
 print(f"(int s + <a_hat,1>)/2 with the corrected corner coefficient: "
       f"{0.5 * (s_int + comp.value):.9f}")
 
-printed = a_hat_pair(family, u, t, 1.0, dp_convention="printed")
+printed = comp.facet_term + comp.derivative_term - dp_integral(family, u, t, 1.0)
 print(f"with the printed corner coefficient instead: a_hat = {printed:.6f}, "
       f"missing the oracle by {comp.value - printed:.6f} = 1/2 * 4t(1-t)")
 

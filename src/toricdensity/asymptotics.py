@@ -12,11 +12,12 @@ assembles the boundary distribution
                    - 1/2 d/dt int_{N(t)} f |dPhi|^2_g dsigma
                    - c * int_{N(t)} f dp,
 
-where dp is the codimension-2 corner measure.  The corner coefficient c
-defaults to 1/2 ("corrected"), which is what exact lattice counting on the
-shipped two-cut family forces; c = 1 ("printed") is selectable for
-comparison tables.  Identities tying these integrals to exact boundary
-volumes are provided as residual checks.
+where dp is the codimension-2 corner measure.  The corner coefficient is
+c = CORNER_COEFFICIENT = 1/2, the value exact lattice counting on the
+two-cut square family forces; the paper prints c = 1, which a caller can
+rebuild from the public parts as facet term + derivative term - dp_integral.
+Identities tying these integrals to exact boundary volumes are provided as
+residual checks.
 """
 
 from __future__ import annotations
@@ -32,18 +33,13 @@ from .density import (CURVATURE_REL_TOL, FACET_REL_TOL, QuadratureScheme, _famil
 from .fields import as_field
 from .polytope import MovingFamily, Polytope, Slice, _fr
 
-DP_COEFFICIENTS = {"corrected": 0.5, "printed": 1.0}
+# c of the corner term -c int f dp: exact lattice counts force 1/2 (the
+# k^1 coefficient of N(kP(t)) on the two-cut square family); the paper
+# prints 1, which misses those counts by half the corner mass
+CORNER_COEFFICIENT = 0.5
 # the step h of the d/dt stencil t +- h, t +- h/2; exact, so every stencil
 # point is an exact slice
 STENCIL_STEP = Fraction(1, 1000)
-
-
-def _dp_coefficient(convention: str) -> float:
-    try:
-        return DP_COEFFICIENTS[convention]
-    except KeyError:
-        raise ValueError(
-            f"unknown dp convention {convention!r}: use 'corrected' or 'printed'")
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +211,7 @@ class BoundaryDistribution:
     t: Fraction
     facet_terms: dict           # per active cut, primitive-conormal measure
     derivative_term: float      # already carries the -1/2 d/dt
-    corner_term: float          # already carries -coefficient
-    dp_convention: str
+    corner_term: float          # already carries -CORNER_COEFFICIENT
 
     @property
     def facet_term(self) -> float:
@@ -255,23 +250,19 @@ def _derivative_term(family: MovingFamily, potential, t: Fraction, f) -> float:
     return -0.5 * _ddt(lambda tt: facet_integral(family, potential, tt, f, "conorm"), t)
 
 
-def a_hat_components(family: MovingFamily, potential, t, f,
-                     dp_convention: str = "corrected") -> BoundaryDistribution:
+def a_hat_components(family: MovingFamily, potential, t, f) -> BoundaryDistribution:
     """Assemble <a_hat_t, f> with a central difference for the d/dt term."""
     _validate_stencil(family, t)
     sl = _slice_at_regular(family, t)
-    coef = _dp_coefficient(dp_convention)
     return BoundaryDistribution(
         t=sl.t, facet_terms=_facet_integrals(family, potential, sl, f, "one"),
         derivative_term=_derivative_term(family, potential, sl.t, f),
-        corner_term=-coef * dp_integral(family, potential, sl.t, f),
-        dp_convention=dp_convention)
+        corner_term=-CORNER_COEFFICIENT * dp_integral(family, potential, sl.t, f))
 
 
-def a_hat_pair(family: MovingFamily, potential, t, f,
-               dp_convention: str = "corrected") -> float:
+def a_hat_pair(family: MovingFamily, potential, t, f) -> float:
     """<a_hat_t, f> as a number."""
-    return a_hat_components(family, potential, t, f, dp_convention=dp_convention).value
+    return a_hat_components(family, potential, t, f).value
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +270,7 @@ def a_hat_pair(family: MovingFamily, potential, t, f,
 # ---------------------------------------------------------------------------
 
 def expansion_residual(family: MovingFamily, potential, t, f, k: int,
-                       basis=None, dp_convention: str = "corrected") -> float:
+                       basis=None) -> float:
     """<rho_hat_tk, f> - k^n [ int_{P(t)} f + (1/2k)(int_{P(t)} s f + <a_hat_t, f>) ].
 
     Bounded by O(k^{n-2}) when the two-term expansion holds.
@@ -296,21 +287,20 @@ def expansion_residual(family: MovingFamily, potential, t, f, k: int,
         return potential.scalar_curvature_many(pts) * fld.value(pts)
 
     s_term, _ = scheme.integrate(sf, rel_tol=CURVATURE_REL_TOL)
-    a_hat = a_hat_pair(family, potential, t, f, dp_convention=dp_convention)
+    a_hat = a_hat_pair(family, potential, t, f)
     two_term = float(k) ** n * (vol_term + (s_term + a_hat) / (2.0 * k))
     return pairing - two_term
 
 
-def boundary_volume_identity(family: MovingFamily, potential, t,
-                             dp_convention: str = "corrected") -> float:
-    """Residual of Vol(dP(t)+) = int_{P(t)} s - 1/2 d/dt int |dPhi|^2 - c int dp.
+def boundary_volume_identity(family: MovingFamily, potential, t) -> float:
+    """Residual of Vol(dP(t)+) = int_{P(t)} s - 1/2 d/dt int |dPhi|^2 - c int dp,
+    c = CORNER_COEFFICIENT.
 
     At t = 0 the cut terms vanish and the identity degenerates to
     Vol_sigma(dP) = int_P s, which holds for every admissible potential.
     No facet term of <a_hat_t, 1> is integrated.
     """
     t = _fr(t)
-    coef = _dp_coefficient(dp_convention)  # rejects an unknown convention at t = 0 too
     if t == 0:
         return float(family.base.boundary_leray_volume()) - \
             curvature_integral(potential, family.base)
@@ -318,7 +308,7 @@ def boundary_volume_identity(family: MovingFamily, potential, t,
     _validate_stencil(family, t)
     s_int = curvature_integral(potential, sl.polytope)
     deriv = _derivative_term(family, potential, t, 1.0)
-    corner = -coef * dp_integral(family, potential, t, 1.0)
+    corner = -CORNER_COEFFICIENT * dp_integral(family, potential, t, 1.0)
     lhs = sl.polytope.boundary_leray_volume(sl.old_facets)
     return float(lhs) - (s_int + deriv + corner)
 

@@ -25,11 +25,14 @@ from .density import (QuadratureError, SectionBasis, density_profile,
 from .fields import coordinate_field, constant_field
 from .fileio import (Scenario, dump_csv, dump_json, load_scenario,
                      rational_to_str)
-from .polytope import _fr, _int, build_test_config, check_delzant
+from .polytope import Point, _fr, _int, _point, build_test_config, check_delzant
 from .stability import (futaki_report, hilbert_coeffs_combinatorial,
                         hilbert_coeffs_geometric, slope_mu, slope_report)
 
 NORMALIZATION_NOTE = "pushed-down: the (2*pi)^n fibre factor is dropped"
+# the corner coefficient is always 1/2 (asymptotics.CORNER_COEFFICIENT); the
+# result files keep naming it under their schema-1 key "dp_convention"
+DP_CONVENTION = "corrected"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -51,7 +54,21 @@ def _k_grid(params, default) -> list[int]:
     return [_int(k) for k in ks]
 
 
-def _run_check_delzant(scenario, outdir, opts):
+def _alpha(params, polytope) -> Point:
+    """params["alpha"], a list of dim exact coordinates; the vertex centroid
+    when absent."""
+    alpha = params.get("alpha")
+    if alpha is None:
+        return polytope.centroid_of_vertices()
+    if not isinstance(alpha, list) or len(alpha) != polytope.dim:
+        raise ValueError(f"alpha must be a list of {polytope.dim} coordinates, got {alpha!r}")
+    try:
+        return _point(alpha)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"alpha {alpha!r}: {exc}") from exc
+
+
+def _run_check_delzant(scenario, outdir):
     report = check_delzant(scenario.polytope)
     payload = {
         "schema": 1,
@@ -71,7 +88,7 @@ def _run_check_delzant(scenario, outdir, opts):
     return EXIT_OK if report.is_delzant else EXIT_CHECK_FAILED
 
 
-def _run_lattice_count(scenario, outdir, opts):
+def _run_lattice_count(scenario, outdir):
     ks = _k_grid(scenario.params, [1, 2, 4, 8, 16])
     poly, t = scenario.polytope, Fraction(0)
     if scenario.params.get("t") is not None:
@@ -80,27 +97,23 @@ def _run_lattice_count(scenario, outdir, opts):
         t = _fraction_param(scenario.params, "t")
         sl = scenario.family.slice(t)
         poly = None if sl.is_empty else sl.polytope
-    rows = [{"k": k, "t": rational_to_str(t),
-             "count": 0 if poly is None else poly.count_lattice_points(k)} for k in ks]
-    dump_csv(rows, ["k", "t", "count"], outdir / "lattice_count.csv")
+    dump_csv({"k": ks, "t": [rational_to_str(t)] * len(ks),
+              "count": [0 if poly is None else poly.count_lattice_points(k) for k in ks]},
+             outdir / "lattice_count.csv")
     return EXIT_OK
 
 
-def _run_em_check(scenario, outdir, opts):
+def _run_em_check(scenario, outdir):
     ks = _k_grid(scenario.params, [4, 8, 16, 32, 64])
-    rows = []
-    for k in ks:
-        res = euler_maclaurin(scenario.polytope, 1, k)
-        rows.append({"k": k, "direct": str(res.lattice_sum),
-                     "asymptotic": rational_to_str(res.approximation),
-                     "residual": rational_to_str(res.residual)})
-    dump_csv(rows, ["k", "direct", "asymptotic", "residual"],
-             outdir / "em_check.csv")
-    residuals = {r["residual"] for r in rows}
-    return EXIT_OK if len(residuals) == 1 else EXIT_CHECK_FAILED
+    results = [euler_maclaurin(scenario.polytope, 1, k) for k in ks]
+    residuals = [rational_to_str(res.residual) for res in results]
+    dump_csv({"k": ks, "direct": [str(res.lattice_sum) for res in results],
+              "asymptotic": [rational_to_str(res.approximation) for res in results],
+              "residual": residuals}, outdir / "em_check.csv")
+    return EXIT_OK if len(set(residuals)) == 1 else EXIT_CHECK_FAILED
 
 
-def _run_density_profile(scenario, outdir, opts):
+def _run_density_profile(scenario, outdir):
     family = scenario.family
     if family is None:
         raise ValueError("density-profile requires cuts in the scenario")
@@ -109,12 +122,10 @@ def _run_density_profile(scenario, outdir, opts):
     per_axis = _int(scenario.params.get("grid", 9))
     pot = scenario.potential
     grid = scenario.polytope.interior_grid(per_axis)
-    basis = SectionBasis.build(pot, k, rel_tol=opts.tolerance)
+    basis = SectionBasis.build(pot, k)
     pts, rho, rho_hat, region = density_profile(family, pot, t, k, grid, basis=basis)
-    cols = [f"y{i + 1}" for i in range(scenario.polytope.dim)] + \
-        ["rho_k", "rho_hat_tk", "region"]
-    values = zip(pts.tolist(), rho.tolist(), rho_hat.tolist(), region.tolist())
-    dump_csv((dict(zip(cols, (*y, *rest))) for y, *rest in values), cols,
+    dump_csv({**{f"y{i + 1}": y for i, y in enumerate(pts.T)},
+              "rho_k": rho, "rho_hat_tk": rho_hat, "region": region},
              outdir / "density_profile.csv")
 
     pairing, delta = pair_partial_density(family, pot, t, k, 1.0, basis=basis)
@@ -128,14 +139,10 @@ def _run_density_profile(scenario, outdir, opts):
     return EXIT_OK if payload["relative_error"] < 1e-6 else EXIT_CHECK_FAILED
 
 
-def _run_expansion_check(scenario, outdir, opts):
+def _run_expansion_check(scenario, outdir):
     pot = scenario.potential
     ks = _k_grid(scenario.params, [10, 20, 40, 80])
-    alpha = scenario.params.get("alpha")
-    if alpha is None:
-        alpha = [rational_to_str(c) for c in
-                 scenario.polytope.centroid_of_vertices()]
-    alpha = tuple(Fraction(a) for a in alpha)
+    alpha = _alpha(scenario.params, scenario.polytope)
     n = scenario.polytope.dim
     fields = {"one": constant_field(n)}
     for i in range(n):
@@ -158,11 +165,11 @@ def _run_expansion_check(scenario, outdir, opts):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _run_slope(scenario, outdir, opts):
-    return _slope(scenario, outdir, opts)[0]
+def _run_slope(scenario, outdir):
+    return _slope(scenario, outdir)[0]
 
 
-def _slope(scenario, outdir, opts):
+def _slope(scenario, outdir):
     """Write slope.json; return the exit code and the SlopeReport."""
     family = scenario.family
     if family is None or len(family.cuts) != 1:
@@ -181,20 +188,20 @@ def _slope(scenario, outdir, opts):
     return (EXIT_OK if payload["pipeline_gap"] <= 1e-4 else EXIT_CHECK_FAILED), rep
 
 
-def _run_futaki(scenario, outdir, opts):
-    return _futaki(scenario, outdir, opts)[0]
+def _run_futaki(scenario, outdir):
+    return _futaki(scenario, outdir)[0]
 
 
-def _futaki(scenario, outdir, opts):
+def _futaki(scenario, outdir):
     """Write futaki.json; return the exit code and the FutakiReport."""
     family = scenario.family
     if family is None:
         raise ValueError("futaki requires cuts in the scenario")
     pot = scenario.potential
     config = build_test_config(family)
-    rep = futaki_report(config, pot, dp_convention=opts.dp_convention)
+    rep = futaki_report(config, pot)
     payload = {"schema": 1, "normalization": NORMALIZATION_NOTE, "task": "futaki",
-               "dp_convention": opts.dp_convention,
+               "dp_convention": DP_CONVENTION,
                "F1_combinatorial": rational_to_str(rep.F1_combinatorial),
                "F1_metric": rep.F1_metric,
                "pipeline_gap": abs(float(rep.F1_combinatorial) - rep.F1_metric),
@@ -206,20 +213,20 @@ def _futaki(scenario, outdir, opts):
     return (EXIT_OK if payload["pipeline_gap"] <= 1e-4 else EXIT_CHECK_FAILED), rep
 
 
-def _run_report(scenario, outdir, opts):
+def _run_report(scenario, outdir):
     """Run every check the scenario supports; nonzero exit if any fails."""
     pot = scenario.potential
     status = EXIT_OK
     summary = {"schema": 1, "normalization": NORMALIZATION_NOTE, "task": "report", "name": scenario.name,
-               "dp_convention": opts.dp_convention, "checks": {}}
+               "dp_convention": DP_CONVENTION, "checks": {}}
 
-    rc = _run_check_delzant(scenario, outdir, opts)
+    rc = _run_check_delzant(scenario, outdir)
     summary["checks"]["delzant"] = rc
     status = max(status, rc)
-    rc = _run_em_check(scenario, outdir, opts)
+    rc = _run_em_check(scenario, outdir)
     summary["checks"]["euler_maclaurin"] = rc
     status = max(status, rc)
-    rc = _run_lattice_count(scenario, outdir, opts)
+    rc = _run_lattice_count(scenario, outdir)
     summary["checks"]["lattice_count"] = rc
 
     family = scenario.family
@@ -227,17 +234,15 @@ def _run_report(scenario, outdir, opts):
         params = dict(scenario.params)
         t = params.get("t")
         if t is not None:
-            rc = _run_density_profile(scenario, outdir, opts)
+            rc = _run_density_profile(scenario, outdir)
             summary["checks"]["density"] = rc
             status = max(status, rc)
             tq = _fraction_param(params, "t")
-            res = boundary_volume_identity(family, pot, tq,
-                                           dp_convention=opts.dp_convention)
+            res = boundary_volume_identity(family, pot, tq)
             summary["checks"]["boundary_volume_residual"] = res
             if abs(res) > 1e-6:
                 status = max(status, EXIT_CHECK_FAILED)
-            geometric = hilbert_coeffs_geometric(family, pot, tq,
-                                                 dp_convention=opts.dp_convention)
+            geometric = hilbert_coeffs_geometric(family, pot, tq)
             hc = hilbert_coeffs_combinatorial(family, tq)
             coeff_gap = abs(float(hc.A1) - geometric.A1)
             summary["checks"]["subleading_coefficient_gap"] = coeff_gap
@@ -245,26 +250,26 @@ def _run_report(scenario, outdir, opts):
                 status = max(status, EXIT_CHECK_FAILED)
         srep = None
         if len(family.cuts) == 1 and params.get("c") is not None:
-            rc, srep = _slope(scenario, outdir, opts)
+            rc, srep = _slope(scenario, outdir)
             summary["checks"]["slope"] = rc
             status = max(status, rc)
-        rc, frep = _futaki(scenario, outdir, opts)
+        rc, frep = _futaki(scenario, outdir)
         summary["checks"]["futaki"] = rc
         status = max(status, rc)
-        _write_stability_summary(scenario, outdir, opts, frep, srep)
+        _write_stability_summary(scenario, outdir, frep, srep)
 
     summary["status"] = status
     dump_json(summary, outdir / "report.json")
     return status
 
 
-def _write_stability_summary(scenario, outdir, opts, frep, srep):
+def _write_stability_summary(scenario, outdir, frep, srep):
     """Combined stability report of the Futaki and (if any) slope reports:
     JSON with exact rationals plus a table."""
     payload = {
         "schema": 1,
         "normalization": NORMALIZATION_NOTE,
-        "dp_convention": opts.dp_convention,
+        "dp_convention": DP_CONVENTION,
         "mu_X": rational_to_str(slope_mu(scenario.polytope)),
         "futaki": {
             "F1_combinatorial": rational_to_str(frep.F1_combinatorial),
@@ -317,10 +322,10 @@ _RUNNERS = {
 }
 
 
-def run(scenario: Scenario, outdir, opts) -> int:
+def run(scenario: Scenario, outdir) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[scenario.task](scenario, outdir, opts)
+    return _RUNNERS[scenario.task](scenario, outdir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,11 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility and ignored")
-        p.add_argument("--tolerance", type=float, default=1e-8,
-                       help="relative quadrature tolerance")
-        p.add_argument("--dp-convention", choices=("corrected", "printed"),
-                       default="corrected", dest="dp_convention",
-                       help="coefficient of the corner measure (1/2 or printed 1)")
     return parser
 
 
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
         print(f"toricdensity.fileio: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return run(scenario, args.out, args)
+        return run(scenario, args.out)
     except QuadratureError as exc:
         print(f"toricdensity.density: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

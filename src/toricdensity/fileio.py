@@ -12,6 +12,8 @@ from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .fields import Polynomial
 from .polytope import AffineFunctional, MovingFamily, Polytope, _fr, _int
 from .potential import SymplecticPotential
@@ -135,16 +137,13 @@ def dump_json(obj, path):
         fh.write(text + "\n")
 
 
-def dump_csv(rows, columns: list[str], path):
-    """Deterministic CSV with repr-formatted floats; rows is an iterable of dicts."""
-    def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        if isinstance(v, Fraction):
-            return rational_to_str(v)
-        return str(v)
-
+def dump_csv(columns: dict, path):
+    """Deterministic CSV of columns {name: values}, each a list or a 1-D array,
+    all of one length (ValueError otherwise).  A cell is str(value), formatted
+    one column at a time: repr for a float, 'p/q' or 'p' for a Fraction, as
+    rational_to_str writes it."""
+    cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col)
+             for col in columns.values()]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row[c]) for c in columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))

@@ -45,9 +45,6 @@ import numpy as np
 Rational = Fraction
 Point = tuple[Fraction, ...]
 
-# Lattice counts switch from int64 to Python-int (object) arrays once a
-# bound on the values they compute reaches this size.
-_INT64_SAFE = 2**62
 # lattice_points and interior_grid refuse more points than this before they
 # build them; a section basis at this size holds about 60 MB before its first norm
 LATTICE_BUDGET = 1 << 20
@@ -73,6 +70,13 @@ def _int(x) -> int:
     return index(x)
 
 
+def _int_dtype(bound: int):
+    """The dtype of an integer array whose values stay below bound: int64
+    below 2**62, so no sum of two of them wraps, and object arrays of Python
+    ints from there."""
+    return object if bound >= 2**62 else np.int64
+
+
 def _point(coords) -> Point:
     """Coordinates as exact Fractions; a float counts at its exact binary value."""
     return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
@@ -84,8 +88,8 @@ def _integer_points(points) -> tuple[np.ndarray, int]:
     alone would turn a row mixing ints past 2**63 with small ones to float)."""
     den = lcm(*(c.denominator for p in points for c in p))
     rows = [[c.numerator * (den // c.denominator) for c in p] for p in points]
-    big = max((abs(m) for row in rows for m in row), default=0) >= _INT64_SAFE or den >= _INT64_SAFE
-    return np.array(rows, dtype=object if big else np.int64), den
+    bound = max((abs(m) for row in rows for m in row), default=0)
+    return np.array(rows, dtype=_int_dtype(max(bound, den))), den
 
 
 def _min_sign(cleared, num: np.ndarray, den: int) -> np.ndarray:
@@ -97,8 +101,7 @@ def _min_sign(cleared, num: np.ndarray, den: int) -> np.ndarray:
     reach = max(1, int(np.abs(num).max(initial=0)))
     sign = np.ones(len(num), dtype=np.int8)
     for nu, lam in cleared:
-        big = reach * sum(map(abs, nu)) + abs(den * lam) >= _INT64_SAFE
-        dtype = object if big else np.int64
+        dtype = _int_dtype(reach * sum(map(abs, nu)) + abs(den * lam))
         v = num.astype(dtype) @ np.array(nu, dtype=dtype) - den * lam
         sign = np.minimum(sign, (v > 0).astype(np.int8) - (v < 0))
     return sign
@@ -619,7 +622,7 @@ class Polytope:
         bound = max([max(reach), prod(sizes) * (hi[-1] - lo[-1] + 1)]
                     + [abs(k * lam) + sum(abs(v) * r for v, r in zip(nu, reach[:-1]))
                        for nu, lam in cleared])
-        dtype = object if bound >= _INT64_SAFE else np.int64
+        dtype = _int_dtype(bound)
         prefixes = [np.zeros((1, 0), dtype=dtype)]
         if sizes:
             j = min(i for i in range(len(sizes)) if prod(sizes[i + 1:]) <= LATTICE_BUDGET)
@@ -727,8 +730,8 @@ class Polytope:
         steps = [(h - l) / (per_axis + 1) for l, h in zip(lo, hi)]
         den = lcm(*(q.denominator for q in (*lo, *steps)))
         # the 1 keeps den itself below 2**62 on int64: callers divide by it
-        big = max(abs(c) for c in (*lo, *hi, 1)) * den >= _INT64_SAFE
-        ticks = np.arange(1, per_axis + 1, dtype=object if big else np.int64)
+        ticks = np.arange(1, per_axis + 1,
+                          dtype=_int_dtype(max(abs(c) for c in (*lo, *hi, 1)) * den))
         axes = [int(l * den) + int(s * den) * ticks for l, s in zip(lo, steps)]
         num = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         num = num[_min_sign([f.cleared() for f in self.facets], num, den) > 0]
@@ -909,7 +912,7 @@ def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
     ends.sort(key=lambda r: tuple(c * (big // r[-1]) for c in r[:-1]))
     bound = d * max(map(abs, itertools.chain(*rows))) * \
         max(map(abs, itertools.chain(*ends)), default=1)
-    dtype = object if bound >= _INT64_SAFE else np.int64
+    dtype = _int_dtype(bound)
     table = np.array(rows, dtype=dtype) @ np.array(ends, dtype=dtype).reshape(-1, d).T
     packed = np.packbits(table[:-1] == 0, axis=1)
     shift = 8 * packed.shape[1] - len(ends)

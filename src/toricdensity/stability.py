@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import density
-from .asymptotics import _dp_coefficient, facet_integral
+from .asymptotics import CORNER_COEFFICIENT, facet_integral
 from .density import (CURVATURE_REL_TOL, FACET_REL_TOL, QuadratureScheme, _family_key,
                       _memoised, curvature_integral, integrate, integrate_simplices)
 from .polytope import (AffineFunctional, MovingFamily, Polytope,
@@ -68,8 +68,7 @@ def hilbert_coeffs_combinatorial(family: MovingFamily, t) -> HilbertCoefficients
                                A1=_poly_coeff(coeffs, n - 1), source="combinatorial")
 
 
-def hilbert_coeffs_geometric(family: MovingFamily, potential, t,
-                             dp_convention: str = "corrected") -> HilbertCoefficients:
+def hilbert_coeffs_geometric(family: MovingFamily, potential, t) -> HilbertCoefficients:
     """A0, A1 from the metric side: Vol(P(t)) and (int s + <a_hat,1>)/2."""
     from .asymptotics import a_hat_pair
     t = _fr(t)
@@ -77,7 +76,7 @@ def hilbert_coeffs_geometric(family: MovingFamily, potential, t,
     if sl.is_empty:
         return HilbertCoefficients(t=t, A0=0.0, A1=0.0, source="geometric")
     s_int = curvature_integral(potential, sl.polytope)
-    a_hat = a_hat_pair(family, potential, t, 1.0, dp_convention=dp_convention)
+    a_hat = a_hat_pair(family, potential, t, 1.0)
     return HilbertCoefficients(t=t, A0=float(sl.polytope.volume()),
                                A1=0.5 * (s_int + a_hat), source="geometric")
 
@@ -246,15 +245,15 @@ def roof_skeleton_integral(config: TestConfigPolytope, potential) -> float:
     return _memoised(potential, ("skeleton", _family_key(config.family)), compute)
 
 
-def delta_gamma(config: TestConfigPolytope, potential,
-                dp_convention: str = "corrected") -> float:
+def delta_gamma(config: TestConfigPolytope, potential) -> float:
     """Delta(Gamma): normalized roof-skeleton integral, >= 0.
 
-    The corrected convention divides by 2 Vol(Gamma), consistent with the
-    validated 1/2 coefficient on the corner measure; "printed" divides by
-    Vol(Gamma) to reproduce the published normalization.
+    It carries the corner coefficient CORNER_COEFFICIENT = 1/2 that lattice
+    counts force on a_hat, so it divides the skeleton integral by
+    2 Vol(Gamma); the paper's normalization, with the printed coefficient 1,
+    is roof_skeleton_integral / Vol(Gamma).
     """
-    return (_dp_coefficient(dp_convention) * roof_skeleton_integral(config, potential)
+    return (CORNER_COEFFICIENT * roof_skeleton_integral(config, potential)
             / float(config.gamma.volume()))
 
 
@@ -300,8 +299,7 @@ def gamma_scalar_integral(config: TestConfigPolytope, potential) -> float:
     return _gamma_integrals(config, potential)[0]
 
 
-def futaki_metric(config: TestConfigPolytope, potential,
-                  dp_convention: str = "corrected") -> float:
+def futaki_metric(config: TestConfigPolytope, potential) -> float:
     """F1 = (Vol Gamma / 2 Vol P) (Av_Gamma pr1* s - Av_P s - Delta(Gamma)).
 
     The difference of averages is taken as Av_Gamma pr1*(s - Av_P s), an
@@ -310,18 +308,17 @@ def futaki_metric(config: TestConfigPolytope, potential,
     in an F1 that vanishes when s is constant.
     """
     centred = _gamma_integrals(config, potential)[1]
-    delta = delta_gamma(config, potential, dp_convention=dp_convention)
+    delta = delta_gamma(config, potential)
     vol_gamma = float(config.gamma.volume())
     vol_p = float(config.family.base.volume())
     return (vol_gamma / (2.0 * vol_p)) * (centred / vol_gamma - delta)
 
 
-def roof_identity_residual(config: TestConfigPolytope, potential,
-                           dp_convention: str = "corrected") -> float:
-    """Residual of Vol(dGamma+) = int_Gamma pr1*(s) - c int dp~ (c=1/2 corrected)."""
+def roof_identity_residual(config: TestConfigPolytope, potential) -> float:
+    """Residual of Vol(dGamma+) = int_Gamma pr1*(s) - c int dp~, c = CORNER_COEFFICIENT."""
     lhs = float(config.side_leray_volume())
     return lhs - (gamma_scalar_integral(config, potential)
-                  - _dp_coefficient(dp_convention) * roof_skeleton_integral(config, potential))
+                  - CORNER_COEFFICIENT * roof_skeleton_integral(config, potential))
 
 
 @dataclass
@@ -336,8 +333,7 @@ class FutakiReport:
     error: str | None = None
 
 
-def futaki_report(config: TestConfigPolytope, potential,
-                  dp_convention: str = "corrected") -> FutakiReport:
+def futaki_report(config: TestConfigPolytope, potential) -> FutakiReport:
     f1c = futaki_combinatorial(config)
     is_product = len(config.roof_skeleton) == 0
     if f1c < 0:
@@ -347,16 +343,14 @@ def futaki_report(config: TestConfigPolytope, potential,
     else:
         verdict = "violation"
     return FutakiReport(config=config, F1_combinatorial=f1c,
-                        F1_metric=futaki_metric(config, potential, dp_convention),
-                        delta=delta_gamma(config, potential, dp_convention),
+                        F1_metric=futaki_metric(config, potential),
+                        delta=delta_gamma(config, potential),
                         is_product=is_product,
-                        roof_identity_residual=roof_identity_residual(
-                            config, potential, dp_convention),
+                        roof_identity_residual=roof_identity_residual(config, potential),
                         verdict=verdict)
 
 
-def polystability_report(P: Polytope, potential, configs,
-                         dp_convention: str = "corrected") -> list[FutakiReport]:
+def polystability_report(P: Polytope, potential, configs) -> list[FutakiReport]:
     """Per-configuration Futaki verdicts; per-config errors are collected."""
     reports = []
     for config in configs:
@@ -366,8 +360,7 @@ def polystability_report(P: Polytope, potential, configs,
                     [f.key() for f in P.facets]:
                 raise ValueError("configuration base does not match the polytope")
         try:
-            reports.append(futaki_report(config, potential,
-                                         dp_convention=dp_convention))
+            reports.append(futaki_report(config, potential))
         except (ValueError, ArithmeticError) as exc:
             reports.append(FutakiReport(
                 config=config, F1_combinatorial=None, F1_metric=None,

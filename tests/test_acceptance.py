@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import toricdensity as td
-from toricdensity.asymptotics import (a_hat_pair, euler_maclaurin,
-                                      expansion_residual)
+from toricdensity.asymptotics import (a_hat_components, a_hat_pair, dp_integral,
+                                      euler_maclaurin, expansion_residual)
 from toricdensity.density import QuadratureScheme, loglog_slope
 from toricdensity.stability import hilbert_coeffs_combinatorial
 
@@ -151,8 +151,9 @@ def test_criterion_5_coefficient_correction_oracle(square_family, u_square):
     corrected = a_hat_pair(square_family, u_square, t, 1.0)
     gap_corrected = abs(float(A1) - 0.5 * (s_int + corrected))
 
-    printed = a_hat_pair(square_family, u_square, t, 1.0,
-                         dp_convention="printed")
+    # the paper's corner coefficient 1 in place of 1/2
+    comp = a_hat_components(square_family, u_square, t, 1.0)
+    printed = comp.facet_term + comp.derivative_term - dp_integral(square_family, u_square, t, 1.0)
     # the exact a_hat forced by the lattice counts is 2 A1 - int s = 4t(1-t);
     # the printed convention misses it by exactly (1/2) * 4t(1-t) = 0.375
     a_hat_exact = 2 * float(A1) - s_int

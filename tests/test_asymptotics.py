@@ -6,7 +6,7 @@ canonical potential (G diagonal, G_ii = 2 x_i (1 - x_i)):
     int_{N(t)} dsigma            = 2 (1 - t)
     int_{N(t)} |dPhi|^2 dsigma   = 4 t (1 - t)^2
     int_{N(t)} dp                = 4 t (1 - t)     (the corner (t, t))
-    <a_hat_t, 1>                 = 4 t (1 - t)     (corrected convention)
+    <a_hat_t, 1>                 = 4 t (1 - t)     (corner coefficient 1/2)
 
 and on the tent over [0, 1]: <a_hat_t, 1> = 4t for t < 1/2.
 """
@@ -21,7 +21,7 @@ from toricdensity.asymptotics import (a_hat_components, a_hat_pair,
                                       divergence_identity_check, dp_integral,
                                       euler_maclaurin, expansion_residual,
                                       facet_integral)
-from toricdensity.density import QuadratureScheme, loglog_slope
+from toricdensity.density import QuadratureScheme, curvature_integral, loglog_slope
 from toricdensity.fields import Polynomial
 from toricdensity.stability import gamma_scalar_integral, roof_skeleton_integral
 
@@ -135,12 +135,13 @@ class TestAHat:
 
     def test_printed_convention_misses_by_half_dp(self, square_family, u_square):
         # the suite asserts the mismatch to prove the 1/2 correction is
-        # load-bearing: a_hat(printed) = a_hat(corrected) - dp/2
+        # load-bearing: the paper's coefficient 1 gives
+        # a_hat(printed) = a_hat - dp/2
         t = F(1, 4)
-        corrected = a_hat_pair(square_family, u_square, t, 1.0)
-        printed = a_hat_pair(square_family, u_square, t, 1.0,
-                             dp_convention="printed")
-        assert corrected - printed == pytest.approx(0.5 * 0.75, abs=1e-10)
+        comp = a_hat_components(square_family, u_square, t, 1.0)
+        printed = comp.facet_term + comp.derivative_term - \
+            dp_integral(square_family, u_square, t, 1.0)
+        assert comp.value - printed == pytest.approx(0.5 * 0.75, abs=1e-10)
         assert printed == pytest.approx(2 * 0.25 * 0.75, abs=1e-9)
 
     def test_components_split(self, square_family, u_square):
@@ -154,11 +155,6 @@ class TestAHat:
     def test_stencil_near_critical_rejected(self, tent_family, u_interval):
         with pytest.raises(ValueError, match="stencil"):
             a_hat_pair(tent_family, u_interval, F(4999, 10000), 1.0)
-
-    def test_unknown_convention_rejected(self, square_family, u_square):
-        with pytest.raises(ValueError, match="convention"):
-            a_hat_pair(square_family, u_square, F(1, 4), 1.0,
-                       dp_convention="typo")
 
 
 class TestExpansionResidual:
@@ -220,9 +216,14 @@ class TestBoundaryVolumeIdentity:
             pytest.approx(0.0, abs=1e-9)
 
     def test_printed_convention_fails_on_square(self, square_family, u_square):
-        res = boundary_volume_identity(square_family, u_square, F(1, 4),
-                                       dp_convention="printed")
-        assert abs(res) == pytest.approx(0.5 * 0.75, abs=1e-6)
+        # the identity with the paper's corner coefficient 1, from its parts
+        t = F(1, 4)
+        sl = square_family.slice(t)
+        lhs = float(sl.polytope.boundary_leray_volume(sl.old_facets))
+        rhs = (curvature_integral(u_square, sl.polytope)
+               + a_hat_components(square_family, u_square, t, 1.0).derivative_term
+               - dp_integral(square_family, u_square, t, 1.0))
+        assert abs(lhs - rhs) == pytest.approx(0.5 * 0.75, abs=1e-6)
 
 
 class TestDivergenceIdentity:
@@ -353,15 +354,13 @@ class TestIntegralMemo:
         cfg = td.build_test_config(family)
         variants = [
             lambda u: td.futaki_metric(cfg, u),
-            lambda u: td.futaki_metric(cfg, u, dp_convention="printed"),
-            lambda u: td.roof_identity_residual(cfg, u, dp_convention="printed"),
-            lambda u: td.delta_gamma(cfg, u, dp_convention="printed"),
+            lambda u: td.roof_identity_residual(cfg, u),
+            lambda u: td.delta_gamma(cfg, u),
             lambda u: gamma_scalar_integral(cfg, u),
             lambda u: roof_skeleton_integral(cfg, u),
             lambda u: a_hat_components(family, u, t, Polynomial.coordinate(n, 0)),
-            lambda u: a_hat_components(family, u, t, 1.0, dp_convention="printed"),
-            lambda u: boundary_volume_identity(family, u, t, dp_convention="printed"),
-            lambda u: td.hilbert_coeffs_geometric(family, u, t, dp_convention="printed"),
+            lambda u: boundary_volume_identity(family, u, t),
+            lambda u: td.hilbert_coeffs_geometric(family, u, t),
         ]
         if len(family.cuts) == 1:
             variants.append(

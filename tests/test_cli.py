@@ -78,8 +78,27 @@ class TestSerialization:
 
     def test_dump_csv_float_repr(self, tmp_path):
         p = tmp_path / "x.csv"
-        dump_csv([{"k": 1, "v": 0.1}], ["k", "v"], p)
+        dump_csv({"k": [1], "v": [0.1]}, p)
         assert p.read_text() == "k,v\n1,0.1\n"
+
+    def test_dump_csv_columns_match_the_cell_by_cell_format(self, tmp_path):
+        # the row-by-row formatting dump_csv had, as the reference
+        def cell(v):
+            if isinstance(v, float):
+                return repr(v)
+            return rational_to_str(v) if isinstance(v, F) else str(v)
+
+        columns = {"y": np.array([0.1 + 0.2, -0.0, 1e16, 5e-324]),
+                   "k": np.array([1, 2**70, -3, 0], dtype=object),
+                   "q": [F(1, 3), F(4), F(-5, 2), True], "r": np.array(list("CNDC"))}
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+        p = tmp_path / "x.csv"
+        dump_csv(columns, p)
+        assert p.read_text() == "y,k,q,r\n" + "".join(
+            ",".join(map(cell, row)) + "\n" for row in rows)
+        assert p.read_text().splitlines()[2] == "-0.0,1180591620717411303424,4,N"
+        with pytest.raises(ValueError):
+            dump_csv({"a": [1, 2], "b": [1]}, p)
 
 
 class TestCliRuns:
@@ -373,12 +392,34 @@ class TestCliRuns:
         parser = cli._parser()
         assert cli._parser() is parser
         first = parser.parse_args(["futaki", "--scenario", "a.json", "--out", "o",
-                                   "--dp-convention", "printed", "--threads", "3"])
+                                   "--threads", "3"])
         second = parser.parse_args(["slope", "--scenario", "b.json", "--out", "p"])
-        assert (first.command, first.dp_convention, first.threads) == ("futaki", "printed", 3)
+        assert (first.command, first.threads) == ("futaki", 3)
         assert vars(second) == {"command": "slope", "scenario": "b.json", "out": "p",
-                                "threads": 1, "tolerance": 1e-8,
-                                "dp_convention": "corrected"}
+                                "threads": 1}
+
+    @pytest.mark.parametrize("flag,value", [("--dp-convention", "printed"),
+                                            ("--tolerance", "1e-8")])
+    def test_removed_flags_exit_2(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["futaki", "--scenario", FIXTURES / "scenarios" / "cp1_tent_futaki.json",
+                     "--out", tmp_path, flag, value])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [0.5, "1/2", ["1/2", "1/3"], [], ["x"], [None]],
+                             ids=["float", "string", "two", "empty", "bad_literal", "null"])
+    def test_expansion_check_alpha_exit_3(self, tmp_path, capsys, alpha):
+        # a float alpha died with a TypeError and exit 1, a string with a
+        # Fraction literal message, a list of the wrong length in numpy
+        sc = tmp_path / "s.json"
+        sc.write_text(json.dumps({
+            "schema": 1, "task": "expansion-check", "polytope_file":
+                str(FIXTURES / "polytopes" / "cp1.json"),
+            "params": {"alpha": alpha, "k_grid": [10, 20]}}))
+        assert run_cli(["expansion-check", "--scenario", sc, "--out", tmp_path]) == \
+            cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith("toricdensity.cli: alpha ")
 
 
 @pytest.mark.slow

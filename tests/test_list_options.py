@@ -69,3 +69,29 @@ def test_report_lists_removed_and_changed_values(tmp_path, capsys):
         "- pkg.mod:Public.method(h=1e-09)",
         "- pkg.mod:f(b=1)",
         "+ pkg.mod:Public.method(h=1e-10)"]
+
+
+CLI_OLD = '''
+import argparse
+
+def build_parser():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--version", action="version", version="1")
+    for task in ("a", "b"):
+        p = parser.add_subparsers().add_parser(task)
+        p.add_argument("--scenario", required=True)
+        p.add_argument("-t", "--threads", type=int, default=1)
+        p.add_argument("--tolerance", type=float, default=1e-8)
+    return parser
+'''
+
+
+def test_flags_with_defaults_are_values(tmp_path, capsys):
+    old = tree(tmp_path / "old", {"pkg/cli.py": CLI_OLD})
+    new = tree(tmp_path / "new", {"pkg/cli.py": CLI_OLD.replace(
+        '        p.add_argument("--tolerance", type=float, default=1e-8)\n', "")})
+    assert list_options.options(old) == ["pkg.cli:--threads(default=1)",
+                                         "pkg.cli:--tolerance(default=1e-08)"]
+    assert list_options.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2 -> 1", "- pkg.cli:--tolerance(default=1e-08)"]

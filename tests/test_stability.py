@@ -273,7 +273,9 @@ class TestDeltaGamma:
 
     def test_printed_convention_doubles(self, tent_family, u_interval):
         cfg = td.build_test_config(tent_family)
-        printed = td.delta_gamma(cfg, u_interval, dp_convention="printed")
+        from toricdensity.stability import roof_skeleton_integral
+        # the paper's normalization: the corner coefficient 1, not 1/2
+        printed = roof_skeleton_integral(cfg, u_interval) / float(cfg.gamma.volume())
         assert printed == pytest.approx(4.0, abs=1e-10)
 
     def test_products_vanish(self, product_family, prism_family, u_simplex,
@@ -373,7 +375,10 @@ class TestRoofIdentity:
 
     def test_printed_identity_fails_on_tent(self, tent_family, u_interval):
         cfg = td.build_test_config(tent_family)
-        res = td.roof_identity_residual(cfg, u_interval, dp_convention="printed")
+        from toricdensity.stability import gamma_scalar_integral, roof_skeleton_integral
+        # the identity with the paper's corner coefficient 1, from its parts
+        res = float(cfg.side_leray_volume()) - (
+            gamma_scalar_integral(cfg, u_interval) - roof_skeleton_integral(cfg, u_interval))
         assert abs(res) == pytest.approx(0.5, abs=1e-9)  # half the skeleton mass
 
 

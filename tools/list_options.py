@@ -9,7 +9,9 @@ module-level function or of a method of a public module-level class
 (``__init__`` included); a name is public when it does not start with an
 underscore, and a module whose own name does is skipped, ``__init__.py``
 apart.  Each value is written ``module:qualname(param=default)``, the default
-as its source text.
+as its source text.  A command-line flag of such a module, an
+``add_argument`` call anywhere in it with a ``--`` name and a ``default=``,
+is a settable value too, written ``module:--flag(default=...)``.
 
 The first line is ``N -> M``, the counts under OLD_SRC and NEW_SRC; then one
 ``- value`` line per value found only under OLD_SRC and one ``+ value`` line
@@ -37,9 +39,23 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+def _flags(tree: ast.Module):
+    """(flag, default source) of each add_argument call with a '--' name and
+    a default=."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            names = [a.value for a in node.args
+                     if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            default = next((k.value for k in node.keywords if k.arg == "default"), None)
+            flag = next((n for n in names if n.startswith("--")), None)
+            if flag is not None and default is not None:
+                yield flag, ast.unparse(default)
+
+
 def module_options(tree: ast.Module, module: str) -> list[str]:
     """The settable values of one parsed module."""
-    out = []
+    out = [f"{module}:{flag}(default={d})" for flag, d in _flags(tree)]
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions) and _public(node.name):

@@ -281,7 +281,7 @@ def expansion_residual(family: MovingFamily, potential, t, f, k: int,
     fld = as_field(f, n)
     pairing, _ = pair_partial_density(family, potential, t, k, fld, basis=basis)
     scheme = QuadratureScheme.for_polytope(sl.polytope)
-    vol_term, _ = scheme.integrate(fld.value, rel_tol=1e-10)
+    vol_term, _ = scheme.integrate(fld.value, rel_tol=FACET_REL_TOL)
 
     def sf(pts):
         return potential.scalar_curvature_many(pts) * fld.value(pts)

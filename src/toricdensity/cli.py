@@ -20,12 +20,12 @@ from pathlib import Path
 
 from . import __version__
 from .asymptotics import boundary_volume_identity, euler_maclaurin
-from .density import (QuadratureError, SectionBasis, density_profile,
+from .density import (QuadratureError, SectionBasis, _alpha_point, density_profile,
                       pair_partial_density, section_expansion_check)
 from .fields import coordinate_field, constant_field
 from .fileio import (Scenario, dump_csv, dump_json, load_scenario,
                      rational_to_str)
-from .polytope import Point, _fr, _int, _point, build_test_config, check_delzant
+from .polytope import Point, _fr, _int, build_test_config, check_delzant
 from .stability import (futaki_report, hilbert_coeffs_combinatorial,
                         hilbert_coeffs_geometric, slope_mu, slope_report)
 
@@ -60,10 +60,10 @@ def _alpha(params, polytope) -> Point:
     alpha = params.get("alpha")
     if alpha is None:
         return polytope.centroid_of_vertices()
-    if not isinstance(alpha, list) or len(alpha) != polytope.dim:
+    if not isinstance(alpha, list):
         raise ValueError(f"alpha must be a list of {polytope.dim} coordinates, got {alpha!r}")
     try:
-        return _point(alpha)
+        return _alpha_point(polytope, alpha)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"alpha {alpha!r}: {exc}") from exc
 
@@ -95,8 +95,7 @@ def _run_lattice_count(scenario, outdir):
         if not scenario.cuts:
             raise ValueError("lattice-count at t requires cuts in the scenario")
         t = _fraction_param(scenario.params, "t")
-        sl = scenario.family.slice(t)
-        poly = None if sl.is_empty else sl.polytope
+        poly = scenario.family.slice(t).region
     dump_csv({"k": ks, "t": [rational_to_str(t)] * len(ks),
               "count": [0 if poly is None else poly.count_lattice_points(k) for k in ks]},
              outdir / "lattice_count.csv")
@@ -129,8 +128,8 @@ def _run_density_profile(scenario, outdir):
              outdir / "density_profile.csv")
 
     pairing, delta = pair_partial_density(family, pot, t, k, 1.0, basis=basis)
-    sl = family.slice(t)
-    exact = 0 if sl.is_empty else sl.polytope.count_lattice_points(k)
+    region = family.slice(t).region
+    exact = 0 if region is None else region.count_lattice_points(k)
     payload = {"schema": 1, "normalization": NORMALIZATION_NOTE, "task": "density-profile", "k": k,
                "t": rational_to_str(t), "mass_quadrature": pairing,
                "mass_exact": exact, "quadrature_delta": delta,

@@ -52,8 +52,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Polynomial, ScalarField, as_field
-from .polytope import (MovingFamily, Polytope, _fr, _int, _integer_points, _min_sign,
+from .polytope import (MovingFamily, Point, Polytope, _fr, _int, _integer_points, _min_sign,
                        _point, leray_simplex_measure)
+from .potential import interior_distance
 
 DEFAULT_REL_TOL = 1e-8
 # the one relative tolerance of each kind of integral: those weighted by the
@@ -495,6 +496,15 @@ def mass_density(basis: SectionBasis, alpha, y) -> float:
     return float(val[0]) if pts.shape[0] == 1 else val
 
 
+def _alpha_point(P: Polytope, alpha) -> Point:
+    """alpha as exact coordinates (``polytope._point``), one per dimension of
+    P; ValueError naming alpha otherwise."""
+    a = _point(alpha)
+    if len(a) != P.dim:
+        raise ValueError(f"alpha has {len(a)} coordinates, the polytope has dimension {P.dim}")
+    return a
+
+
 def pair_alpha(potential, alpha, k: int, f, rel_tol=DEFAULT_REL_TOL):
     """<|e_{alpha,k}|^2, f> for one lattice point, no basis required.
 
@@ -504,7 +514,7 @@ def pair_alpha(potential, alpha, k: int, f, rel_tol=DEFAULT_REL_TOL):
     pairing itself however small the norm.  On non-convergence the
     QuadratureError carries the best pairing and its first-order error.
     """
-    af = np.array([float(c) for c in _point(alpha)])
+    af = np.array([float(c) for c in _alpha_point(potential.polytope, alpha)])
     fld = as_field(f, potential.polytope.dim)
     S, mu = QuadratureScheme.for_polytope(potential.polytope)
 
@@ -559,9 +569,7 @@ def section_expansion_residual(potential, alpha, k: int, f) -> float:
     Refuses alphas closer to the boundary than EXPANSION_MARGIN: only the
     interior expansion is implemented.
     """
-    from .potential import interior_distance
-
-    a = _point(alpha)
+    a = _alpha_point(potential.polytope, alpha)
     if interior_distance(potential.polytope, [float(c) for c in a]) < EXPANSION_MARGIN:
         raise ValueError(
             f"alpha {alpha} is within {EXPANSION_MARGIN} of the boundary; "
@@ -609,11 +617,10 @@ def section_expansion_check(potential, alpha, f, ks=None):
 # ---------------------------------------------------------------------------
 
 def required_divisor(family: MovingFamily, t) -> int:
-    """Smallest N with (Nm)P(t) integral for all positive integers m."""
-    sl = family.slice(t)
-    if sl.is_empty:
-        return 1
-    return sl.polytope.integrality_divisor()
+    """Smallest N with (Nm)P(t) integral for all positive integers m; P(t)
+    may be lower-dimensional (``Slice.region``)."""
+    region = family.slice(t).region
+    return 1 if region is None else region.integrality_divisor()
 
 
 def _cut_signs(family: MovingFamily, t, num: np.ndarray, den: int) -> np.ndarray:

@@ -75,15 +75,6 @@ class Polynomial:
             terms[key] = terms.get(key, 0.0) + c * expo[i]
         return Polynomial(self.nvars, terms)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0.0) + c
-        return Polynomial(self.nvars, terms)
-
-    def __mul__(self, scalar: float) -> "Polynomial":
-        return Polynomial(self.nvars, {e: c * scalar for e, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"

@@ -53,11 +53,6 @@ def geometry_to_dict(P: Polytope, cuts=()) -> dict:
             "cuts": [functional_to_dict(c) for c in cuts]}
 
 
-def load_polytope_file(path) -> tuple[Polytope, list[AffineFunctional]]:
-    with open(path) as fh:
-        return load_geometry(json.load(fh))
-
-
 def perturbation_from_dict(d: dict | None, dim: int) -> Polynomial:
     if not d or not d.get("monomials"):
         return Polynomial.zero(dim)

@@ -8,13 +8,14 @@ module is exact, in Fractions and in integers (linear algebra is one
 fraction-free elimination), so that counts, volumes and critical values can
 serve as oracles for the floating point analysis modules.
 
-Vertices and the facet-by-vertex table of integer slacks are enumerated
-together, once per polytope, by the double-description method on cleared
-integers; every vertex-on-facet question reads that table, and so do the
-face lattice and the pyramid recursion over it that gives volumes and Leray
-volumes; the triangulation (a centroid fan over pulled facets) serves
-quadrature only.  Slices P(t), the test configuration Gamma and the regions
-where one cut is smallest are pruned by one routine, ``_intersect``.
+Every polytope is bounded.  Its vertices and the facet-by-vertex table of
+integer slacks are enumerated together, on construction, by the
+double-description method on cleared integers; every vertex-on-facet question
+reads that table, and so do the face lattice and the pyramid recursion over it
+that gives volumes and Leray volumes; the triangulation (a centroid fan over
+pulled facets) serves quadrature only.  Slices P(t), the test configuration
+Gamma and the regions where one cut is smallest are pruned by one routine,
+``_intersect``; lattice counts read P(t) unpruned (``Slice.region``).
 
 The core computes on Python ints and makes a Fraction only for a value it
 returns.  Ints: the cleared facets (nu, lam), the double-description rays,
@@ -36,13 +37,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm, prod
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-Rational = Fraction
 Point = tuple[Fraction, ...]
 
 # lattice_points and interior_grid refuse more points than this before they
@@ -167,10 +168,6 @@ def _cleared_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], 
     return out, scale
 
 
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_row_reduce(_cleared_rows(rows)[0], len(rows[0]) if rows else 0)[1])
-
-
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector.
 
@@ -276,18 +273,25 @@ class Face:
     vertex_ids: tuple
 
 
+class _Description(NamedTuple):
+    """The double-description record of ``_candidate_vertices``."""
+
+    vertices: list[Point]
+    slacks: list[list[int]]
+    on: list[int]
+
+
 class Polytope:
     """Bounded rational polytope in half-space representation.
 
-    Vertices, the face lattice, triangulations and volumes are computed
-    exactly and cached; the vertices and the vertex-facet incidence come
-    from one double-description pass (``_candidate_vertices``); the faces
-    are read from that incidence and the volumes from a recursion over them
-    (``_leray``), and the triangulation serves quadrature only.  Degenerate content
-    (empty or lower-dimensional, which arises for slices P(t) of moving
-    families) is permitted when ``require_full_dim=False``: then normals
-    that do not span give no vertices, and an unbounded region gives its
-    vertices but refuses faces, measures, its bounding box and lattice counts.
+    Vertices, the face lattice, triangulations and volumes are exact, and
+    each derived value is a ``cached_property`` (methods that take an
+    argument keep dict memos); the vertices and the vertex-facet incidence
+    come from one double-description pass (``_candidate_vertices``) on
+    construction, which refuses an unbounded region and normals that do not
+    span; the faces are read from that incidence and the volumes from a
+    recursion over them (``_leray``).  With ``require_full_dim=False`` the
+    region may be empty or lower-dimensional, never unbounded.
     """
 
     def __init__(self, dim: int, facets: Iterable[AffineFunctional],
@@ -303,16 +307,6 @@ class Polytope:
             seen.add(f)
         self.facets: list[AffineFunctional] = facets
         self._normals = [tuple(v.numerator for v in f.normal) for f in facets]
-        self._vertices: list[Point] | None = None
-        self._slacks: list[list[int]] | None = None
-        # vertex bitmask of each facet: vertex i is bit V-1-i of V vertices
-        self._on: list[int] | None = None
-        self._incidence: list[frozenset] | None = None
-        self._ray: tuple[int, ...] | None = None
-        self._hull: int | None = None  # _hull_dim(), filled with the vertices
-        self._essential: frozenset | None = None
-        self._box: tuple[Point, Point] | None = None
-        self._divisor: int | None = None
         self._counts: dict[int, int] = {}  # fibre-walk counts by k
         self._ehrhart_memo: dict[int, list[Fraction]] = {}
         self._faces: dict[int, list[Face]] = {}
@@ -321,51 +315,29 @@ class Polytope:
         self._measures: dict[int, tuple[int, int]] = {}
         # |det N_J| by set of normals, shared with the regions _intersect cuts
         self._dets: dict[frozenset, int] = {}
-        self._triangulation: list[tuple[Point, ...]] | None = None
-        if require_full_dim:
-            self._validate_full_dim()
+        # the double-description pass runs here, so unbounded regions raise
+        full = (1 << len(self.vertices)) - 1
+        if require_full_dim and not full:
+            raise ValueError("empty polytope: no vertex satisfies all inequalities")
+        if require_full_dim and full in self._dd.on:
+            f = facets[self._dd.on.index(full)]
+            raise ValueError(f"polytope is not full-dimensional: contained in {f!r} = 0")
 
     # -- vertices ----------------------------------------------------------
+
+    @cached_property
+    def _dd(self) -> _Description:
+        return _candidate_vertices(self.facets, self.dim)
 
     @property
     def vertices(self) -> list[Point]:
         """All vertices, exact and lexicographically sorted."""
-        if self._vertices is None:
-            self._vertices, self._slacks, self._on, self._ray = _candidate_vertices(
-                self.facets, self.dim)
-            self._hull = self._hull_dim()
-        return self._vertices
-
-    @property
-    def incidence(self) -> list[frozenset]:
-        """For each facet, the ids (into ``vertices``) of the vertices on it:
-        the zero pattern of the slack table."""
-        if self._incidence is None:
-            self.vertices
-            self._incidence = [frozenset(self._ids(on)) for on in self._on]
-        return self._incidence
+        return self._dd.vertices
 
     def _ids(self, mask: int) -> tuple[int, ...]:
         """The vertex ids of a vertex bitmask, ascending."""
         return tuple(i for i, c in enumerate(format(mask, f"0{len(self.vertices)}b"))
                      if c == "1")
-
-    def _validate_full_dim(self):
-        if len(self.facets) < self.dim + 1:
-            raise ValueError(
-                f"unbounded polytope: only {len(self.facets)} facets in dimension {self.dim}")
-        if _rank(self._normals) < self.dim:
-            raise ValueError("unbounded polytope: facet normals do not span")
-        vertices = self.vertices
-        if self._ray is not None:
-            raise ValueError(f"unbounded polytope: recession ray {self._ray}")
-        if not vertices:
-            raise ValueError("empty polytope: no vertex satisfies all inequalities")
-        full = (1 << len(vertices)) - 1
-        for f, on in zip(self.facets, self._on):
-            if on == full:
-                raise ValueError(
-                    f"polytope is not full-dimensional: contained in {f!r} = 0")
 
     def centroid_of_vertices(self) -> Point:
         vs = self.vertices
@@ -378,24 +350,17 @@ class Polytope:
 
     @property
     def is_full_dim(self) -> bool:
-        self.vertices
         return self._hull == self.dim
 
-    def _hull_dim(self) -> int:
-        """Dimension of the hull of the vertices, -1 for none: full when P is
-        bounded and no facet holds every vertex (those facets would cut out
-        its affine hull), else the length of a chain of faces to a vertex.
-        Computed once, with the vertices (``_hull``)."""
-        vs = self.vertices
-        if not vs:
-            return -1
-        if self._ray is not None:
-            # the faces of an unbounded region are not its vertex sets
-            return _rank([[a - b for a, b in zip(v, vs[0])] for v in vs[1:]])
-        ids = (1 << len(vs)) - 1
-        if ids not in self._on:
+    @cached_property
+    def _hull(self) -> int:
+        """Dimension of the hull of the vertices, -1 for none: full when no
+        facet holds every vertex (those facets would cut out its affine
+        hull), else the length of a chain of faces to a vertex."""
+        ids = (1 << len(self.vertices)) - 1
+        if ids not in self._dd.on:
             return self.dim
-        dim = 0
+        dim = 0 if ids else -1  # every facet holds the no vertices of an empty region
         while ids.bit_count() > 1:
             ids, dim = self._subfaces(ids)[0][0], dim + 1
         return dim
@@ -407,16 +372,16 @@ class Polytope:
         return all(f.value(pt) >= 0 for f in self.facets)
 
     def bounding_box(self) -> tuple[Point, Point]:
-        """Exact box of the vertices; raises on an unbounded region (``_level``)."""
-        if self._box is None:
-            self._level(self.dim)
-            # compared as integers over the integrality divisor
-            D = self.integrality_divisor()
-            axes = [[v[i].numerator * (D // v[i].denominator) for v in self.vertices]
-                    for i in range(self.dim)]
-            self._box = tuple(tuple(Fraction(extreme(ax), D) for ax in axes)
-                              for extreme in (min, max))
+        """Exact box of the vertices."""
         return self._box
+
+    @cached_property
+    def _box(self) -> tuple[Point, Point]:
+        # compared as integers over the integrality divisor
+        D = self._divisor
+        axes = [[v[i].numerator * (D // v[i].denominator) for v in self.vertices]
+                for i in range(self.dim)]
+        return tuple(tuple(Fraction(extreme(ax), D) for ax in axes) for extreme in (min, max))
 
     # -- face lattice ------------------------------------------------------
 
@@ -425,25 +390,21 @@ class Polytope:
 
         active_facets is the full set of facets vanishing on the face; the
         spec of a convex polytope guarantees codim-2 faces have exactly two.
-        Raises on an unbounded region (``_level``).
         """
         if codim in self._faces:
             return self._faces[codim]
         if not 1 <= codim <= self.dim:
             raise ValueError(f"codim must be in 1..{self.dim}")
         self._faces[codim] = sorted(
-            (Face(frozenset(a for a, on in enumerate(self._on) if ids & on == ids), codim,
+            (Face(frozenset(a for a, on in enumerate(self._dd.on) if ids & on == ids), codim,
                   self._ids(ids)) for ids in self._level(self.dim - codim)),
             key=lambda f: f.vertex_ids)
         return self._faces[codim]
 
     def _level(self, d: int) -> list[int]:
         """Vertex bitmasks of the d-dimensional faces: the facets of the faces
-        of dimension d + 1, down from the hull of all vertices.  Raises on an
-        unbounded region, whose faces are not its vertex sets."""
+        of dimension d + 1, down from the hull of all vertices."""
         level = [(1 << len(self.vertices)) - 1]
-        if self._ray is not None:
-            raise ValueError(f"unbounded region: recession ray {self._ray}")
         if d > self._hull:
             return []
         for _ in range(self._hull - d):
@@ -459,7 +420,7 @@ class Polytope:
         bit)."""
         if ids not in self._subface_memo:
             cut: dict[int, int] = {}
-            for b, on in enumerate(self._on):
+            for b, on in enumerate(self._dd.on):
                 common = ids & on
                 if common and common != ids:
                     cut.setdefault(common, b)
@@ -473,19 +434,16 @@ class Polytope:
         return self._subface_memo[ids]
 
     def facet_vertex_ids(self, a: int) -> tuple:
-        self.vertices
-        return self._ids(self._on[a])
+        return self._ids(self._dd.on[a])
 
     def essential_facets(self) -> list[int]:
-        """Indices of facets that actually carry an (n-1)-dimensional face;
-        raises on an unbounded region (``_level``)."""
-        return sorted(self._essential_set())
+        """Indices of facets that actually carry an (n-1)-dimensional face."""
+        return sorted(self._essential)
 
-    def _essential_set(self) -> frozenset:
-        if self._essential is None:
-            facets = set(self._level(self.dim - 1))
-            self._essential = frozenset(a for a, on in enumerate(self._on) if on in facets)
-        return self._essential
+    @cached_property
+    def _essential(self) -> frozenset:
+        facets = set(self._level(self.dim - 1))
+        return frozenset(a for a, on in enumerate(self._dd.on) if on in facets)
 
     # -- triangulation and exact measures -----------------------------------
 
@@ -495,10 +453,12 @@ class Polytope:
 
         Simplex volumes sum to Vol(P) exactly.
         """
-        if self._triangulation is None:
-            self._triangulation = self._triangulate_face(
-                (1 << len(self.vertices)) - 1, self.dim) if self.is_full_dim else []
         return self._triangulation
+
+    @cached_property
+    def _triangulation(self) -> list[tuple[Point, ...]]:
+        return (self._triangulate_face((1 << len(self.vertices)) - 1, self.dim)
+                if self.is_full_dim else [])
 
     def _triangulate_face(self, ids: int, m: int,
                           pulled: bool = False) -> list[tuple[Point, ...]]:
@@ -539,8 +499,6 @@ class Polytope:
         normals.  ell_b(x0) = slack/(den_b s), s the last row of the slack
         table at x0 and den_b b's clearing factor, its offset's denominator;
         each face's sum is reduced once."""
-        if self._ray is not None:
-            raise ValueError("an unbounded region has no finite measure")
         key = frozenset(self._normals[a] for a in cut)
         det = self._dets.get(key)
         if det is None:
@@ -550,17 +508,18 @@ class Polytope:
             if d == 0:
                 self._measures[ids] = (1, 1)
             else:
-                x0 = len(self._vertices) - ids.bit_length()
+                x0 = len(self.vertices) - ids.bit_length()
+                slacks = self._dd.slacks
                 top = 1 << (ids.bit_length() - 1)
                 num, den = 0, 1
                 for g, b in self._subfaces(ids):
                     if g & top:
                         continue
                     p, q = self._leray(g, cut + (b,))
-                    num, den = _add(num, den, p * self._slacks[b][x0],
+                    num, den = _add(num, den, p * slacks[b][x0],
                                     q * self.facets[b].offset.denominator)
                 num *= det
-                den *= d * self._slacks[-1][x0]
+                den *= d * slacks[-1][x0]
                 g = gcd(num, den)
                 self._measures[ids] = (num // g, den // g)
         num, den = self._measures[ids]
@@ -574,17 +533,17 @@ class Polytope:
 
     def facet_leray_volume(self, a: int) -> Fraction:
         """Exact Leray measure of facet a: d(sigma) d(ell_a) = dx."""
-        if a not in self._essential_set():
+        if a not in self._essential:
             return Fraction(0)
-        return Fraction(*self._leray(self._on[a], (a,)))
+        return Fraction(*self._leray(self._dd.on[a], (a,)))
 
     def boundary_leray_volume(self, facets: Sequence[int] | None = None) -> Fraction:
         """Exact Leray measure of the listed facets, all of them by default;
         summed on integers, one Fraction made."""
         num, den = 0, 1
         for a in range(len(self.facets)) if facets is None else facets:
-            if a in self._essential_set():
-                num, den = _add(num, den, *self._leray(self._on[a], (a,)))
+            if a in self._essential:
+                num, den = _add(num, den, *self._leray(self._dd.on[a], (a,)))
         return Fraction(num, den)
 
     # -- lattice points ------------------------------------------------------
@@ -686,7 +645,7 @@ class Polytope:
         kept per k; past that, the value at k of the Ehrhart polynomial of its
         class mod D."""
         k = _int(k)
-        D = self.integrality_divisor()
+        D = self._divisor
         if k > (self.dim + 2) * D:
             return int(_poly_eval(self._ehrhart(k % D), k))
         if k not in self._counts:
@@ -700,7 +659,7 @@ class Polytope:
         k = r, r + D, ..., r + nD (k = 0 counts 1, or 0 when P is empty) and
         checked at r + (n+1)D, all below (n+2)D; memoised per class."""
         if r not in self._ehrhart_memo:
-            ks = [r + j * self.integrality_divisor() for j in range(self.dim + 2)]
+            ks = [r + j * self._divisor for j in range(self.dim + 2)]
             counts = [self.count_lattice_points(k) if k else int(not self.is_empty)
                       for k in ks]
             self._ehrhart_memo[r] = _fit(ks, counts, self.dim, "lattice count")
@@ -708,9 +667,11 @@ class Polytope:
 
     def integrality_divisor(self) -> int:
         """Smallest N with N*P an integral polytope (lcm of vertex denominators)."""
-        if self._divisor is None:
-            self._divisor = lcm(*(c.denominator for v in self.vertices for c in v))
         return self._divisor
+
+    @cached_property
+    def _divisor(self) -> int:
+        return lcm(*(c.denominator for v in self.vertices for c in v))
 
     def interior_grid(self, per_axis: int) -> tuple[np.ndarray, int]:
         """The grid points lo + (hi - lo)(i + 1)/(per_axis + 1), i < per_axis on
@@ -837,7 +798,7 @@ def leray_simplex_measure(simplex: Sequence[Point], *ells: AffineFunctional) -> 
 
 def _start_cone(rows: Sequence[Sequence[int]], d: int):
     """(basis, rays) of the double-description start cone {B y >= 0}, B the
-    first d independent integer rows, or None.
+    first d independent integer rows, or None exactly when they do not span.
 
     One elimination of [rows^T | I] on the columns of rows^T finds B at its
     pivot columns and turns I into D B^-T, D the last pivot: ray r_i is row
@@ -857,8 +818,9 @@ def _start_cone(rows: Sequence[Sequence[int]], d: int):
     return basis, rays
 
 
-def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
-    """(vertices, slacks, on, ray) of {x : facet(x) >= 0 for every facet}.
+def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int) -> _Description:
+    """The vertices, slacks and vertex bitmasks of the bounded region
+    {x : facet(x) >= 0 for every facet}.
 
     The double-description method (Motzkin et al. 1953; Fukuda & Prodon
     1996) on the integer cone {(x, s) : <nu, x> - lam*s >= 0, s >= 0} of
@@ -866,9 +828,9 @@ def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
     vertices X/s, those with s = 0 the extreme recession directions.
     ``vertices`` is sorted, ``slacks[a][i]`` = <nu_a, X_i> - lam_a s_i is 0
     exactly on facet a, and its last row, of s >= 0, holds s_i; ``on[a]`` is
-    the bitmask of the vertices on facet a, vertex i at bit V-1-i.  ``ray``
-    is a primitive integer recession direction, or None when the region is
-    bounded.  When the normals do not span there is no vertex or ray.
+    the bitmask of the vertices on facet a, vertex i at bit V-1-i.  Raises
+    ValueError when the normals do not span or, naming a primitive integer
+    recession direction, when the cone has one (an empty region too).
 
     Rays are primitive integer tuples and each carries its zero set, the
     bitmask of processed rows it lies on.  Two rays of opposite sign on a
@@ -882,7 +844,7 @@ def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
     rows.append((0,) * dim + (1,))
     start = _start_cone(rows, d)
     if start is None:
-        return [], [[] for _ in rows], [0] * len(facets), None
+        raise ValueError("unbounded polytope: facet normals do not span")
     basis, start_rays = start
     every = sum(1 << a for a in basis)
     rays = [(r, every & ~(1 << a)) for r, a in zip(start_rays, basis)]
@@ -906,6 +868,8 @@ def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
                 kept.append((tuple(c // g for c in new), common | bit))
         rays = kept
     ray = min((r[:-1] for r, _ in rays if not r[-1]), default=None)
+    if ray is not None:
+        raise ValueError(f"unbounded polytope: recession ray {ray}")
     # sorted by X (L/s), L the lcm of the s: the order of the points X/s
     ends = [r for r, _ in rays if r[-1]]
     big = lcm(*(r[-1] for r in ends))
@@ -920,19 +884,15 @@ def _candidate_vertices(facets: Sequence[AffineFunctional], dim: int):
     # one Fraction per distinct coordinate
     coords = {key: Fraction(*key) for key in {(c, r[-1]) for r in ends for c in r[:-1]}}
     vertices = [tuple(coords[c, r[-1]] for c in r[:-1]) for r in ends]
-    return vertices, table.tolist(), on, ray
+    return _Description(vertices, table.tolist(), on)
 
 
-def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
-    """(Q, kept) for Q = P cap {ell >= 0 for ell in extra}; None when Q is
-    empty or lower-dimensional.
-
-    Q's facets are those of P + extra, normalized, without duplicates or
-    inessential ones, in input order; kept[i] is the input index of facet i.
-    A constant ell is dropped when it holds and empties Q when it fails.  Q
-    carries the vertices and slacks found here (P's own when no ell adds a
-    facet), so it is neither enumerated nor validated again.
-    """
+def _region(P: Polytope, extra: Sequence[AffineFunctional]):
+    """(R, kept) for R = P cap {ell >= 0 for ell in extra}, maybe empty or
+    lower-dimensional: the facets of P + extra, normalized, without
+    duplicates, in input order, kept[i] the input index of facet i.  A
+    constant ell is dropped when it holds; None when one fails.  R is P when
+    no ell adds a facet, and shares P's determinants of normals."""
     index = {f: a for a, f in enumerate(P.facets)}
     for a, ell in enumerate(extra, len(P.facets)):
         if ell.is_constant():
@@ -940,19 +900,34 @@ def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
                 return None
             continue
         index.setdefault(ell.normalized(), a)
-    full = P if len(index) == len(P.facets) else Polytope(
-        P.dim, list(index), require_full_dim=False)
-    if not full.is_full_dim:
+    R = P if len(index) == len(P.facets) else Polytope(P.dim, list(index), require_full_dim=False)
+    R._dets = P._dets
+    return R, list(index.values())
+
+
+def _prune(R: Polytope, kept: list[int]):
+    """(Q, kept) for R without its inessential facets; None when R is empty
+    or lower-dimensional.  Q carries R's record, hull, essential facets and
+    determinants, so it is neither enumerated nor validated again."""
+    if not R.is_full_dim:
         return None
-    essential = full.essential_facets()
-    pruned = Polytope(P.dim, [full.facets[i] for i in essential], require_full_dim=False)
-    pruned._vertices, pruned._ray, pruned._dets = full.vertices, full._ray, P._dets
-    pruned._hull = full._hull
-    pruned._slacks = [full._slacks[i] for i in essential] + [full._slacks[-1]]
-    pruned._on = [full._on[i] for i in essential]
-    pruned._essential = frozenset(range(len(essential)))
-    kept = list(index.values())
-    return pruned, [kept[i] for i in essential]
+    essential = R.essential_facets()
+    vertices, slacks, on = R._dd
+    Q = Polytope.__new__(Polytope)
+    # cached before __init__ runs, which then reads the record instead of enumerating
+    vars(Q).update(_dd=_Description(vertices, [slacks[i] for i in essential] + [slacks[-1]],
+                                    [on[i] for i in essential]),
+                   _hull=R._hull, _essential=frozenset(range(len(essential))))
+    Q.__init__(R.dim, [R.facets[i] for i in essential], require_full_dim=False)
+    Q._dets = R._dets
+    return Q, [kept[i] for i in essential]
+
+
+def _intersect(P: Polytope, extra: Sequence[AffineFunctional]):
+    """(Q, kept) for Q = P cap {ell >= 0 for ell in extra} without inessential
+    facets; None when Q is empty or lower-dimensional."""
+    region = _region(P, extra)
+    return None if region is None else _prune(*region)
 
 
 # ---------------------------------------------------------------------------
@@ -963,9 +938,9 @@ def enumerate_vertices(facets: Sequence[AffineFunctional], dim: int) -> list[Poi
     """Vertices of a bounded full-dimensional polytope, exact and sorted.
 
     One double-description pass over the cleared integer facets finds the
-    vertices, the vertex-facet incidence kept beside them and any recession
-    ray.  Raises naming the violated condition (unbounded, empty, not
-    full-dimensional) otherwise.
+    vertices and the vertex-facet incidence kept beside them.  Raises naming
+    the violated condition (unbounded, empty, not full-dimensional)
+    otherwise.
     """
     return Polytope(dim, facets).vertices
 
@@ -997,7 +972,8 @@ def check_delzant(P: Polytope) -> DelzantReport:
     certs = []
     ok_all = True
     for i, v in enumerate(verts):
-        active = [a for a, ids in enumerate(P.incidence) if i in ids]
+        bit = 1 << (len(verts) - 1 - i)
+        active = [a for a, on in enumerate(P._dd.on) if on & bit]
         if len(active) != n:
             certs.append(VertexCertificate(
                 vertex=v, edge_directions=(), determinant=0, simple=False,
@@ -1046,9 +1022,10 @@ def seshadri_constant(P: Polytope, phi: AffineFunctional) -> Fraction:
 class Slice:
     """P(t) = P cap {Phi_a >= t} with its facets partitioned new/old.
 
-    ``polytope`` is None when the slice is empty; ``new_facets`` pairs the
-    active cut index with the unnormalized functional Phi_a - t whose scale
-    defines the Leray measure of that facet.
+    ``polytope`` is None when the slice is empty or lower-dimensional;
+    ``new_facets`` pairs the active cut index with the unnormalized functional
+    Phi_a - t whose scale defines the Leray measure of that facet.  Lattice
+    counts read ``region``: ``polytope``, else P(t) unpruned; None if empty.
     """
 
     t: Fraction
@@ -1056,6 +1033,7 @@ class Slice:
     new_facets: list[tuple[int, AffineFunctional]]
     old_facets: list[int]  # indices into polytope.facets
     new_facet_ids: list[int]  # indices into polytope.facets, aligned with new_facets
+    region: Polytope | None
 
     @property
     def is_empty(self) -> bool:
@@ -1078,9 +1056,7 @@ class MovingFamily:
             if min(phi.value(v) for v in base.vertices) < 0:
                 raise ValueError(
                     f"cut {phi!r} is negative on the base polytope; P(0) != P")
-        self._criticals: list[Fraction] | None = None
         self._slices: dict[Fraction, Slice] = {}
-        self._test_config: TestConfigPolytope | None = None
         self._hilbert = None  # (A0, A1) of stability.hilbert_polynomials
 
     def slice(self, t) -> Slice:
@@ -1095,9 +1071,11 @@ class MovingFamily:
 
     def _cut(self, t: Fraction) -> Slice:
         shifted = [phi.shifted(t) for phi in self.cuts]
-        pruned = _intersect(self.base, shifted)
+        region = _region(self.base, shifted)
+        pruned = None if region is None else _prune(*region)
         if pruned is None:
-            return Slice(t, None, [], [], [])
+            flat = None if region is None or region[0].is_empty else region[0]
+            return Slice(t, None, [], [], [], flat)
         poly, kept = pruned
         # a cut equal to a facet of P stays old; at t = 0 no cut is essential
         m = len(self.base.facets)
@@ -1108,7 +1086,7 @@ class MovingFamily:
                 new_ids.append(i)
             else:
                 old_ids.append(i)
-        return Slice(t, poly, new_facets, old_ids, new_ids)
+        return Slice(t, poly, new_facets, old_ids, new_ids, poly)
 
     def critical_values(self) -> list[Fraction]:
         """The t at which the combinatorics of P(t) jumps: exact, sorted.
@@ -1116,12 +1094,50 @@ class MovingFamily:
         Computed from the last coordinates of the vertices of the
         test-configuration polytope; 0 is always included.
         """
-        if self._criticals is None:
-            gamma = build_test_config(self).gamma
-            vals = {Fraction(0)}
-            vals.update(v[-1] for v in gamma.vertices)
-            self._criticals = sorted(vals)
         return self._criticals
+
+    @cached_property
+    def _criticals(self) -> list[Fraction]:
+        return sorted({Fraction(0)} | {v[-1] for v in build_test_config(self).gamma.vertices})
+
+    @cached_property
+    def _test_config(self) -> TestConfigPolytope:
+        """Gamma and its facet classes (``build_test_config``)."""
+        P = self.base
+        n = P.dim
+        if not self.cuts:
+            raise ValueError("unbounded test configuration: the family has no cuts")
+        # the sides, then the base t >= 0 at index m, then the roofs
+        m = len(P.facets)
+        lifted = [AffineFunctional(tuple(f.normal) + (Fraction(0),), f.offset) for f in P.facets]
+        lifted.append(AffineFunctional((Fraction(0),) * n + (Fraction(1),), 0))
+        roofs = {a: AffineFunctional(tuple(phi.normal) + (Fraction(-1),), phi.offset)
+                 for a, phi in enumerate(self.cuts)}
+        lifted += roofs.values()
+        try:
+            full = Polytope(n + 1, lifted)
+        except ValueError as exc:
+            raise ValueError(f"unbounded or degenerate test configuration: {exc}") from exc
+
+        # keep only essential inequalities so every facet of gamma is a facet
+        gamma, kept = _intersect(full, [])
+        if m not in kept:
+            raise ValueError("degenerate test configuration: base facet t=0 missing")
+        roof = {a - m - 1: i for i, a in enumerate(kept) if a > m}
+
+        verts, on = gamma.vertices, gamma._dd.on
+        skeleton = []
+        for a, b in itertools.combinations(sorted(roof), 2):
+            common = on[roof[a]] & on[roof[b]]
+            # a ridge is a facet of the roof facet a
+            if all(common != g for g, _ in gamma._subfaces(on[roof[a]])):
+                continue
+            ids = gamma._ids(common)
+            horiz = len({verts[i][-1] for i in ids}) == 1
+            skeleton.append(RoofRidge(cut_a=a, cut_b=b, vertex_ids=ids, horizontal=horiz))
+        return TestConfigPolytope(family=self, gamma=gamma, roof_facets=roof,
+                                  side_facets=[i for i, a in enumerate(kept) if a < m],
+                                  base_facet=kept.index(m), roof_skeleton=skeleton, roofs=roofs)
 
     def is_regular(self, t) -> bool:
         return _fr(t) not in self.critical_values()
@@ -1163,13 +1179,11 @@ class TestConfigPolytope:
     side_facets: list[int]
     base_facet: int
     roof_skeleton: list[RoofRidge]
+    roofs: dict  # cut index -> lifted cut functional, as Gamma was built from
 
     def roof_functionals(self) -> dict:
         """Unnormalized lifted cut functionals Phi_a(x) - t on R^{n+1}."""
-        out = {}
-        for a, phi in enumerate(self.family.cuts):
-            out[a] = AffineFunctional(tuple(phi.normal) + (Fraction(-1),), phi.offset)
-        return out
+        return self.roofs
 
     def side_leray_volume(self) -> Fraction:
         return self.gamma.boundary_leray_volume(self.side_facets)
@@ -1180,46 +1194,7 @@ def build_test_config(family: MovingFamily) -> TestConfigPolytope:
 
     Built once per family; later calls return the same object.
     """
-    if family._test_config is None:
-        family._test_config = _build_test_config(family)
     return family._test_config
-
-
-def _build_test_config(family: MovingFamily) -> TestConfigPolytope:
-    P = family.base
-    n = P.dim
-    if not family.cuts:
-        raise ValueError("unbounded test configuration: the family has no cuts")
-    # the sides, then the base t >= 0 at index m, then the roofs
-    m = len(P.facets)
-    lifted = [AffineFunctional(tuple(f.normal) + (Fraction(0),), f.offset) for f in P.facets]
-    lifted.append(AffineFunctional((Fraction(0),) * n + (Fraction(1),), 0))
-    lifted += [AffineFunctional(tuple(phi.normal) + (Fraction(-1),), phi.offset)
-               for phi in family.cuts]
-    try:
-        full = Polytope(n + 1, lifted)
-    except ValueError as exc:
-        raise ValueError(f"unbounded or degenerate test configuration: {exc}") from exc
-
-    # keep only essential inequalities so every facet of gamma is a facet
-    gamma, kept = _intersect(full, [])
-    if m not in kept:
-        raise ValueError("degenerate test configuration: base facet t=0 missing")
-    roof = {a - m - 1: i for i, a in enumerate(kept) if a > m}
-
-    verts = gamma.vertices
-    skeleton = []
-    for a, b in itertools.combinations(sorted(roof), 2):
-        common = gamma._on[roof[a]] & gamma._on[roof[b]]
-        # a ridge is a facet of the roof facet a
-        if all(common != g for g, _ in gamma._subfaces(gamma._on[roof[a]])):
-            continue
-        ids = gamma._ids(common)
-        horiz = len({verts[i][-1] for i in ids}) == 1
-        skeleton.append(RoofRidge(cut_a=a, cut_b=b, vertex_ids=ids, horizontal=horiz))
-    return TestConfigPolytope(family=family, gamma=gamma, roof_facets=roof,
-                              side_facets=[i for i, a in enumerate(kept) if a < m],
-                              base_facet=kept.index(m), roof_skeleton=skeleton)
 
 
 # convenience constructors ---------------------------------------------------

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import density
-from .asymptotics import CORNER_COEFFICIENT, facet_integral
+from .asymptotics import CORNER_COEFFICIENT, a_hat_pair, facet_integral
 from .density import (CURVATURE_REL_TOL, FACET_REL_TOL, QuadratureScheme, _family_key,
                       _memoised, curvature_integral, integrate, integrate_simplices)
-from .polytope import (AffineFunctional, MovingFamily, Polytope,
-                       TestConfigPolytope, _fit, _fr, _intersect, _poly_eval)
+from .polytope import (AffineFunctional, MovingFamily, Polytope, TestConfigPolytope,
+                       _fit, _fr, _intersect, _poly_eval, build_test_config)
 
 
 # ---------------------------------------------------------------------------
@@ -56,21 +57,21 @@ class HilbertCoefficients:
 
 def hilbert_coeffs_combinatorial(family: MovingFamily, t) -> HilbertCoefficients:
     """Exact A0(t), A1(t): the top two coefficients of the Ehrhart polynomial
-    of kP(t) on the multiples k of the integrality divisor of P(t)."""
+    of kP(t) on the multiples k of the integrality divisor of P(t), which may
+    be lower-dimensional (``Slice.region``)."""
     t = _fr(t)
     n = family.base.dim
-    sl = family.slice(t)
-    if sl.is_empty:
+    region = family.slice(t).region
+    if region is None:
         return HilbertCoefficients(t=t, A0=Fraction(0), A1=Fraction(0),
                                    source="combinatorial")
-    coeffs = sl.polytope._ehrhart(0)
+    coeffs = region._ehrhart(0)
     return HilbertCoefficients(t=t, A0=_poly_coeff(coeffs, n),
                                A1=_poly_coeff(coeffs, n - 1), source="combinatorial")
 
 
 def hilbert_coeffs_geometric(family: MovingFamily, potential, t) -> HilbertCoefficients:
     """A0, A1 from the metric side: Vol(P(t)) and (int s + <a_hat,1>)/2."""
-    from .asymptotics import a_hat_pair
     t = _fr(t)
     sl = family.slice(t)
     if sl.is_empty:
@@ -211,15 +212,23 @@ def futaki_combinatorial(config: TestConfigPolytope) -> Fraction:
     integrality divisors: the Ehrhart polynomials of P and Gamma on k = 0
     mod their divisors, the first of degree n, their difference of degree
     n+1; F1 = (w_n d_n - w_{n+1} d_{n-1}) / d_n^2 after clearing denominators.
+
+    The roof normals (nu_a, -1) of Gamma must be integral for its counts to
+    give F1, so Gamma is counted for r Phi, r the lcm of the denominators of
+    the cut normals, and F1, of degree 1 in Phi, is divided by r.
     """
     P = config.family.base
     n = P.dim
-    base, gamma = P._ehrhart(0), config.gamma._ehrhart(0)
+    cuts = config.family.cuts
+    r = lcm(*(v.denominator for phi in cuts for v in phi.normal))
+    counted = config.gamma if r == 1 else build_test_config(MovingFamily(
+        P, [AffineFunctional([r * v for v in phi.normal], r * phi.offset) for phi in cuts])).gamma
+    base, gamma = P._ehrhart(0), counted._ehrhart(0)
     d_top, d_sub = _poly_coeff(base, n), _poly_coeff(base, n - 1)
     w_top, w_sub = _poly_coeff(gamma, n + 1), _poly_coeff(gamma, n) - d_top
     if d_top == 0:
         raise ValueError("degenerate base polytope: leading Hilbert coefficient is zero")
-    return (w_sub * d_top - w_top * d_sub) / d_top**2
+    return (w_sub * d_top - w_top * d_sub) / (d_top**2 * r)
 
 
 def roof_skeleton_integral(config: TestConfigPolytope, potential) -> float:

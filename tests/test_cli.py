@@ -12,12 +12,14 @@ import pytest
 
 from toricdensity import SectionBasis, cli, count_lattice_points
 from toricdensity.density import section_expansion_residual
-from toricdensity.fileio import (dump_csv, dump_json, geometry_to_dict,
+from toricdensity.fileio import (TASKS, dump_csv, dump_json, geometry_to_dict,
                                  load_geometry, load_scenario, rational_to_str)
 from toricdensity.polytope import _fr
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# edge cases kept out of fixtures/, whose scenarios the benchmark runs
+EDGE_CASES = Path(__file__).resolve().parent / "scenarios"
 
 
 def run_cli(args):
@@ -150,6 +152,37 @@ class TestCliRuns:
         assert run_cli(["lattice-count", "--scenario", sc, "--out", tmp_path]) == 0
         lines = (tmp_path / "lattice_count.csv").read_text().strip().splitlines()
         assert lines[1:] == ["1,0,3", "2,0,6", "3,0,10"]
+
+    def test_futaki_of_a_cut_with_a_half_normal(self, tmp_path):
+        # Phi = x/2 on [0, 1] is affine: F1 was -1/4 with verdict "F1 < 0
+        # strictly" and exit 1, as Gamma's roof normal (1/2, -1) is not integral
+        rc = run_cli(["futaki", "--scenario", EDGE_CASES / "interval_half_cut.json",
+                      "--out", tmp_path])
+        assert rc == 0
+        data = json.loads((tmp_path / "futaki.json").read_text())
+        assert data["F1_combinatorial"] == "0"
+        assert data["verdict"] == "F1 = 0 and product"
+        assert abs(data["F1_metric"]) < 1e-12
+
+    def test_lattice_count_of_an_edge_at_a_critical_t(self, tmp_path):
+        # P(1) of cp2_vertex is the edge x + y = 1: it counted 0 points
+        rc = run_cli(["lattice-count", "--scenario", EDGE_CASES / "cp2_vertex_edge.json",
+                      "--out", tmp_path])
+        assert rc == 0
+        lines = (tmp_path / "lattice_count.csv").read_text().strip().splitlines()
+        assert lines[1:] == ["1,1,2", "2,1,3", "3,1,4"]
+
+    def test_density_mass_of_an_edge_at_a_critical_t(self, tmp_path):
+        # mass_exact was 0 against a quadrature mass of 5, and the run exited 1
+        rc = run_cli(["density-profile", "--scenario", EDGE_CASES / "cp2_vertex_edge.json",
+                      "--out", tmp_path])
+        assert rc == 0
+        data = json.loads((tmp_path / "density_mass.json").read_text())
+        assert data["mass_exact"] == 5
+        assert data["mass_quadrature"] == pytest.approx(5.0, rel=1e-6)
+
+    def test_runners_are_the_scenario_tasks(self):
+        assert tuple(cli._RUNNERS) == TASKS
 
     def test_expansion_check_cp1(self, tmp_path):
         rc = run_cli(["expansion-check", "--scenario",

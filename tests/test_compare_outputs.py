@@ -75,6 +75,19 @@ def test_jobs_run_the_demos_of_the_given_tree(tmp_path):
     assert Path(todo[0][1][4]).parent == compare_outputs.ROOT / "fixtures" / "scenarios"
 
 
+def test_every_task_runs_on_both_scenario_directories(tmp_path):
+    from toricdensity.fileio import TASKS
+
+    assert compare_outputs.TASKS == TASKS
+    runs = [argv for name, argv in compare_outputs.jobs(tmp_path / "src")
+            if not name.startswith("demos/")]
+    for directory in ("fixtures", "tests"):
+        scenarios = sorted((compare_outputs.ROOT / directory / "scenarios").glob("*.json"))
+        assert scenarios
+        assert [argv[2:5:2] for argv in runs if Path(argv[4]).parent.parent.name == directory] \
+            == [[task, str(path)] for path in scenarios for task in TASKS]
+
+
 def test_demo_of_one_tree_reads_missing_in_the_other():
     diffs = compare_outputs.differences("demos/06.py", run({}, stdout="x"),
                                         compare_outputs.MISSING)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import toricdensity as td
 from toricdensity.asymptotics import _slice_at_regular
 from toricdensity.density import (QuadratureScheme, _cut_signs, loglog_slope, partial_mask,
-                                  tree_sum)
+                                  required_divisor, tree_sum)
 
 F = Fraction
 
@@ -534,6 +534,16 @@ class TestSectionExpansion:
                                            td.polynomial_field(1, {(2,): 2.0}))
         assert r2 == pytest.approx(2 * r1, rel=1e-6)
 
+    @pytest.mark.parametrize("call,size", [
+        (lambda u: td.pair_alpha(u, ("1/2", "1/3"), 10, 1.0), 2),
+        (lambda u: td.section_expansion_check(u, (), 1.0), 0)],
+        ids=["pair_alpha", "expansion_check"])
+    def test_alpha_of_the_wrong_length(self, u_interval, call, size):
+        # both failed inside numpy, with a matmul message that did not name alpha
+        with pytest.raises(ValueError, match=f"^alpha has {size} coordinates, "
+                                             f"the polytope has dimension 1$"):
+            call(u_interval)
+
     def test_near_boundary_refused(self, u_interval):
         with pytest.raises(ValueError, match="boundary"):
             td.section_expansion_residual(u_interval, [F(1, 100)], 10,
@@ -580,6 +590,13 @@ class TestPartialDensity:
         with pytest.raises(ValueError, match="N=10"):
             td.partial_density(corner_family, u_interval, F(3, 10), 7,
                                np.array([[0.5]]))
+
+    def test_divisor_of_a_lower_dimensional_slice(self):
+        # P(1/2) of [0, 1/2] x [0, 1] cut by x is the edge x = 1/2, integral
+        # at even k; it was taken to be empty, of divisor 1
+        family = td.MovingFamily(td.box([F(1, 2), 1]), [td.AffineFunctional([1, 0], 0)])
+        assert required_divisor(family, F(1, 2)) == 2
+        assert required_divisor(family, 1) == 1
 
     def test_monotone_below_full_density(self, corner_family, u_interval,
                                          cp1_bases):

@@ -79,6 +79,14 @@ def rational_matrices(draw):
     return rows
 
 
+def _rank(rows):
+    """The rank of rational rows: the pivot count of ``_row_reduce`` on
+    their cleared integers."""
+    from toricdensity.polytope import _cleared_rows, _row_reduce
+
+    return len(_row_reduce(_cleared_rows(rows)[0], len(rows[0]) if rows else 0)[1])
+
+
 def _largest_nonzero_minor(rows):
     r, c = len(rows), len(rows[0])
     return max((size for size in range(1, min(r, c) + 1)
@@ -99,7 +107,7 @@ class TestExactLinearAlgebra:
 
         r, c = len(rows), len(rows[0])
         rank = _largest_nonzero_minor(rows)
-        assert tp._rank(rows) == rank
+        assert _rank(rows) == rank
 
         k = min(r, c)
         square = [row[:k] for row in rows[:k]]
@@ -114,13 +122,13 @@ class TestExactLinearAlgebra:
 
         d = len(rows[0])
         start = tp._start_cone(rows, d)
-        if tp._rank(rows) < d:
+        if _rank(rows) < d:
             assert start is None
             return
         basis, rays = start
         # the first d independent rows, in order
         assert basis == [i for i in range(len(rows))
-                         if tp._rank(rows[:i + 1]) > tp._rank(rows[:i])]
+                         if _rank(rows[:i + 1]) > _rank(rows[:i])]
         B = [rows[a] for a in basis]
         for i, ray in enumerate(rays):
             assert math.gcd(*ray) == 1 and all(isinstance(v, int) for v in ray)
@@ -387,6 +395,8 @@ class TestFibrewiseCounting:
            st.builds(F, st.integers(0, 40), st.integers(1, 4)),
            st.sampled_from([1, 2, 3, 4]))
     @settings(max_examples=40, deadline=None)
+    @example([1, 0], F(2), 3)
+    @example([1, 1, 1], F(6), 2)
     def test_slices_match_brute_force(self, nu, t, k):
         n = len(nu)
         base = td.box([2] * n)
@@ -399,10 +409,13 @@ class TestFibrewiseCounting:
         want = brute_force_points(raw, lo, hi, k)
         assert raw.lattice_points(k).tolist() == want
         assert raw.count_lattice_points(k) == len(want)
-        sl = td.MovingFamily(base, [cut]).slice(t)
-        if not sl.is_empty:
-            assert sl.polytope.lattice_points(k).tolist() == want
-            assert sl.polytope.count_lattice_points(k) == len(want)
+        # P(t) as its counts read it, lower-dimensional at a critical t
+        region = td.MovingFamily(base, [cut]).slice(t).region
+        assert (region is None) == raw.is_empty
+        if region is not None:
+            assert region.lattice_points(k).tolist() == want
+            assert region.count_lattice_points(k) == len(want)
+            assert region.integrality_divisor() == raw.integrality_divisor()
 
     def test_empty_polytope(self):
         P = Polytope(2, [AffineFunctional([1, 0], 1), AffineFunctional([-1, 0], 0),
@@ -610,29 +623,12 @@ def _assert_vertices_and_incidence(P, verts):
                                       if set(face.vertex_ids) <= set(ids)}
 
 
-def _is_unbounded(P):
-    P.vertices  # fills the recession ray
-    return P._ray is not None
-
-
-def _assert_unbounded_faces_raise(P):
-    """The faces of an unbounded region are not its vertex sets, so faces
-    and essential_facets refuse it; a nonempty one holds infinitely many
-    lattice points, so counts and lattice_points refuse it too."""
-    with pytest.raises(ValueError, match="unbounded region"):
-        P.essential_facets()
-    for codim in range(1, P.dim + 1):
-        with pytest.raises(ValueError, match="unbounded region"):
-            P.faces(codim)
-    if P.is_empty:  # no point at all, bounded or not
-        assert [P.count_lattice_points(k) for k in (1, 5, 10**6)] == [0, 0, 0]
-        return
-    for k in (1, 5, 10**6):
-        for refuse in (P.count_lattice_points, P.lattice_points):
-            with pytest.raises(ValueError, match="unbounded region"):
-                refuse(k)
-    with pytest.raises(ValueError, match="unbounded region"):
-        P.interior_grid(5)
+def _assert_refused(name):
+    """An unbounded region, or one whose normals do not span, is refused on
+    construction although require_full_dim is False."""
+    why = "facet normals do not span" if name.endswith("do_not_span") else "recession ray"
+    with pytest.raises(ValueError, match=f"^unbounded polytope: {why}"):
+        NON_GENERIC[name]()
 
 
 def _facets(rows):
@@ -650,7 +646,7 @@ OCTAHEDRON = [(nu, -1) for nu in itertools.product((-1, 1), repeat=3)]
 
 # Inputs on which a vertex enumeration could go wrong: vertices with more
 # than n active facets, and, with require_full_dim=False, unbounded regions
-# (which keep their vertices) and normals that do not span (no vertex).
+# and normals that do not span, which construction refuses.
 NON_GENERIC = {
     "square_pyramid": lambda: Polytope(3, _facets(SQUARE_PYRAMID)),
     "octahedron": lambda: Polytope(3, _facets(OCTAHEDRON)),
@@ -663,7 +659,6 @@ NON_GENERIC = {
     "unbounded_strip": lambda: Polytope(
         2, _facets([([1, 0], 0), ([-1, 0], -1), ([0, 1], 0), ([1, 1], F(1, 2))]),
         require_full_dim=False),
-    # the box around its two vertices holds 6 points of 5P, the region infinitely many
     "unbounded_wedge": lambda: Polytope(
         2, _facets([([1, 0], 0), ([0, 1], 0), ([1, -1], -1)]), require_full_dim=False),
     "unbounded_corner_3d": lambda: Polytope(
@@ -723,17 +718,13 @@ class TestIncidenceAndPruning:
             assert sl.new_facets == [(0, phi.shifted(t))] * len(new)
             assert sl.old_facets == [i for i in range(len(facets)) if i not in new]
 
-    @pytest.mark.parametrize("build", NON_GENERIC.values(), ids=NON_GENERIC.keys())
-    def test_non_generic_inputs_match_brute_force(self, build):
-        P = build()
-        verts = brute_force_vertices(P.facets, P.dim)
-        if _is_unbounded(P):
-            assert P.vertices == verts
-            assert [P.facet_vertex_ids(a) for a in range(len(P.facets))] == \
-                _brute_on(P.facets, verts)
-            _assert_unbounded_faces_raise(P)
-        else:
-            _assert_vertices_and_incidence(P, verts)
+    @pytest.mark.parametrize("name", NON_GENERIC)
+    def test_non_generic_inputs_match_brute_force(self, name):
+        if name not in BOUNDED_NON_GENERIC:
+            _assert_refused(name)
+            return
+        P = NON_GENERIC[name]()
+        _assert_vertices_and_incidence(P, brute_force_vertices(P.facets, P.dim))
 
     def test_polygon_64_and_box_corner5_gamma_solve_no_system(self):
         # the 64-gon on the parabola y = x^2 that the exact_lattice
@@ -949,8 +940,6 @@ def _assert_measures_match_centroid_fan(P):
 def _affine_dim(points):
     """Affine dimension of a point set by row reduction (the rank that
     TestExactLinearAlgebra checks against the minors); -1 for none."""
-    from toricdensity.polytope import _rank
-
     return _rank([[a - b for a, b in zip(p, points[0])] for p in points[1:]]) if points else -1
 
 
@@ -958,11 +947,12 @@ def _brute_faces(P, codim):
     """The C(m, codim) enumeration: each codim-subset of facets, kept when its
     common vertices span n - codim dimensions; (vertex ids, active facets)
     sorted by vertex ids."""
+    on = [frozenset(ids) for ids in _brute_on(P.facets, P.vertices)]
     found = {}
     for combo in itertools.combinations(range(len(P.facets)), codim):
-        common = frozenset.intersection(*(P.incidence[a] for a in combo))
+        common = frozenset.intersection(*(on[a] for a in combo))
         if common and _affine_dim([P.vertices[i] for i in common]) == P.dim - codim:
-            found[common] = frozenset(a for a, on in enumerate(P.incidence) if common <= on)
+            found[common] = frozenset(a for a, ids in enumerate(on) if common <= ids)
     return sorted((tuple(sorted(ids)), active) for ids, active in found.items())
 
 
@@ -1017,13 +1007,12 @@ class TestFaceRecursion:
         _assert_faces_match_brute_force(cube)
         assert len(cube.triangulation()) == count
 
-    @pytest.mark.parametrize("build", NON_GENERIC.values(), ids=NON_GENERIC.keys())
-    def test_non_generic_faces(self, build):
-        P = build()
-        if _is_unbounded(P):
-            _assert_unbounded_faces_raise(P)
-        else:
-            _assert_faces_match_brute_force(P)
+    @pytest.mark.parametrize("name", NON_GENERIC)
+    def test_non_generic_faces(self, name):
+        if name not in BOUNDED_NON_GENERIC:
+            _assert_refused(name)
+            return
+        _assert_faces_match_brute_force(NON_GENERIC[name]())
 
     @pytest.mark.parametrize("name", BOUNDED_NON_GENERIC)
     def test_non_generic_measures(self, name):
@@ -1033,7 +1022,7 @@ class TestFaceRecursion:
         # the slack table passes 2**62, so it is a product on Python ints
         huge = 10**19
         P = Polytope(3, td.box([huge] * 3).facets + [AffineFunctional([2, 1, 1], F(huge, 3))])
-        assert max(abs(s) for row in P._slacks for s in row) >= 2**62
+        assert max(abs(s) for row in P._dd.slacks for s in row) >= 2**62
         _assert_measures_match_centroid_fan(P)
         assert P.volume() == huge**3 - F(huge, 6) * F(huge, 3) * F(huge, 3) / 6
 
@@ -1054,7 +1043,8 @@ class TestFaceRecursion:
             fam = td.MovingFamily(td.standard_simplex(n), [AffineFunctional([1] * n, 0)])
         gamma = td.build_test_config(fam).gamma
         monkeypatch.setattr(tp, "_simplex_volume", fail)
-        monkeypatch.setattr(tp, "_rank", fail)
+        # the entry of every rank or determinant of rational rows
+        monkeypatch.setattr(tp, "_cleared_rows", fail)
         monkeypatch.setattr(Polytope, "triangulation", fail)
         monkeypatch.setattr(Polytope, "_triangulate_face", fail)
         start = time.perf_counter()
@@ -1093,6 +1083,15 @@ class TestSlice:
         sl = square_family.slice(0)
         assert sl.new_facets == []
         assert sl.polytope.vertices == square.vertices
+
+    def test_region_of_the_top_critical_value(self, vertex_family):
+        # P(1) is the edge x + y = 1: no slice polytope, but counted points
+        sl = vertex_family.slice(1)
+        assert sl.is_empty and not sl.region.is_full_dim
+        assert sl.region.vertices == [(0, 1), (1, 0)]
+        assert [sl.region.count_lattice_points(k) for k in (1, 2, 3)] == [2, 3, 4]
+        assert vertex_family.slice(F(1, 2)).region is vertex_family.slice(F(1, 2)).polytope
+        assert vertex_family.slice(2).region is None
 
     def test_tent_crossing_empty(self, tent_family):
         assert tent_family.slice(F(3, 4)).is_empty
@@ -1226,6 +1225,17 @@ class TestTestConfig:
         all_ids = roof | sides | base
         assert len(all_ids) == len(roof) + len(sides) + len(base)
         assert all_ids == set(range(len(cfg.gamma.facets)))
+
+    def test_roof_functionals_are_the_roofs_gamma_was_built_from(self):
+        fam = td.MovingFamily(td.box([1, 1]), [AffineFunctional([2, 0], 0),
+                                               AffineFunctional([0, F(1, 2)], 0)])
+        cfg = td.build_test_config(fam)
+        lifted = cfg.roof_functionals()
+        assert lifted == {0: AffineFunctional([2, 0, -1], 0),
+                          1: AffineFunctional([0, F(1, 2), -1], 0)}
+        assert cfg.roof_functionals() is lifted
+        assert all(lifted[a].normalized() == cfg.gamma.facets[i]
+                   for a, i in cfg.roof_facets.items())
 
     def test_no_cuts_raises(self, interval):
         fam = td.MovingFamily(interval, [])

@@ -73,12 +73,39 @@ def rational_cut_families(draw):
     return td.MovingFamily(P, list(cuts.values()))
 
 
+@st.composite
+def small_cut_families(draw, den):
+    """A box or scaled simplex in dimension 1..2 with one or two distinct
+    cuts, drawn as rational_cut_families draws them, whose normals have
+    denominators up to den."""
+    n = draw(st.integers(1, 2))
+    sizes = st.builds(F, st.integers(1, 3), st.integers(1, 2))
+    if draw(st.booleans()):
+        P = td.box([draw(sizes) for _ in range(n)])
+    else:
+        P = td.standard_simplex(n, draw(sizes))
+    cuts = {}
+    for _ in range(draw(st.integers(1, 2))):
+        nu = draw(st.lists(st.builds(F, st.integers(-2, 2), st.integers(1, den)),
+                           min_size=n, max_size=n).filter(any))
+        lowest = min(sum(a * b for a, b in zip(nu, v)) for v in P.vertices)
+        ell = td.AffineFunctional(nu, lowest - draw(st.builds(F, st.integers(0, 1),
+                                                              st.integers(1, 3))))
+        cuts[ell.key()] = ell
+    return td.MovingFamily(P, list(cuts.values()))
+
+
 class TestHilbertCoefficients:
     def test_cp2_vertex_family(self, vertex_family):
         for t in (F(1, 5), F(1, 2), F(3, 4)):
             hc = td.hilbert_coeffs_combinatorial(vertex_family, t)
             assert hc.A0 == (1 - t * t) / 2
             assert hc.A1 == (3 - t) / 2
+
+    def test_edge_at_the_top_critical_value(self, vertex_family):
+        # P(1) is the edge x + y = 1, with k + 1 points in kP(1): A1 was 0
+        hc = td.hilbert_coeffs_combinatorial(vertex_family, 1)
+        assert (hc.A0, hc.A1) == (0, 1)
 
     @pytest.mark.parametrize("t", [F(5, 6), F(7, 8)])
     def test_geometric_a1_on_thin_slices(self, vertex_family, u_simplex_perturbed, t):
@@ -258,6 +285,24 @@ class TestFutakiCombinatorial:
         d_sub = P.boundary_leray_volume() / 2
         closed = (w_sub * d_top - w_top * d_sub) / d_top ** 2
         assert closed == td.futaki_combinatorial(cfg)
+
+    @given(small_cut_families(3))
+    @settings(max_examples=25, deadline=None)
+    def test_rational_normals_agree_with_the_metric(self, family):
+        # Gamma's roof normals (nu, -1) are not integral: its counts gave F1
+        # = -1/4 for the affine cut x/2 on [0, 1]
+        cfg = td.build_test_config(family)
+        metric = td.futaki_metric(cfg, td.guillemin_potential(family.base))
+        assert abs(float(td.futaki_combinatorial(cfg)) - metric) <= 1e-4
+
+    @given(small_cut_families(1), st.sampled_from([2, 3]))
+    @settings(max_examples=25, deadline=None)
+    def test_scaling_integral_cuts_scales_f1(self, family, r):
+        scaled = td.MovingFamily(family.base, [
+            td.AffineFunctional([r * v for v in phi.normal], r * phi.offset)
+            for phi in family.cuts])
+        assert td.futaki_combinatorial(td.build_test_config(scaled)) == \
+            r * td.futaki_combinatorial(td.build_test_config(family))
 
     def test_tent_wk_identity(self, tent_family, interval):
         cfg = td.build_test_config(tent_family)

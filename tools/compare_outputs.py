@@ -3,13 +3,14 @@
     python tools/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
-CLI task runs on every scenario in this checkout's ``fixtures/scenarios``,
-once with each tree first on PYTHONPATH, and each tree runs the scripts of
-its own ``demos`` (``SRC/../demos``), so a demo may call the API of its own
-tree; a demo that only one tree has reads as exit code ``missing`` in the
-other.  Each run gets a fresh working directory; two runs go at a time.
-The exit code, stdout and the bytes of every file the run writes are
-compared; stderr is not.  Each difference is printed, a ``.json`` or
+CLI task (``fileio.TASKS`` of this checkout) runs on every scenario in this
+checkout's ``fixtures/scenarios`` and ``tests/scenarios``, once with each
+tree first on PYTHONPATH, and each tree runs the scripts of its own
+``demos`` (``SRC/../demos``), so a demo may call the API of its own tree; a
+demo that only one tree has reads as exit code ``missing`` in the other.
+Each run gets a fresh working directory; two runs go at a time.  The exit
+code, stdout and the bytes of every file the run writes are compared;
+stderr is not.  Each difference is printed, a ``.json`` or
 ``.csv`` file field by field or cell by cell with both values.  Then each
 JSON field (dotted key) or CSV column that differs gets one summary line:
 the number of files where it differs and its largest absolute change.  The
@@ -31,17 +32,18 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TASKS = ("check-delzant", "lattice-count", "density-profile", "em-check",
-         "expansion-check", "slope", "futaki", "report")
+SCENARIO_DIRS = (ROOT / "fixtures" / "scenarios", ROOT / "tests" / "scenarios")
+sys.path.insert(0, str(ROOT / "src"))
+from toricdensity.fileio import TASKS  # noqa: E402  (this checkout's task list)
 
 
 def jobs(src: Path):
     """(name, argv) of every run on the tree at src: each task on each
     scenario, then each demo of the tree."""
     out = []
-    for scenario in sorted((ROOT / "fixtures" / "scenarios").glob("*.json")):
+    for scenario in [path for d in SCENARIO_DIRS for path in sorted(d.glob("*.json"))]:
         for task in TASKS:
-            out.append((f"{scenario.stem}/{task}",
+            out.append((f"{scenario.parent.parent.name}/{scenario.stem}/{task}",
                         ["-m", "toricdensity.cli", task, "--scenario", str(scenario),
                          "--out", "out"]))
     for demo in sorted((src.parent / "demos").glob("*.py")):
